@@ -156,17 +156,16 @@ class LinearCode:
 
     def codewords(self):
         """All codewords, zero included.  Only sane for tiny codes."""
-        f = self.field
-        add, mul = f.add, f.mul
+        add, mul = self.field.tables.add, self.field.tables.mul
+        q = self.field.order
         words = [[0] * self.n]
         for row in self.gen.rows:
-            scaled = {c: [mul(c, x) for x in row] for c in range(1, f.order)}
+            scaled = [[mul[c][x] for x in row] for c in range(1, q)]
             nxt = []
             for w in words:
                 nxt.append(w)
-                for c in range(1, f.order):
-                    s = scaled[c]
-                    nxt.append([add(a, b) for a, b in zip(w, s)])
+                for s in scaled:
+                    nxt.append([add[a][b] for a, b in zip(w, s)])
             words = nxt
         return words
 
@@ -178,11 +177,9 @@ class LinearCode:
         q = f.order
         if q**self.k > budget:
             raise BudgetError(f"{q}^{self.k} messages exceed budget {budget}")
-        add, mul = f.add, f.mul
+        add, mul = f.tables.add, f.tables.mul
         n = self.n
-        scaled_rows = [
-            [None] + [[mul(c, x) for x in row] for c in range(1, q)] for row in self.gen.rows
-        ]
+        scaled_rows = [[[mul[c][x] for x in row] for c in range(1, q)] for row in self.gen.rows]
         best = n + 1
         stack = [(0, [0] * n, False)]
         while stack:
@@ -194,8 +191,8 @@ class LinearCode:
                         best = w
                 continue
             stack.append((i + 1, acc, nonzero))
-            for s in scaled_rows[i][1:]:
-                stack.append((i + 1, [add(a, b) for a, b in zip(acc, s)], True))
+            for s in scaled_rows[i]:
+                stack.append((i + 1, [add[a][b] for a, b in zip(acc, s)], True))
         return exact_report(best, "exhaustive")
 
     def min_distance_by_supports(self) -> DistanceReport:
@@ -241,24 +238,25 @@ class LinearCode:
             mat, t = self.euclidean_dual().gen, n - k
         if math.comb(n, t) > max_subsets:
             raise BudgetError(f"C({n},{t}) column subsets exceed budget {max_subsets}")
-        f = self.field
-        sub, mul, div = f.sub, f.mul, f.div
+        add, mul, neg, inv = self.field.tables
         cols = [[mat.rows[i][j] for i in range(t)] for j in range(n)]
 
-        # basis entries: (pivot_row, vector normalized to 1 at pivot)
+        # basis entries: (pivot_row, nonzero (row, entry) pairs of a vector
+        # normalized to 1 at the pivot and zero before it); a reduction step
+        # is the elimination kernel's row operation
         def reduce(vec, basis):
             v = list(vec)
-            for pos, b in basis:
+            for pos, support in basis:
                 c = v[pos]
                 if c:
-                    v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+                    m = mul[neg[c]]
+                    for i, y in support:
+                        v[i] = add[v[i]][m[y]]
             piv = next((i for i, x in enumerate(v) if x), None)
             if piv is None:
                 return None
-            pv = v[piv]
-            if pv != 1:
-                v = [div(x, pv) for x in v]
-            return piv, v
+            m = mul[inv[v[piv]]]
+            return piv, [(i, m[x]) for i, x in enumerate(v) if x]
 
         def walk(start, basis):
             depth = len(basis)

@@ -125,39 +125,18 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
                 ent.append(va)
                 ent.append(vb)
         cols.append(ent)
-    nrows = len(cols[0])
-    rows = [[cols[j][i] for j in range(n)] for i in range(nrows)]
-    piv_cols: list[int] = []
-    rr = 0
-    for c in range(n):
-        pr = next((i for i in range(rr, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[rr], rows[pr] = rows[pr], rows[rr]
-        inv = sub.inv(rows[rr][c])
-        rows[rr] = [sub.mul(inv, x) for x in rows[rr]]
-        for i in range(nrows):
-            if i != rr and rows[i][c]:
-                f = sub.neg(rows[i][c])
-                rows[i] = [sub.add(x, sub.mul(f, y)) for x, y in zip(rows[i], rows[rr])]
-        piv_cols.append(c)
-        rr += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if not free:
+    rows = [[cols[j][i] for j in range(n)] for i in range(len(cols[0]))]
+    basis = Matrix(sub, rows, ncols=n).nullspace().rows
+    if not basis:
         return None
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(piv_cols):
-            v[pc] = sub.neg(rows[i][fc])
-        basis.append(v)
+    add, mul = sub.tables.add, sub.tables.mul
 
     def combine(coeffs):
         v = [0] * n
         for c, b in zip(coeffs, basis):
             if c:
-                v = [sub.add(x, sub.mul(c, y)) for x, y in zip(v, b)]
+                m = mul[c]
+                v = [add[x][m[y]] for x, y in zip(v, b)]
         return v
 
     if l ** len(basis) <= cap:

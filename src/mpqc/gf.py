@@ -4,7 +4,15 @@ Elements are represented as integer codes in [0, p^m): the base-p digits of
 a code are the coefficients of the element in the polynomial basis, constant
 term first.  Each field carries exp/log tables over a canonical generator of
 the multiplicative group plus a Zech logarithm table, so that addition,
-multiplication and inversion are all O(1) table lookups.
+multiplication and inversion are all O(1) table lookups.  The exp table is
+stepped out by a precomputed multiply-by-generator map on half-digit blocks
+where that map's tables stay O(p^m), and by a direct multiply otherwise.
+
+``Field.tables`` gives ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
+``inv[a]``, built on first use.  Up to order TABLE_ORDER_CAP add and mul are
+nested lists; above it their rows are objects that read each entry through
+the Zech path.  Bulk loops such as the elimination kernel in ``matrix.py``
+index them directly instead of calling a method per entry.
 
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
@@ -17,9 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
+# largest order whose add/mul tables are materialized: two q x q tables of
+# shared int references, about 8 bytes per entry (1.3 MB at q = 289, 16 MB
+# and about 0.25 s to build at q = 1024, repaid within a few eliminations)
+TABLE_ORDER_CAP = 1024
 
 
 class FieldError(ValueError):
@@ -166,6 +178,74 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
+def _generator_step_digits(p: int, m: int) -> int | None:
+    """Low-block width h of the block multiply-by-generator step in GF(p^m).
+
+    The step adds h-digit blocks through a p^h x p^h table.  It is taken only
+    while that table has at most 3 p^m entries (m even, or p <= 3); None
+    means the bootstrap multiplies by the generator directly instead.
+    """
+    h = (m + 1) // 2
+    return h if m > 1 and p ** (2 * h) <= 3 * p**m else None
+
+
+# ---------------------------------------------------------------------------
+# operation tables
+
+
+class FieldTables(NamedTuple):
+    """add[a][b], mul[a][b], neg[a] and inv[a] on element codes (inv[0] is None)."""
+
+    add: Sequence[Sequence[int]]
+    mul: Sequence[Sequence[int]]
+    neg: Sequence[int]
+    inv: Sequence[int | None]
+
+
+class _ZechAddRow:
+    """Row a != 0 of the addition table, one Zech lookup per entry."""
+
+    __slots__ = ("a", "la", "exp", "log", "zech")
+
+    def __init__(self, fld: "Field", a: int):
+        self.a, self.la = a, fld._log[a]
+        self.exp, self.log, self.zech = fld._exp, fld._log, fld._zech
+
+    def __getitem__(self, b: int) -> int:
+        if b == 0:
+            return self.a
+        # a + b = g^la (1 + g^(lb - la)); negative offsets wrap in zech
+        z = self.zech[self.log[b] - self.la]
+        return self.exp[self.la + z] if z >= 0 else 0
+
+
+class _ZechMulRow:
+    """Row a != 0 of the multiplication table, one log lookup per entry."""
+
+    __slots__ = ("la", "exp", "log")
+
+    def __init__(self, fld: "Field", a: int):
+        self.la, self.exp, self.log = fld._log[a], fld._exp, fld._log
+
+    def __getitem__(self, b: int) -> int:
+        return self.exp[self.la + self.log[b]] if b else 0
+
+
+class _ZechTable(dict):
+    """add or mul table above the cap: a row object per first-used row."""
+
+    def __init__(self, fld: "Field", row, zero_row: Sequence[int]):
+        super().__init__()
+        self.fld, self.row = fld, row
+        self[0] = zero_row
+
+    def __missing__(self, a: int):
+        if not 0 < a < self.fld.order:
+            raise IndexError(f"no element code {a} in {self.fld}")
+        r = self[a] = self.row(self.fld, a)
+        return r
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -187,6 +267,7 @@ class Field:
         self._xpow = self._reduction_table()
         self.generator: int = self._find_generator()
         self._build_tables()
+        self._tables: FieldTables | None = None
         self._conj_table: list[int] | None = None
 
     # -- construction internals --
@@ -245,20 +326,57 @@ class Field:
                 return g
         raise FieldError("no generator found")  # unreachable for true fields
 
+    def _times_generator_blocks(self, h: int):
+        """Tables for v -> g*v on codes split as v = lo + P*hi, P = p^h.
+
+        g*v = lo_t[lo] (+) hi_t[hi], where (+) is digit-wise addition mod p,
+        done on the low and high h-digit blocks through block_add.
+        """
+        p, m = self.p, self.m
+        P = p**h
+        g = self.generator
+        lo_t = [self._mul_codes_raw(x, g) for x in range(P)]
+        gxh = self._mul_codes_raw(P, g)  # g * x^h
+        hi_t = [self._mul_codes_raw(y, gxh) for y in range(p ** (m - h))]
+        block_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for k in range(1, h):
+            # extend the table from k to k+1 digits: one more low digit
+            prev = block_add
+            block_add = [
+                [(a0 + b0) % p + p * s for s in prev[a1] for b0 in range(p)]
+                for a1 in range(p**k)
+                for a0 in range(p)
+            ]
+        return P, lo_t, hi_t, block_add
+
     def _build_tables(self):
-        q = self.order
+        q, p = self.order, self.p
         exp = [1] * (2 * q)
         log = [-1] * q
         g = self.generator
         v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_codes_raw(v, g)
+        h = _generator_step_digits(p, self.m)
+        if self.m == 1:
+            for i in range(q - 1):
+                exp[i] = v
+                log[v] = i
+                v = v * g % p
+        elif h is None:
+            for i in range(q - 1):
+                exp[i] = v
+                log[v] = i
+                v = self._mul_codes_raw(v, g)
+        else:
+            P, lo_t, hi_t, block_add = self._times_generator_blocks(h)
+            for i in range(q - 1):
+                exp[i] = v
+                log[v] = i
+                a = lo_t[v % P]
+                b = hi_t[v // P]
+                v = block_add[a % P][b % P] + P * block_add[a // P][b // P]
         for i in range(q - 1, 2 * q):
             exp[i] = exp[i - (q - 1)]
         # zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0
-        p = self.p
         zech = [-1] * (q - 1)
         for k in range(q - 1):
             e = exp[k]
@@ -269,6 +387,43 @@ class Field:
         self._log = log
         self._zech = zech
         self._neg_shift = (q - 1) // 2 if p != 2 else 0
+
+    @property
+    def tables(self) -> FieldTables:
+        """Operation tables, built on first use.
+
+        Up to TABLE_ORDER_CAP, add and mul are q x q nested lists; above it
+        they hand out row objects that compute each entry from the Zech
+        tables.  neg and inv are always plain lists.
+        """
+        if self._tables is None:
+            self._tables = self._materialize_tables()
+        return self._tables
+
+    def _materialize_tables(self) -> FieldTables:
+        q = self.order
+        n1 = q - 1
+        codes = list(range(q))
+        # every entry references one of these q int objects
+        exp = [codes[x] for x in self._exp]
+        log, zech = self._log, self._zech
+        neg = [0] + [exp[log[a] + self._neg_shift] for a in range(1, q)]
+        inv = [None] + [exp[n1 - log[a]] for a in range(1, q)]
+        if q > TABLE_ORDER_CAP:
+            # row 0: 0 + b = b, and 0 * b = 0 (q zero bytes)
+            add = _ZechTable(self, _ZechAddRow, range(q))
+            mul = _ZechTable(self, _ZechMulRow, bytes(q))
+            return FieldTables(add, mul, neg, inv)
+        logs = log[1:]
+        add = [codes]
+        mul = [[0] * q]
+        for a in range(1, q):
+            la = log[a]
+            # a + b = g^la (1 + g^(lb - la)); negative offsets wrap in zech
+            row = [exp[la + z] if z >= 0 else 0 for z in [zech[lb - la] for lb in logs]]
+            add.append([codes[a]] + row)
+            mul.append([0] + [exp[la + lb] for lb in logs])
+        return FieldTables(add, mul, neg, inv)
 
     # -- identity-ish --
 
@@ -379,12 +534,17 @@ class Field:
             raise FieldError(f"order {self.order} is not a perfect square")
         return self.p ** (self.m // 2)
 
-    def conj(self, a: int) -> int:
-        """a^l, the involution fixing the index-2 subfield GF(l)."""
+    @property
+    def conj_table(self) -> list[int]:
+        """conj_table[a] = a^l, built on first use."""
         if self._conj_table is None:
             l = self.subfield_order
             self._conj_table = [self.pow(x, l) for x in range(self.order)]
-        return self._conj_table[a]
+        return self._conj_table
+
+    def conj(self, a: int) -> int:
+        """a^l, the involution fixing the index-2 subfield GF(l)."""
+        return self.conj_table[a]
 
     def order_of(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""

@@ -1,9 +1,14 @@
 """Dense exact linear algebra over a Field.
 
-Matrices are immutable grids of element codes.  Everything is plain
-Gaussian elimination with first-nonzero pivoting; arithmetic is exact, so
-no pivot strategy beyond that is needed.  Zero-row and zero-column shapes
-are legal everywhere (duals of full spaces come out as 0 x n matrices).
+Matrices are immutable grids of element codes.  Every elimination (rref,
+rank, nullspace, det/inverse) runs on one kernel, `_eliminate`: plain
+Gauss-Jordan with first-nonzero pivoting on a list of row lists.  Arithmetic
+is exact, so no pivot strategy beyond that is needed.  The kernel indexes
+the field's operation tables (``Field.tables``) instead of calling a method
+per entry, and a row operation touches only the columns where the pivot row
+is nonzero, all at or right of the pivot column.  Zero-row and zero-column
+shapes are legal everywhere (duals of full spaces come out as 0 x n
+matrices).
 """
 
 from __future__ import annotations
@@ -11,6 +16,48 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement
+
+
+def _eliminate(fld: Field, rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Reduce `rows` in place to reduced row-echelon form on columns < ncols.
+
+    Columns from ncols on (an augmented block) are carried along but never
+    pivoted.  Returns the pivot columns and the product of the pivots times
+    the sign of the row swaps, which is the determinant of a full-rank
+    square block.
+    """
+    add, mul, neg, inv = fld.tables
+    nr = len(rows)
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = neg[det]
+        src = rows[r]
+        piv = src[c]
+        det = mul[det][piv]
+        if piv != 1:
+            scale = mul[inv[piv]]
+            src[c:] = [scale[x] for x in src[c:]]
+        # only the pivot row's nonzero entries, all at or right of c, change dst
+        support = [(j, s) for j, s in enumerate(src[c:], c) if s]
+        for i in range(nr):
+            dst = rows[i]
+            f = dst[c]
+            if f and i != r:
+                m = mul[neg[f]]
+                for j, s in support:
+                    dst[j] = add[dst[j]][m[s]]
+        pivots.append(c)
+        r += 1
+    return pivots, det
 
 
 class Matrix:
@@ -26,9 +73,9 @@ class Matrix:
             raise ValueError("empty matrix needs an explicit column count")
         q = fld.order
         for r in grid:
-            for x in r:
-                if not 0 <= x < q:
-                    raise ValueError(f"entry {x} is not an element code of {fld}")
+            if r and (min(r) < 0 or max(r) >= q):
+                bad = next(x for x in r if not 0 <= x < q)
+                raise ValueError(f"entry {bad} is not an element code of {fld}")
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "nrows", len(grid))
         object.__setattr__(self, "ncols", ncols)
@@ -38,13 +85,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     # -- constructors --
-
-    @classmethod
-    def from_elements(cls, fld: Field, rows: Iterable[Sequence]) -> "Matrix":
-        conv = []
-        for r in rows:
-            conv.append([fld.element(x).code for x in r])
-        return cls(fld, conv) if conv else cls(fld, [], ncols=0)
 
     @classmethod
     def identity(cls, fld: Field, n: int) -> "Matrix":
@@ -119,34 +159,26 @@ class Matrix:
             raise ValueError("stacking shape/field mismatch")
         return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
-    def hconcat(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field or other.nrows != self.nrows:
-            raise ValueError("stacking shape/field mismatch")
-        return Matrix(
-            self.field,
-            [a + b for a, b in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
     # -- entrywise maps --
 
     def conjugate(self) -> "Matrix":
         """Entrywise x -> x^l over GF(l^2)."""
-        conj = self.field.conj
-        return Matrix(self.field, [[conj(x) for x in r] for r in self.rows], ncols=self.ncols)
+        if not (self.nrows and self.ncols):
+            return self  # no entry, so no conjugation (and no square-order check)
+        conj = self.field.conj_table
+        return Matrix(self.field, [[conj[x] for x in r] for r in self.rows], ncols=self.ncols)
 
     def scale(self, c) -> "Matrix":
-        code = self.field.element(c).code
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(code, x) for x in r] for r in self.rows], ncols=self.ncols)
+        m = self.field.tables.mul[self.field.element(c).code]
+        return Matrix(self.field, [[m[x] for x in r] for r in self.rows], ncols=self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or other.shape != self.shape:
             raise ValueError("addition shape/field mismatch")
-        add = self.field.add
+        add = self.field.tables.add
         return Matrix(
             self.field,
-            [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            [[add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             ncols=self.ncols,
         )
 
@@ -154,18 +186,16 @@ class Matrix:
         if other.field != self.field or self.ncols != other.nrows:
             raise ValueError("product shape/field mismatch")
         f = self.field
-        add, mul = f.add, f.mul
-        bt = [[other.rows[k][j] for k in range(other.nrows)] for j in range(other.ncols)]
+        add, mul = f.tables.add, f.tables.mul
         out = []
         for r in self.rows:
-            orow = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(r, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(orow)
+            # row r of the product is sum_k r[k] * other.rows[k]
+            acc = [0] * other.ncols
+            for a, brow in zip(r, other.rows):
+                if a:
+                    m = mul[a]
+                    acc = [add[x][m[y]] for x, y in zip(acc, brow)]
+            out.append(acc)
         return Matrix(f, out, ncols=other.ncols)
 
     def is_zero(self) -> bool:
@@ -175,35 +205,9 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row-echelon form, rank and pivot columns."""
-        f = self.field
-        add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
         rows = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pr = next((i for i in range(r, nr) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r][c]
-            if piv != 1:
-                pinv = inv(piv)
-                rows[r] = [mul(pinv, x) for x in rows[r]]
-            src = rows[r]
-            for i in range(nr):
-                if i == r:
-                    continue
-                fct = rows[i][c]
-                if fct:
-                    nf = neg(fct)
-                    dst = rows[i]
-                    rows[i] = [add(d, mul(nf, s)) for d, s in zip(dst, src)]
-            pivots.append(c)
-            r += 1
-        return Matrix(f, rows, ncols=nc), r, tuple(pivots)
+        pivots, _ = _eliminate(self.field, rows, self.ncols)
+        return Matrix(self.field, rows, ncols=self.ncols), len(pivots), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -211,16 +215,18 @@ class Matrix:
     def nullspace(self) -> "Matrix":
         """Rows span {x : self @ x^T = 0}; comes out with ncols(self) columns."""
         R, rank, pivots = self.rref()
-        f = self.field
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
+        neg = self.field.tables.neg
+        pivot_set = set(pivots)
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
             v = [0] * self.ncols
             v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.rows[r][fc])
+                v[pc] = neg[R.rows[r][fc]]
             basis.append(v)
-        return Matrix(f, basis, ncols=self.ncols)
+        return Matrix(self.field, basis, ncols=self.ncols)
 
     def det_inverse(self) -> tuple[FieldElement, "Matrix | None"]:
         """Determinant and inverse; inverse is None exactly when singular."""
@@ -228,25 +234,10 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         f = self.field
         n = self.nrows
-        add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
         aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        det = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if aug[i][c]), None)
-            if pr is None:
-                return FieldElement(f, 0), None
-            if pr != c:
-                aug[c], aug[pr] = aug[pr], aug[c]
-                det = neg(det)
-            piv = aug[c][c]
-            det = mul(det, piv)
-            pinv = inv(piv)
-            aug[c] = [mul(pinv, x) for x in aug[c]]
-            src = aug[c]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    nf = neg(aug[i][c])
-                    aug[i] = [add(d, mul(nf, s)) for d, s in zip(aug[i], src)]
+        pivots, det = _eliminate(f, aug, n)
+        if len(pivots) < n:
+            return FieldElement(f, 0), None
         return FieldElement(f, det), Matrix(f, [r[n:] for r in aug], ncols=n)
 
     def det(self) -> FieldElement:

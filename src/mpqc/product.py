@@ -48,12 +48,13 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
         raise ValueError("A must have at least as many columns as rows")
     if A.field != fld:
         raise ValueError("A must live over the component field")
-    mul = fld.mul
+    mul = fld.tables.mul
+    zeros = [0] * n
     rows = []
     for i, code in enumerate(codes):
         arow = A.rows[i]
         for g in code.gen.rows:
-            rows.append([x for a in arow for x in ((mul(a, y) for y in g) if a else (0,) * n)])
+            rows.append([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)])
     if not rows:
         return LinearCode.zero_code(fld, n * m)
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n * m))

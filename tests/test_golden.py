@@ -1,0 +1,43 @@
+"""Golden CLI snapshots: the JSON output of fast invocations, byte for byte.
+
+The files under tests/golden/ are the expected standard output.  Any intended
+change to one of them is a named entry in CHANGES.md; regenerate a snapshot
+with ``python -m mpqc.cli <argv> --format json > tests/golden/<name>.json``.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from mpqc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# snapshot name -> (argv, exit code)
+CASES = {
+    "table1": (["table1"], 0),
+    "example-3.8-l5": (["example", "--which", "3.8", "--l", "5"], 2),
+    "example-3.10-l7": (["example", "--which", "3.10", "--l", "7"], 2),
+    "example-3.8-l13": (["example", "--which", "3.8", "--l", "13"], 2),
+    "build-3.5-l5-d4-i": (["build", "--theorem", "3.5", "--l", "5", "--d", "4", "--case", "i"], 0),
+    "build-3.1-l3": (["build", "--theorem", "3.1", "--l", "3", "--d", "1,2,2,4"], 0),
+    "build-main2-l5": (["build", "--theorem", "main2", "--l", "5", "--deltas", "0,1,2"], 2),
+    "build-main3-l7": (["build", "--theorem", "main3", "--l", "7", "--deltas", "1,2,3"], 2),
+    "verify-all-42": (["verify", "--suite", "all", "--seed", "42"], 0),
+}
+
+
+def test_every_snapshot_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_snapshot(name):
+    argv, exit_code = CASES[name]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--format", "json"])
+    assert code == exit_code
+    assert buf.getvalue() == (GOLDEN / f"{name}.json").read_text()
