@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 everything verified and matching, 2 verified but at least one
 discrepancy against the transcribed claims, 1 internal verification failure
-or unusable input.  Output is deterministic for a fixed invocation.
+or unusable input, argument errors included.  Output is deterministic for a
+fixed invocation.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import sys
 from .claims import CHAIN_EXAMPLES, TABLE1
 from .code import BudgetError
 from .constructions import ConstructionError
-from .negacyclic import bch_bound, centered_defining_set, half_length_defining_set
 from .product import ConsistencyError
 from .quantum import (
+    admissible_triples,
     build_case,
     build_chain,
-    chain_claimed_params,
-    singleton_defect,
+    build_character_product,
+    chain_audit,
     table1_formula_audit,
 )
 from .verify import run_suites
@@ -145,47 +146,6 @@ def cmd_table1(deep: bool, budget: int, enum_budget: int) -> dict:
 # example
 
 
-def _admissible_triples(l: int, family: str, strict: bool) -> list[tuple[int, int, int]]:
-    top = (l - 1) // 2
-    lo = 0 if family == "full" else 1
-    out = []
-    if strict:
-        for d1 in range(1, top + 1):
-            for d2 in range(d1 + 1, top + 1):
-                for d3 in range(d2 + 1, top + 1):
-                    out.append((d1, d2, d3))
-    else:
-        for d1 in range(lo, top + 1):
-            for d2 in range(d1, top + 1):
-                for d3 in range(d2, top + 1):
-                    out.append((d1, d2, d3))
-    return out
-
-
-def _chain_audit(l: int, deltas: tuple[int, int, int], family: str) -> dict:
-    """Arithmetic-level audit of one depth triple: true dimensions from the
-    coset sizes and a certified distance floor from the run bounds.  No
-    matrices are built, so this scales to any subfield order."""
-    if family == "full":
-        n = l * l + 1
-        sets = [centered_defining_set(l, dj) for dj in deltas]
-    else:
-        n = (l * l + 1) // 2
-        sets = [half_length_defining_set(l, dj) for dj in deltas]
-    dims = [n - len(Z) for Z in sets]
-    bounds = [bch_bound(Z) for Z in sets]
-    weights = (3, 2, 1)
-    dstar = min(w * b for w, b in zip(weights, bounds))
-    K = sum(dims)
-    return {
-        "deltas": deltas,
-        "n": 3 * n,
-        "k": 2 * K - 3 * n,
-        "d_geq": dstar,
-        "claimed": chain_claimed_params(l, deltas, family),
-    }
-
-
 def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
     if which not in CHAIN_EXAMPLES:
         raise ValueError(f"unknown example {which!r}; choose 3.8 or 3.10")
@@ -194,7 +154,7 @@ def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
     if l not in info["claims"]:
         raise ValueError(f"example {which} lists no claims at l = {l}")
     claims = info["claims"][l]
-    triples = _admissible_triples(l, family, strict)
+    triples = admissible_triples(l, family, strict)
     build = l <= BUILD_DEPTH_LIMIT or deep
 
     verified: list[dict] = []
@@ -202,7 +162,7 @@ def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
     if not triples:
         audit_rows: list[dict] = []
     else:
-        audit_rows = [_chain_audit(l, t, family) for t in triples]
+        audit_rows = [chain_audit(l, t, family) for t in triples]
         if build:
             for t in triples:
                 try:
@@ -273,68 +233,42 @@ def cmd_build(args) -> dict:
             raise ValueError(f"--theorem {args.theorem} needs --d")
         if args.theorem in ("main1", "main2", "main3") and not args.deltas:
             raise ValueError(f"--theorem {args.theorem} needs --deltas")
-        if args.theorem == "3.5":
-            cb = build_case(
-                args.l,
-                args.d[0],
-                args.case,
-                check_range=not args.skip_range_check,
-                max_subsets=args.budget,
-            )
-            detail = cb.to_dict()
-            if cb.built.discrepancy is not None:
-                discrepancies += 1
-            rows.append(
-                {
-                    "construction": f"3.5:{args.case}",
-                    "classical": f"[{cb.classical.n},{cb.classical.k}]",
-                    "quantum": _fmt_params(cb.built.n, cb.built.k, cb.built.d_lower),
-                    "verified": cb.built.verified,
-                    "discrepancy": cb.built.discrepancy is not None,
-                }
-            )
-        elif args.theorem == "3.1":
-            from .constructions import rs_dual_containing
-            from .product import character_matrix, character_product, frr_distance_bound
-            from .quantum import hermitian_construction
-            from .code import DistanceReport
-
-            dists = args.d
-            if len(dists) != 4:
-                raise ValueError("--d needs four component distances for 3.1")
-            comps = [rs_dual_containing(args.l, d, args.budget) for d in dists]
-            classical = character_product(comps)
-            A = character_matrix(comps[0].field, 2)
-            lower = frr_distance_bound(comps, dists, A)
-            qp = hermitian_construction(
-                classical,
-                DistanceReport(lower, classical.n - classical.k + 1, "product-bound", "singleton"),
-            )
-            detail = {"quantum": qp.to_dict(), "classical": [classical.n, classical.k]}
-            rows.append(
-                {
-                    "construction": "3.1(character)",
-                    "classical": f"[{classical.n},{classical.k}]",
-                    "quantum": _fmt_params(qp.n, qp.k, qp.d_lower),
-                    "verified": qp.verified,
-                    "discrepancy": False,
-                }
-            )
+        if args.theorem in ("3.5", "3.1"):
+            if args.theorem == "3.5":
+                if len(args.d) != 1:
+                    raise ValueError("--d takes one distance for 3.5")
+                cb = build_case(
+                    args.l,
+                    args.d[0],
+                    args.case,
+                    check_range=not args.skip_range_check,
+                    max_subsets=args.budget,
+                )
+                detail, label = cb.to_dict(), f"3.5:{args.case}"
+            else:
+                if len(args.d) != 4:
+                    raise ValueError("--d needs four component distances for 3.1")
+                cb = build_character_product(args.l, args.d, "punctured", args.budget)
+                detail = {"quantum": cb.built.to_dict(), "classical": [cb.classical.n, cb.classical.k]}
+                label = "3.1(character)"
+            qp, classical = cb.built, f"[{cb.classical.n},{cb.classical.k}]"
         else:
             family = {"main1": args.family, "main2": "full", "main3": "half"}[args.theorem]
-            cb = build_chain(args.l, tuple(args.deltas), family, strict=args.strict)
-            detail = cb.to_dict()
-            if cb.quantum.discrepancy is not None:
-                discrepancies += 1
-            rows.append(
-                {
-                    "construction": f"{args.theorem}({family})",
-                    "classical": f"[{cb.classical.n},{cb.classical.k},{cb.classical_distance.lower}]",
-                    "quantum": _fmt_params(cb.quantum.n, cb.quantum.k, cb.quantum.d_lower),
-                    "verified": cb.quantum.verified,
-                    "discrepancy": cb.quantum.discrepancy is not None,
-                }
-            )
+            chain = build_chain(args.l, tuple(args.deltas), family, strict=args.strict)
+            detail, label = chain.to_dict(), f"{args.theorem}({family})"
+            qp = chain.quantum
+            classical = f"[{chain.classical.n},{chain.classical.k},{chain.classical_distance.lower}]"
+        if qp.discrepancy is not None:
+            discrepancies += 1
+        rows.append(
+            {
+                "construction": label,
+                "classical": classical,
+                "quantum": _fmt_params(qp.n, qp.k, qp.d_lower),
+                "verified": qp.verified,
+                "discrepancy": qp.discrepancy is not None,
+            }
+        )
     except (ConstructionError, BudgetError, ValueError) as exc:
         failures += 1
         rows.append({"construction": args.theorem, "error": str(exc)})
@@ -379,8 +313,17 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code for unusable input; argparse's is 2,
+    which here means "verified, with discrepancies"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mpqc", description=__doc__.splitlines()[0])
+    p = _Parser(prog="mpqc", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "md"], default="md")
     sub = p.add_subparsers(dest="command", required=True)

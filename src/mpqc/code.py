@@ -16,6 +16,7 @@ from .matrix import Matrix
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SUBSET_BUDGET = 10**6
+SUPPORT_SCAN_MAX_N = 16  # longest code the 2^n support scan accepts
 
 
 class BudgetError(RuntimeError):
@@ -205,7 +206,7 @@ class LinearCode:
         if self.k == 0:
             raise ValueError("the zero code has no distance")
         n = self.n
-        if n > 16:
+        if n > SUPPORT_SCAN_MAX_N:
             raise BudgetError(f"support enumeration over 2^{n} columns refused")
         best_zeroes = -1
         cols = list(range(n))
@@ -287,7 +288,7 @@ def best_distance_report(
     q = code.field.order
     if q**code.k <= enum_budget:
         return code.min_distance_exhaustive(enum_budget)
-    if code.n <= 12:
+    if code.n <= SUPPORT_SCAN_MAX_N:
         return code.min_distance_by_supports()
     if code.is_mds(subset_budget):
         return exact_report(code.n - code.k + 1, "mds-certificate")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .code import BudgetError, LinearCode
-from .gf import Field, FieldError, field, split_prime_power, square_field
+from .gf import Field, FieldError, SubfieldEmbedding, field, split_prime_power, square_field
 from .matrix import Matrix
 
 
@@ -88,8 +88,6 @@ def _subfield_decomposition(fld: Field, sub: Field):
     Returns (embedding image list, decompose) where decompose(x) gives the
     two GF(l)-codes of x over the basis {1, zeta}, zeta the field generator.
     """
-    from .gf import SubfieldEmbedding
-
     emb = SubfieldEmbedding(sub, fld)
     image = emb._img
     in_img = emb._pre
@@ -164,7 +162,7 @@ def _self_orthogonal_on_points(fld: Field, l: int, points, r: int) -> LinearCode
     mu = _solve_norms(fld, l, points, r)
     if mu is None:
         return None
-    sub_emb, _ = _subfield_decomposition(fld, field(*split_prime_power(l)))
+    sub_emb = SubfieldEmbedding(field(*split_prime_power(l)), fld)
     # per-column scalars nu with nu^(l+1) = mu (norms are onto GF(l)*)
     nu_for = {}
     for target in set(mu):

@@ -98,15 +98,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, mod, p)[1]
-
-
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = list(a)
     _poly_trim(a)
@@ -713,10 +704,6 @@ class SubfieldEmbedding:
             raise FieldError("base modulus has no root in extension")
         return min(roots)
 
-    @property
-    def generator_image(self) -> int:
-        return self._img[self.base.generator]
-
     def embed(self, a: int) -> int:
         return self._img[a]
 
@@ -737,8 +724,6 @@ class SubfieldEmbedding:
 
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a modulo n; requires gcd(a, n) = 1."""
-    import math
-
     if math.gcd(a, n) != 1:
         raise FieldError(f"{a} is not invertible modulo {n}")
     e = 1
@@ -758,8 +743,6 @@ def primitive_root_of_unity(
     gamma is taken as g^((q^e - 1)/n) for the canonical generator g of the
     extension, so repeated calls agree.
     """
-    import math
-
     q = base.order
     if math.gcd(n, q) != 1:
         raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")

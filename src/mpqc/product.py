@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import BudgetError, DistanceReport, LinearCode, exact_report
+from .code import DistanceReport, LinearCode, best_distance_report, exact_report
 from .gf import Field
 from .matrix import Matrix
 
@@ -88,37 +88,36 @@ def row_prefix_code(A: Matrix, k: int) -> LinearCode:
     return LinearCode.from_generator(A.take_rows(k))
 
 
-def _prefix_distance(A: Matrix, k: int, budget: int) -> int:
-    code = row_prefix_code(A, k)
-    q = code.field.order
-    if q**code.k <= budget:
-        return code.min_distance_exhaustive(budget).lower
-    return code.min_distance_by_supports().lower
-
-
 def frr_distance_bound(
     codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix, budget: int = 10**7
 ) -> int:
     """min over i of d_i * d(prefix_i); valid whenever A has full row rank.
 
     Component distances must be exact.  Prefix distances are exact too:
-    enumerated over q^k messages when affordable, otherwise by the support
-    scan (A has few columns, so that one always applies).
+    each is read off `best_distance_report` for the row-prefix code, with
+    `budget` as its message-enumeration cap (A has few columns, so the
+    support-scan rung always applies when enumeration does not).
     """
     if not is_frr(A):
         raise ValueError("bound requires a full-row-rank matrix")
     if len(dists) != len(codes):
         raise ValueError("one exact distance per component")
-    return min(d * _prefix_distance(A, k + 1, budget) for k, d in enumerate(dists))
+    return min(
+        d * best_distance_report(row_prefix_code(A, k + 1), budget).lower
+        for k, d in enumerate(dists)
+    )
+
+
+def nsc_dstar(dists: Sequence[int], m: int) -> int:
+    """min{m d_1, (m-1) d_2, ...}: the NSC distance bound for an s x m matrix."""
+    return min(d * (m - i) for i, d in enumerate(dists))
 
 
 def nsc_distance_bound(dists: Sequence[int], A: Matrix) -> tuple[int, bool]:
     """d* = min{m d_1, (m-1) d_2, ...}; exact when A is upper triangular."""
     if not is_nsc(A):
         raise ValueError("bound requires a non-singular-by-columns matrix")
-    m = A.ncols
-    dstar = min(d * (m - i) for i, d in enumerate(dists))
-    return dstar, is_upper_triangular(A)
+    return nsc_dstar(dists, A.ncols), is_upper_triangular(A)
 
 
 def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
@@ -271,8 +270,8 @@ def product_distance_report(
     k = sum(c.k for c in codes)
     singleton = n - k + 1
     if is_nsc(A):
-        dstar, exact = nsc_distance_bound(dists, A)
-        if exact:
+        dstar = nsc_dstar(dists, A.ncols)
+        if is_upper_triangular(A):
             return exact_report(dstar, "product-bound")
         return DistanceReport(dstar, singleton, "product-bound", "singleton")
     lower = frr_distance_bound(codes, dists, A, budget)

@@ -12,11 +12,19 @@ implemented twice: once as pure arithmetic (`formula_params`,
 classical code and read the parameters off it.  Whenever the two disagree
 the builder emits a structured discrepancy record instead of failing,
 because surfacing those gaps is part of the job.
+
+Both builders take their classical distance from
+`product.product_distance_report`.  `build_character_product` is the one
+character-matrix build, shared by the six cases and by Theorem 3.1.  The
+chain depth rules live in one place: `admissible_triples` enumerates what
+`build_chain` accepts, and `chain_audit` reads a triple's dimensions and
+distance floor off the same defining sets without building any matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .claims import TABLE1
@@ -30,9 +38,11 @@ from .constructions import (
 from .gf import split_prime_power, square_field
 from .matrix import Matrix
 from .negacyclic import (
+    DefiningSet,
     NegacyclicCode,
     bch_bound,
     centered_defining_set,
+    distance_report,
     half_length_defining_set,
     negacyclic_code,
 )
@@ -40,9 +50,9 @@ from .product import (
     ConsistencyError,
     character_matrix,
     character_product,
-    frr_distance_bound,
     nested_chain_product,
-    nsc_distance_bound,
+    nsc_dstar,
+    product_distance_report,
 )
 
 
@@ -109,10 +119,6 @@ def singleton_check(qp: QuantumParams) -> SingletonReport:
     if defect < 0 and exact:
         raise SingletonViolation(f"negative defect {defect} at exact distance")
     return SingletonReport(defect, exact and defect == 0, not exact)
-
-
-def singleton_defect(n: int, k: int, d: int) -> int:
-    return n - k + 2 - 2 * d
 
 
 def hermitian_construction(code: LinearCode, d_report: DistanceReport) -> QuantumParams:
@@ -187,7 +193,8 @@ def _case_component_distances(d: int, case: str) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class CaseBuild:
-    """A fully constructed six-case instance next to its formula record."""
+    """A fully constructed character-product instance next to its six-case
+    formula record, if it has one."""
 
     built: QuantumParams
     formula: QuantumParams | None
@@ -210,6 +217,25 @@ class CaseBuild:
         return out
 
 
+def build_character_product(
+    l: int,
+    dists: Sequence[int],
+    kind: str,
+    max_subsets: int = 10**6,
+    enum_budget: int = 10**7,
+) -> CaseBuild:
+    """Four components of one family (punctured, extended or negacyclic) at
+    the given distances, their product under the 4 x 4 character matrix, and
+    the quantum record; no formula is attached."""
+    dists = tuple(dists)
+    components = tuple(_FAMILIES[kind](l, dist, max_subsets) for dist in dists)
+    classical = character_product(components)
+    A = character_matrix(components[0].field, 2)
+    report = product_distance_report(components, dists, A, enum_budget)
+    built = hermitian_construction(classical, report)
+    return CaseBuild(built, None, classical, components, dists)
+
+
 def build_case(
     l: int,
     d: int,
@@ -230,14 +256,10 @@ def build_case(
         _case_check(l, d, case)
     elif d % 4 != congruence:
         raise ValueError(f"case {case} needs d = {congruence} mod 4, got d = {d}")
-    dists = _case_component_distances(d, case)
-    family = _FAMILIES[kind]
-    components = tuple(family(l, dist, max_subsets) for dist in dists)
-    classical = character_product(components)
-    A = character_matrix(components[0].field, 2)
-    lower = frr_distance_bound(components, dists, A, enum_budget)
-    report = DistanceReport(lower, classical.n - classical.k + 1, "product-bound", "singleton")
-    built = hermitian_construction(classical, report)
+    cb = build_character_product(
+        l, _case_component_distances(d, case), kind, max_subsets, enum_budget
+    )
+    built = cb.built
 
     formula: QuantumParams | None = None
     formula_note: dict | None = None
@@ -248,14 +270,9 @@ def build_case(
     else:
         formula_note = {"n": 4 * _LENGTHS[kind](l), "k": kf(l, d), "d": d, "out_of_range": True}
 
-    if (built.n, built.k) != (formula_note["n"], formula_note["k"]) or lower < d:
-        built = QuantumParams(
-            n=built.n,
-            k=built.k,
-            d_lower=built.d_lower,
-            base=built.base,
-            provenance=built.provenance,
-            verified=built.verified,
+    if (built.n, built.k) != (formula_note["n"], formula_note["k"]) or built.d_lower < d:
+        built = replace(
+            built,
             discrepancy={
                 "source": f"case:{case}",
                 "inputs": {"l": l, "d": d},
@@ -263,7 +280,7 @@ def build_case(
                 "computed": {"n": built.n, "k": built.k, "d_lower": built.d_lower},
             },
         )
-    return CaseBuild(built, formula, classical, components, dists)
+    return replace(cb, built=built, formula=formula)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +304,26 @@ def _chain_deltas_ok(deltas: Sequence[int], l: int, family: str, strict: bool) -
         if not (lo <= d1 <= d2 <= d3 <= top):
             return f"needs {lo} <= d1 <= d2 <= d3 <= {top}"
     return None
+
+
+def admissible_triples(l: int, family: str, strict: bool) -> list[tuple[int, int, int]]:
+    """Every depth triple that passes `build_chain`'s depth check at this l,
+    in lexicographic order."""
+    depths = range((l - 1) // 2 + 1)
+    return [
+        t
+        for t in itertools.combinations_with_replacement(depths, 3)
+        if _chain_deltas_ok(t, l, family, strict) is None
+    ]
+
+
+def _chain_defining_sets(
+    l: int, deltas: Sequence[int], family: str
+) -> tuple[int, list[DefiningSet]]:
+    """Component length and the three defining sets of a chain family."""
+    if family == "full":
+        return l * l + 1, [centered_defining_set(l, dj) for dj in deltas]
+    return (l * l + 1) // 2, [half_length_defining_set(l, dj) for dj in deltas]
 
 
 @dataclass(frozen=True)
@@ -355,45 +392,30 @@ def build_chain(
     if family == "full":
         if l % 4 != 1:
             raise ConstructionError(f"l = {l} is not 1 mod 4")
-        n = l * l + 1
-        sets = [centered_defining_set(l, dj) for dj in deltas]
     else:
         split_prime_power(l)
         if l < 7 or l % 2 == 0:
             raise ConstructionError(f"l = {l} is not an odd prime power >= 7")
-        n = (l * l + 1) // 2
-        sets = [half_length_defining_set(l, dj) for dj in deltas]
+    n, sets = _chain_defining_sets(l, deltas, family)
 
     fld = square_field(l)
     comps = tuple(negacyclic_code(n, fld, Z) for Z in sets)
     # distances are exact by squeeze: the consecutive-run bound meets the
     # Singleton bound for these defining sets
-    dists = []
-    for nc in comps:
-        lo = bch_bound(nc.defining)
-        if lo != nc.n - nc.k + 1:
-            raise ConsistencyError("run bound fails to meet the Singleton bound")
-        dists.append(lo)
+    reports = [distance_report(nc) for nc in comps]
+    if not all(r.exact for r in reports):
+        raise ConsistencyError("run bound fails to meet the Singleton bound")
 
     A = _chain_matrix(fld)
-    classical = nested_chain_product([nc.code for nc in comps], A)
-    dstar, exact = nsc_distance_bound(dists, A)
-    report = (
-        DistanceReport(dstar, dstar, "product-bound", "product-bound")
-        if exact
-        else DistanceReport(dstar, classical.n - classical.k + 1, "product-bound", "singleton")
-    )
+    codes = [nc.code for nc in comps]
+    classical = nested_chain_product(codes, A)
+    report = product_distance_report(codes, [r.lower for r in reports], A)
     qp = hermitian_construction(classical, report)
     claimed = chain_claimed_params(l, deltas, family)
     computed = {"n": qp.n, "k": qp.k, "d_geq": qp.d_lower, "base": qp.base}
     if claimed != computed:
-        qp = QuantumParams(
-            n=qp.n,
-            k=qp.k,
-            d_lower=qp.d_lower,
-            base=qp.base,
-            provenance=qp.provenance,
-            verified=qp.verified,
+        qp = replace(
+            qp,
             discrepancy={
                 "source": f"chain:{family}",
                 "inputs": {"l": l, "deltas": list(deltas)},
@@ -402,6 +424,23 @@ def build_chain(
             },
         )
     return ChainBuild(family, l, deltas, classical, report, qp, claimed, comps)
+
+
+def chain_audit(l: int, deltas: tuple[int, int, int], family: str) -> dict:
+    """Arithmetic-level audit of one depth triple: true dimensions from the
+    coset sizes and a certified distance floor from the run bounds under the
+    chain matrix's NSC weights.  No matrices are built, so this scales to any
+    subfield order."""
+    n, sets = _chain_defining_sets(l, deltas, family)
+    m = len(_CHAIN_MATRIX_ROWS[0])
+    K = sum(n - len(Z) for Z in sets)
+    return {
+        "deltas": deltas,
+        "n": m * n,
+        "k": 2 * K - m * n,
+        "d_geq": nsc_dstar([bch_bound(Z) for Z in sets], m),
+        "claimed": chain_claimed_params(l, deltas, family),
+    }
 
 
 def table1_formula_audit() -> list[dict]:

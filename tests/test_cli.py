@@ -131,8 +131,43 @@ def test_verify_deterministic_output():
 
 
 def test_verify_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--suite", "nonsense"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--budget", "abc"],
+        ["example", "--which", "3.8"],  # missing --l
+        ["build", "--theorem", "3.5", "--l", "5", "--d", "x"],
+    ],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    # 2 is reserved for "verified, with discrepancies"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mpqc") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--help"])
+    assert exc.value.code == 0
+    assert "--theorem" in capsys.readouterr().out
+
+
+def test_build_case_refuses_several_distances():
+    code, out = run_cli(
+        ["build", "--theorem", "3.5", "--l", "5", "--d", "4,8", "--case", "i", "--format", "json"]
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["rows"] == [{"construction": "3.5", "error": "--d takes one distance for 3.5"}]
+    assert doc["detail"] == {}
 
 
 def test_verify_reports_injected_failure(monkeypatch):

@@ -196,6 +196,16 @@ def test_best_distance_report_ladder(F25):
     assert rep.exact and rep.lower == 4 and rep.lower_provenance == "mds-certificate"
 
 
+def test_best_distance_report_scans_supports_up_to_sixteen(F25, rng):
+    # past the enumeration budget, any code the support scan accepts is
+    # answered by it, before the MDS certificate is tried
+    C = random_code(F25, 13, 2, rng)
+    rep = best_distance_report(C, enum_budget=10, subset_budget=0)
+    assert rep.exact and rep.lower == C.min_distance_exhaustive().lower
+    with pytest.raises(BudgetError):
+        best_distance_report(random_code(F25, 17, 2, rng), enum_budget=10, subset_budget=0)
+
+
 def test_serialization(F9):
     C = LinearCode.from_generator(Matrix(F9, [[1, 0], [0, 1]]))
     d = C.to_dict()

@@ -26,6 +26,13 @@ CASES = {
     "build-main2-l5": (["build", "--theorem", "main2", "--l", "5", "--deltas", "0,1,2"], 2),
     "build-main3-l7": (["build", "--theorem", "main3", "--l", "7", "--deltas", "1,2,3"], 2),
     "verify-all-42": (["verify", "--suite", "all", "--seed", "42"], 0),
+    "example-3.10-l7-strict": (["example", "--which", "3.10", "--l", "7", "--strict"], 2),
+    "example-3.10-l11-strict": (["example", "--which", "3.10", "--l", "11", "--strict"], 2),
+    "build-3.5-l5-d4-v": (["build", "--theorem", "3.5", "--l", "5", "--d", "4", "--case", "v"], 0),
+    "build-main1-half-l7": (
+        ["build", "--theorem", "main1", "--family", "half", "--l", "7", "--deltas", "1,1,2"],
+        2,
+    ),
 }
 
 

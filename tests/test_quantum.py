@@ -7,8 +7,10 @@ from mpqc.matrix import Matrix
 from mpqc.quantum import (
     QuantumParams,
     SingletonViolation,
+    admissible_triples,
     build_case,
     build_chain,
+    chain_audit,
     chain_claimed_params,
     formula_params,
     hermitian_construction,
@@ -171,6 +173,33 @@ def test_chain_rejects_bad_family_inputs():
         build_chain(5, (1, 2, 3), "half")  # half family starts at l = 7
     with pytest.raises(ConstructionError):
         build_chain(5, (2, 1, 0), "full")  # not sorted
+
+
+def _nested_loop_triples(l, family, strict):
+    top = (l - 1) // 2
+    lo = 1 if strict or family == "half" else 0
+    step = 1 if strict else 0
+    return [
+        (d1, d2, d3)
+        for d1 in range(lo, top + 1)
+        for d2 in range(d1 + step, top + 1)
+        for d3 in range(d2 + step, top + 1)
+    ]
+
+
+@pytest.mark.parametrize("l", [1, 3, 5, 7, 9, 11, 13, 17, 29])
+def test_admissible_triples_in_lexicographic_order(l):
+    for family in ("full", "half"):
+        for strict in (False, True):
+            assert admissible_triples(l, family, strict) == _nested_loop_triples(l, family, strict)
+
+
+def test_chain_audit_matches_the_built_chain():
+    for l, deltas, family in ((5, (0, 1, 2), "full"), (7, (1, 2, 3), "half"), (7, (1, 1, 2), "half")):
+        cb = build_chain(l, deltas, family)
+        audit = chain_audit(l, deltas, family)
+        assert (audit["n"], audit["k"], audit["d_geq"]) == (cb.quantum.n, cb.quantum.k, cb.quantum.d_lower)
+        assert audit["claimed"] == cb.claimed
 
 
 def test_claims_tables_shape():
