@@ -1,9 +1,11 @@
 """Linear codes over a Field: duals, containment, distance oracles.
 
 A code is stored as its reduced row-echelon generator matrix, so two equal
-codes compare equal as objects and serialization is reproducible.  Distance
-facts always travel with a provenance tag; nothing here ever reports a
-distance it did not compute or certify.
+codes compare equal as objects and serialization is reproducible.  Its parity
+check H is derived once, on first use; every containment fact is a product
+with H (C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff
+conj(H) H^T = 0).  Distance facts always travel with a provenance tag;
+nothing here ever reports a distance it did not compute or certify.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 
 class LinearCode:
-    __slots__ = ("field", "n", "k", "gen")
+    __slots__ = ("field", "n", "k", "gen", "_parity", "_hermitian_dual_containing")
 
     def __init__(self, fld: Field, n: int, gen: Matrix):
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", gen.nrows)
         object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "_parity", None)
+        object.__setattr__(self, "_hermitian_dual_containing", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LinearCode is immutable")
@@ -109,6 +113,13 @@ class LinearCode:
             out["d"] = distance.to_dict()
         return out
 
+    @property
+    def parity(self) -> Matrix:
+        """n - k rows spanning the Euclidean dual (I_n for the zero code)."""
+        if self._parity is None:
+            object.__setattr__(self, "_parity", self.gen.nullspace())
+        return self._parity
+
     # -- membership and containment --
 
     def contains_word(self, word) -> bool:
@@ -118,8 +129,6 @@ class LinearCode:
             raise ValueError("word length mismatch")
         if any(not 0 <= x < self.field.order for x in codes):
             raise ValueError("word entries are not element codes")
-        if self.k == 0:
-            return all(x == 0 for x in codes)
         return self.gen.row_space_contains(codes)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
@@ -127,31 +136,30 @@ class LinearCode:
             raise ValueError("codes live in different spaces")
         if self.k > other.k:
             return False
-        if self.k == 0:
-            return True
-        return other.gen.vstack(self.gen).rank() == other.k
+        return (other.parity @ self.gen.transpose()).is_zero()
 
     # -- duals --
 
     def euclidean_dual(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.full_space(self.field, self.n)
-        return LinearCode.from_generator(self.gen.nullspace())
+        return LinearCode.from_generator(self.parity)
 
     def conjugate_code(self) -> "LinearCode":
         """Entrywise x -> x^l image; linear because conjugation is additive."""
         return LinearCode.from_generator(self.gen.conjugate())
 
     def hermitian_dual(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.full_space(self.field, self.n)
-        return LinearCode.from_generator(self.gen.conjugate().nullspace())
+        self.field.subfield_order  # raises unless square; conj of a 0-row H would not
+        return LinearCode.from_generator(self.parity.conjugate())
 
     def is_hermitian_dual_containing(self) -> bool:
-        self.field.subfield_order  # raises unless the order is a square
-        if 2 * self.k < self.n:
-            return False
-        return self.hermitian_dual().is_subcode_of(self)
+        """Gram test conj(H) H^T = 0, run once per code."""
+        if self._hermitian_dual_containing is None:
+            self.field.subfield_order  # raises unless the order is a square
+            verdict = 2 * self.k >= self.n and (
+                self.parity.conjugate() @ self.parity.transpose()
+            ).is_zero()
+            object.__setattr__(self, "_hermitian_dual_containing", verdict)
+        return self._hermitian_dual_containing
 
     # -- distance oracles --
 
@@ -233,12 +241,10 @@ class LinearCode:
         n, k = self.n, self.k
         if k == 0 or k == n:
             return True
-        if k <= n - k:
-            mat, t = self.gen, k
-        else:
-            mat, t = self.euclidean_dual().gen, n - k
+        t = min(k, n - k)
         if math.comb(n, t) > max_subsets:
             raise BudgetError(f"C({n},{t}) column subsets exceed budget {max_subsets}")
+        mat = self.gen if t == k else self.parity
         add, mul, neg, inv = self.field.tables
         cols = [[mat.rows[i][j] for i in range(t)] for j in range(n)]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
 # largest order whose add/mul tables are materialized: two q x q tables of
@@ -454,9 +454,6 @@ class Field:
     def _int_code(self, value: int) -> int:
         # integers embed through the prime subfield
         return value % self.p
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
 
     # -- arithmetic on codes --
 

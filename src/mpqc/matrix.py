@@ -100,9 +100,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

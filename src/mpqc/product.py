@@ -8,9 +8,10 @@ non-singular-by-columns bound, which is an equality when A is also upper
 triangular.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
-both sides, and every dual-containing product construction re-runs the
-explicit Hermitian containment test on its output, raising
-ConsistencyError if the algebra and the matrices ever disagree.
+both sides, and every dual-containing product construction tests its
+components and its output for Hermitian containment, raising
+ConsistencyError if the algebra and the matrices ever disagree.  Codes keep
+their containment verdicts, so each code is tested once.
 """
 
 from __future__ import annotations
@@ -189,12 +190,17 @@ def dual_containing_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCod
     check = hermitian_gram_check(A)
     if not check.diagonal_condition:
         raise ValueError("conj(A) A^T is not an invertible diagonal matrix")
+    return _checked_product(codes, A, "product lost dual containment despite the Gram condition")
+
+
+def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> LinearCode:
+    """Components dual-containing, then the product, then the product re-checked."""
     for i, c in enumerate(codes):
         if not c.is_hermitian_dual_containing():
             raise ValueError(f"component {i} is not Hermitian dual-containing")
     product = matrix_product_code(codes, A)
     if not product.is_hermitian_dual_containing():
-        raise ConsistencyError("product lost dual containment despite the Gram condition")
+        raise ConsistencyError(lost)
     return product
 
 
@@ -213,13 +219,7 @@ def nested_chain_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     descending = all(b.is_subcode_of(a) for a, b in zip(codes, codes[1:]))
     if not (ascending or descending):
         raise ValueError("components do not form a containment chain")
-    for i, c in enumerate(codes):
-        if not c.is_hermitian_dual_containing():
-            raise ValueError(f"component {i} is not Hermitian dual-containing")
-    product = matrix_product_code(codes, A)
-    if not product.is_hermitian_dual_containing():
-        raise ConsistencyError("chain product lost dual containment")
-    return product
+    return _checked_product(codes, A, "chain product lost dual containment")
 
 
 def character_matrix(fld: Field, r: int) -> Matrix:

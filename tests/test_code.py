@@ -1,6 +1,7 @@
 import pytest
 
 from mpqc.code import BudgetError, DistanceReport, LinearCode, best_distance_report
+from mpqc.gf import FieldError
 from mpqc.matrix import Matrix
 
 
@@ -67,9 +68,12 @@ def test_hermitian_dual_equals_dual_of_conjugate(F9, F25, rng):
 
 
 def test_hermitian_needs_square_order(F3):
-    C = LinearCode.full_space(F3, 2)
-    with pytest.raises(Exception):
-        C.hermitian_dual()
+    one = LinearCode.from_generator(Matrix(F3, [[1, 2]]))
+    for C in (LinearCode.full_space(F3, 2), one, LinearCode.zero_code(F3, 2)):
+        with pytest.raises(FieldError):
+            C.hermitian_dual()
+        with pytest.raises(FieldError):
+            C.is_hermitian_dual_containing()
 
 
 def test_subcode_relations(F9, rng):

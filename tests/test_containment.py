@@ -1,0 +1,231 @@
+"""Differential tests: containment and duals read off the parity check,
+against the stacked-rank and build-the-dual reference code they replaced."""
+
+import math
+import random
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpqc.code import BudgetError, LinearCode
+from mpqc.gf import field
+from mpqc.matrix import Matrix
+from mpqc.verify import random_dual_containing_code
+
+# ---------------------------------------------------------------------------
+# reference implementations, kept verbatim from the rank-based versions
+# (calls between them go to each other, never to the code under test)
+
+
+def reference_is_subcode_of(self, other):
+    if self.field != other.field or self.n != other.n:
+        raise ValueError("codes live in different spaces")
+    if self.k > other.k:
+        return False
+    if self.k == 0:
+        return True
+    return other.gen.vstack(self.gen).rank() == other.k
+
+
+def reference_euclidean_dual(self):
+    if self.k == 0:
+        return LinearCode.full_space(self.field, self.n)
+    return LinearCode.from_generator(self.gen.nullspace())
+
+
+def reference_hermitian_dual(self):
+    if self.k == 0:
+        return LinearCode.full_space(self.field, self.n)
+    return LinearCode.from_generator(self.gen.conjugate().nullspace())
+
+
+def reference_is_hermitian_dual_containing(self):
+    self.field.subfield_order  # raises unless the order is a square
+    if 2 * self.k < self.n:
+        return False
+    return reference_is_subcode_of(reference_hermitian_dual(self), self)
+
+
+def reference_is_mds(self, max_subsets=10**6):
+    n, k = self.n, self.k
+    if k == 0 or k == n:
+        return True
+    if k <= n - k:
+        mat, t = self.gen, k
+    else:
+        mat, t = reference_euclidean_dual(self).gen, n - k
+    if math.comb(n, t) > max_subsets:
+        raise BudgetError(f"C({n},{t}) column subsets exceed budget {max_subsets}")
+    add, mul, neg, inv = self.field.tables
+    cols = [[mat.rows[i][j] for i in range(t)] for j in range(n)]
+
+    def reduce(vec, basis):
+        v = list(vec)
+        for pos, support in basis:
+            c = v[pos]
+            if c:
+                m = mul[neg[c]]
+                for i, y in support:
+                    v[i] = add[v[i]][m[y]]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        m = mul[inv[v[piv]]]
+        return piv, [(i, m[x]) for i, x in enumerate(v) if x]
+
+    def walk(start, basis):
+        depth = len(basis)
+        if depth == t:
+            return True
+        for j in range(start, n - (t - depth) + 1):
+            entry = reduce(cols[j], basis)
+            if entry is None:
+                return False
+            if not walk(j + 1, basis + [entry]):
+                return False
+        return True
+
+    return walk(0, [])
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+SQUARE_FIELDS = [(2, 2), (3, 2), (5, 2), (7, 2)]  # GF(4), GF(9), GF(25), GF(49)
+
+
+def _random_rows(draw, fld, n, count):
+    entry = st.just(0) | st.integers(0, fld.order - 1)
+    return [[draw(entry) for _ in range(n)] for _ in range(count)]
+
+
+@st.composite
+def codes_in(draw, fld, n):
+    kind = draw(st.sampled_from(["random", "zero", "full", "dual-containing"]))
+    if kind == "zero":
+        return LinearCode.zero_code(fld, n)
+    if kind == "full":
+        return LinearCode.full_space(fld, n)
+    if kind == "dual-containing":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return random_dual_containing_code(fld, n, draw(st.integers(0, n // 2)), rng)
+    rows = _random_rows(draw, fld, n, draw(st.integers(0, n + 1)))
+    return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+
+
+@st.composite
+def codes(draw):
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    return draw(codes_in(fld, draw(st.integers(1, 6))))
+
+
+@st.composite
+def code_pairs(draw):
+    """Two codes in one space; about a third of the pairs are nested."""
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    n = draw(st.integers(1, 6))
+    a = draw(codes_in(fld, n))
+    shape = draw(st.sampled_from(["independent", "sub", "super"]))
+    if shape == "independent":
+        return a, draw(codes_in(fld, n))
+    extra = Matrix(fld, _random_rows(draw, fld, n, draw(st.integers(0, n))), ncols=n)
+    bigger = LinearCode.from_generator(a.gen.vstack(extra))
+    return (a, bigger) if shape == "sub" else (bigger, a)
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_pairs())
+def test_subcode_matches_reference(pair):
+    a, b = pair
+    assert a.is_subcode_of(b) == reference_is_subcode_of(a, b)
+    assert b.is_subcode_of(a) == reference_is_subcode_of(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes())
+def test_duals_match_reference(C):
+    assert C.euclidean_dual() == reference_euclidean_dual(C)
+    assert C.hermitian_dual() == reference_hermitian_dual(C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes())
+def test_dual_containment_matches_reference(C):
+    assert C.is_hermitian_dual_containing() == reference_is_hermitian_dual_containing(C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(), st.sampled_from([3, 10, 10**6]))
+def test_is_mds_matches_reference(C, budget):
+    try:
+        expected = reference_is_mds(C, budget)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError, match=re.escape(str(exc))):
+            C.is_mds(budget)
+    else:
+        assert C.is_mds(budget) == expected
+
+
+@pytest.mark.parametrize("pm", SQUARE_FIELDS)
+def test_both_containment_verdicts_occur(pm):
+    fld = field(*pm)
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            C = random_dual_containing_code(fld, n, rng.randint(0, n // 2), rng)
+        else:
+            rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            C = LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+        verdict = C.is_hermitian_dual_containing()
+        assert verdict == reference_is_hermitian_dual_containing(C)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes())
+def test_parity_spans_the_dual(C):
+    H = C.parity
+    assert H.shape == (C.n - C.k, C.n)
+    assert H.rank() == C.n - C.k
+    assert (C.gen @ H.transpose()).is_zero()
+
+
+@pytest.mark.parametrize("pm", SQUARE_FIELDS)
+def test_parity_of_the_trivial_codes(pm):
+    fld = field(*pm)
+    assert LinearCode.zero_code(fld, 4).parity == Matrix.identity(fld, 4)
+    assert LinearCode.full_space(fld, 4).parity.shape == (0, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes())
+def test_derived_state_leaves_equality_and_hash_alone(C):
+    fresh = LinearCode.from_generator(C.gen)
+    C.parity
+    C.is_hermitian_dual_containing()
+    assert fresh == C and C == fresh
+    assert hash(fresh) == hash(C)
+    assert fresh.to_dict() == C.to_dict()
+    assert len({fresh, C}) == 1
+
+
+def test_containment_verdict_is_computed_once(F9, monkeypatch):
+    C = random_dual_containing_code(F9, 6, 2, random.Random(3))
+    assert C.is_hermitian_dual_containing()
+
+    def refuse(*args):
+        raise AssertionError("containment re-derived")
+
+    monkeypatch.setattr(Matrix, "nullspace", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert C.is_hermitian_dual_containing()
+

@@ -33,6 +33,8 @@ CASES = {
         ["build", "--theorem", "main1", "--family", "half", "--l", "7", "--deltas", "1,1,2"],
         2,
     ),
+    "example-3.8-l9-deep": (["example", "--which", "3.8", "--l", "9", "--deep"], 2),
+    "build-main2-l17": (["build", "--theorem", "main2", "--l", "17", "--deltas", "1,2,3"], 2),
 }
 
 
