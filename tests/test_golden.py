@@ -35,6 +35,8 @@ CASES = {
     ),
     "example-3.8-l9-deep": (["example", "--which", "3.8", "--l", "9", "--deep"], 2),
     "build-main2-l17": (["build", "--theorem", "main2", "--l", "17", "--deltas", "1,2,3"], 2),
+    "table1-deep": (["table1", "--deep"], 0),
+    "verify-all-7": (["verify", "--suite", "all", "--seed", "7"], 0),
 }
 
 
