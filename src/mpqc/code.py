@@ -2,13 +2,17 @@
 
 A code is stored as its reduced row-echelon generator matrix, so two equal
 codes compare equal as objects and serialization is reproducible.  Its parity
-check H is derived once, on first use; every containment fact is a product
-with H (C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff
-conj(H) H^T = 0).  Distance facts always travel with a provenance tag;
-nothing here ever reports a distance it did not compute or certify.  The
-exhaustive oracle walks one message per line of scalar multiples (leading
-coefficient 1) and resolves the last generator row's coefficient by counting,
-while its budget is still charged as all q^k messages.
+check H = [-P^T | I] is read off that RREF on first use, with no further
+elimination; every containment fact is a product with H (C in D iff
+H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0).  A code
+keeps H, its Hermitian verdict and its subcode verdicts (one per other code
+value) in slots that ==, hash and to_dict ignore, so a code shared between
+builds answers each fact once.  Distance facts always travel with a
+provenance tag; nothing here ever reports a distance it did not compute or
+certify.  The exhaustive oracle walks one message per line of scalar
+multiples (leading coefficient 1) and resolves the last generator row's
+coefficient by counting, while its budget is still charged as all q^k
+messages.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 
 class LinearCode:
-    __slots__ = ("field", "n", "k", "gen", "_parity", "_hermitian_dual_containing")
+    __slots__ = ("field", "n", "k", "gen", "_parity", "_hermitian_dual_containing", "_subcode_of")
 
     def __init__(self, fld: Field, n: int, gen: Matrix):
         object.__setattr__(self, "field", fld)
@@ -70,6 +74,7 @@ class LinearCode:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "_parity", None)
         object.__setattr__(self, "_hermitian_dual_containing", None)
+        object.__setattr__(self, "_subcode_of", {})
 
     def __setattr__(self, *a):
         raise AttributeError("LinearCode is immutable")
@@ -118,9 +123,14 @@ class LinearCode:
 
     @property
     def parity(self) -> Matrix:
-        """n - k rows spanning the Euclidean dual (I_n for the zero code)."""
+        """n - k rows spanning the Euclidean dual (I_n for the zero code).
+
+        `gen` is in RREF, so H = [-P^T | I] is read off its pivots (each
+        row's first nonzero entry) without another elimination.
+        """
         if self._parity is None:
-            object.__setattr__(self, "_parity", self.gen.nullspace())
+            H = self.gen.rref_nullspace(self.gen.leading_columns())
+            object.__setattr__(self, "_parity", H)
         return self._parity
 
     # -- membership and containment --
@@ -135,11 +145,16 @@ class LinearCode:
         return self.gen.row_space_contains(codes)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
+        """H_other G_self^T = 0, run once per (self, other value) pair."""
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         if self.k > other.k:
             return False
-        return (other.parity @ self.gen.transpose()).is_zero()
+        verdict = self._subcode_of.get(other)
+        if verdict is None:
+            verdict = (other.parity @ self.gen.transpose()).is_zero()
+            self._subcode_of[other] = verdict
+        return verdict
 
     # -- duals --
 

@@ -534,12 +534,6 @@ class Field:
         """a^l, the involution fixing the index-2 subfield GF(l)."""
         return self.conj_table[a]
 
-    def order_of(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        return (self.order - 1) // math.gcd(self._log[a], self.order - 1)
-
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
@@ -644,9 +638,6 @@ class FieldElement:
 
     def conj(self) -> "FieldElement":
         return FieldElement(self.field, self.field.conj(self.code))
-
-    def to_list(self) -> list[int]:
-        return list(self.coeffs)
 
 
 class SubfieldEmbedding:

@@ -115,9 +115,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
     def to_dict(self) -> dict:
         f = self.field
         return {
@@ -211,7 +208,28 @@ class Matrix:
 
     def nullspace(self) -> "Matrix":
         """Rows span {x : self @ x^T = 0}; comes out with ncols(self) columns."""
-        R, rank, pivots = self.rref()
+        R, _, pivots = self.rref()
+        return R.rref_nullspace(pivots)
+
+    def leading_columns(self) -> list[int]:
+        """The column of each row's first nonzero entry; for a matrix in RREF
+        without zero rows these are its pivots, read in one left-to-right pass."""
+        cols = []
+        j = 0
+        for row in self.rows:
+            while not row[j]:
+                j += 1
+            cols.append(j)
+            j += 1
+        return cols
+
+    def rref_nullspace(self, pivots: Sequence[int]) -> "Matrix":
+        """The nullspace of a matrix already in RREF, with no elimination.
+
+        With the pivot columns of `self` given, the basis is [-P^T | I]
+        spread over the columns: one vector per free column fc, 1 there and
+        -self[r][fc] at the pivot column of each row r.
+        """
         neg = self.field.tables.neg
         pivot_set = set(pivots)
         basis = []
@@ -220,8 +238,8 @@ class Matrix:
                 continue
             v = [0] * self.ncols
             v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = neg[R.rows[r][fc]]
+            for r, pc in zip(self.rows, pivots):
+                v[pc] = neg[r[fc]]
             basis.append(v)
         return Matrix(self.field, basis, ncols=self.ncols)
 

@@ -7,6 +7,11 @@ unity gamma living in GF(q^e); coset closure of Z is what makes the
 coefficients land back in GF(q), and that landing is asserted rather than
 assumed.  The canonical gamma comes from the canonical generator of the
 extension, so every run builds the identical code.
+
+`negacyclic_code` keeps each verified code in a module dict keyed by
+(n, field, defining set), so a chain that reuses a component builds and
+checks it once, and the shared LinearCode keeps its parity check and its
+containment verdicts across every product it enters.
 """
 
 from __future__ import annotations
@@ -198,18 +203,32 @@ class NegacyclicCode:
         }
 
 
+# built codes by (n, field, defining set); a plain dict, so a tracer wrapping
+# negacyclic_code still sees every call
+_code_cache: dict[tuple, NegacyclicCode] = {}
+
+
 def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     """Build the code with the given defining set and verify its algebra.
 
     Checks performed: the generator polynomial has all coefficients fixed by
     the Frobenius x -> x^q (subfield membership), divides x^n + 1 exactly,
     and vanishes at gamma^j for exactly the j in the defining set among odd
-    residues.  Any failure is an internal consistency error.
+    residues, and the code has dimension n - |Z|.  Any failure is an
+    internal consistency error.  The checks run once per distinct code: a
+    repeated call returns the same object, with the facts it has kept.
     """
     if defining.n != n or defining.q != fld.order:
         raise NegacyclicError("defining set was built for different (n, q)")
     if math.gcd(2 * n, fld.order) != 1:
         raise NegacyclicError("repeated-root case gcd(2n, q) != 1 rejected")
+    key = (n, fld, defining)
+    if key not in _code_cache:
+        _code_cache[key] = _build_negacyclic(n, fld, defining)
+    return _code_cache[key]
+
+
+def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     if not defining.residues:
         return NegacyclicCode(LinearCode.full_space(fld, n), defining, (1,))
 

@@ -7,11 +7,19 @@ the full-row-rank bound through the row-prefix codes of A, and the sharper
 non-singular-by-columns bound, which is an equality when A is also upper
 triangular.
 
+When A is upper triangular with a nonzero diagonal (the chain matrices) the
+blocks are already block-echelon, and the product's RREF is assembled block
+by block from the components' RREFs without an elimination; every other A
+(the character tables, the random matrices of the verify batteries, the
+(A^-1)^T of the dual identity) goes through the elimination kernel.  The
+choice is read off A itself.
+
 Derived facts are recomputed, not trusted: the dual identity is checked on
 both sides, and every dual-containing product construction tests its
 components and its output for Hermitian containment, raising
-ConsistencyError if the algebra and the matrices ever disagree.  Codes keep
-their containment verdicts, so each code is tested once.
+ConsistencyError if the algebra and the matrices ever disagree.  Each fact
+is checked once: codes keep their containment verdicts, and `is_nsc` keeps
+its verdict per matrix value in a module dict.
 """
 
 from __future__ import annotations
@@ -40,7 +48,10 @@ def _check_components(codes: Sequence[LinearCode]) -> tuple[Field, int]:
 
 
 def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """The length n*m code generated by the blocks a_ij G_i."""
+    """The length n*m code generated by the blocks a_ij G_i.
+
+    An upper-triangular A with a nonzero diagonal takes the block-by-block
+    RREF of `_triangular_product`; any other A, the elimination kernel."""
     fld, n = _check_components(codes)
     s, m = A.nrows, A.ncols
     if s != len(codes):
@@ -49,6 +60,8 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
         raise ValueError("A must have at least as many columns as rows")
     if A.field != fld:
         raise ValueError("A must live over the component field")
+    if _has_triangular_rref(A):
+        return _triangular_product(codes, A)
     mul = fld.tables.mul
     zeros = [0] * n
     rows = []
@@ -61,12 +74,75 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n * m))
 
 
+def _has_triangular_rref(A: Matrix) -> bool:
+    """Upper triangular with a nonzero diagonal: the blocks a_ij G_i are then
+    block-echelon, and `_triangular_product` reduces them without a kernel."""
+    return is_upper_triangular(A) and all(A.rows[i][i] for i in range(A.nrows))
+
+
+def _triangular_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+    """The RREF of [C_1..C_s]A assembled block by block, last block first.
+
+    Block i's rows (a_ij G_i)_j vanish before column block i and hold a_ii G_i
+    there, so scaled by 1/a_ii they carry G_i's pivots (offset by i*n).  What
+    remains is clearing those rows at the pivot columns of every later block,
+    with the later blocks' already-reduced rows.  Reduced rows vanish on each
+    other's pivots, so the coefficient at one pivot is not changed by clearing
+    another, and a row holding b_j g in column block j can meet a later pivot
+    only on the support of g.  In a descending chain (each later component
+    inside the earlier ones) a later component's pivots are among C_i's, so a
+    row of block i meets at most one of them per later block.
+    """
+    fld, n = codes[0].field, codes[0].n
+    s, m = A.nrows, A.ncols
+    add, mul, neg, inv = fld.tables
+    zeros = [0] * n
+    later: dict[int, list] = {}  # pivot column -> nonzero (column, entry) pairs of its row
+    rows: list[list[int]] = []
+    for i in reversed(range(s)):
+        scale = mul[inv[A.rows[i][i]]]
+        brow = [scale[a] for a in A.rows[i]]
+        offsets = [j * n for j in range(i + 1, s) if brow[j]]
+        gen = codes[i].gen
+        block = []
+        for g, lead in zip(gen.rows, gen.leading_columns()):
+            row = []
+            for b in brow:
+                row += g if b == 1 else [mul[b][y] for y in g] if b else zeros
+            for p in [o + t for t, y in enumerate(g) if y for o in offsets]:
+                if p in later:
+                    f = mul[neg[row[p]]]
+                    for j, y in later[p]:
+                        row[j] = add[row[j]][f[y]]
+            block.append(row)
+            if i:  # block 0 clears nothing
+                later[i * n + lead] = [(j, y) for j, y in enumerate(row[i * n:], i * n) if y]
+        rows[:0] = block
+    if not rows:
+        return LinearCode.zero_code(fld, n * m)
+    return LinearCode(fld, n * m, Matrix(fld, rows, ncols=n * m))
+
+
 def is_frr(A: Matrix) -> bool:
     return A.rank() == A.nrows
 
 
+# is_nsc verdicts by matrix value; a plain dict, so a tracer wrapping is_nsc
+# still sees every call
+_nsc_verdicts: dict[Matrix, bool] = {}
+
+
 def is_nsc(A: Matrix) -> bool:
-    """Every t x t minor taken from the first t rows is invertible, all t."""
+    """Every t x t minor taken from the first t rows is invertible, all t.
+
+    The verdict is kept per matrix value, so the fixed matrices that every
+    build reuses are checked once."""
+    if A not in _nsc_verdicts:
+        _nsc_verdicts[A] = _all_prefix_minors_invertible(A)
+    return _nsc_verdicts[A]
+
+
+def _all_prefix_minors_invertible(A: Matrix) -> bool:
     s, m = A.nrows, A.ncols
     if s > m:
         return False

@@ -179,7 +179,8 @@ def test_pow_matches_repeated_multiplication(a, e):
 
 
 def test_generator_has_full_order(F49):
-    assert F49.order_of(F49.generator) == 48
+    g = F49.generator
+    assert next(e for e in range(1, 49) if F49.pow(g, e) == 1) == 48
 
 
 def test_characteristic_two_field():
@@ -199,5 +200,5 @@ def test_characteristic_two_field():
 def test_element_serialization_roundtrip(F25):
     for code in range(25):
         e = FieldElement(F25, code)
-        assert F25.from_coeffs(e.to_list()) == code
+        assert F25.from_coeffs(list(e.coeffs)) == code
     assert F25.to_dict() == {"p": 5, "m": 2, "modulus": [2, 0, 1]}

@@ -37,6 +37,7 @@ CASES = {
     "build-main2-l17": (["build", "--theorem", "main2", "--l", "17", "--deltas", "1,2,3"], 2),
     "table1-deep": (["table1", "--deep"], 0),
     "verify-all-7": (["verify", "--suite", "all", "--seed", "7"], 0),
+    "example-3.10-l11-deep": (["example", "--which", "3.10", "--l", "11", "--deep"], 2),
 }
 
 

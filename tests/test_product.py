@@ -30,6 +30,10 @@ from mpqc.verify import (
 )
 
 
+def to_lists(M):
+    return [list(r) for r in M.rows]
+
+
 def test_single_component_identity(F25):
     C = rs_dual_containing(5, 4)
     assert matrix_product_code([C], Matrix(F25, [[1]])) == C
@@ -167,8 +171,8 @@ def test_gram_check_singular_fails_both(F25):
 
 def test_character_matrix_small(F25):
     m = F25.neg(1)
-    assert character_matrix(F25, 1).to_lists() == [[1, 1], [1, m]]
-    assert character_matrix(F25, 2).to_lists() == [
+    assert to_lists(character_matrix(F25, 1)) == [[1, 1], [1, m]]
+    assert to_lists(character_matrix(F25, 2)) == [
         [1, 1, 1, 1],
         [1, 1, m, m],
         [1, m, 1, m],

@@ -1,0 +1,275 @@
+"""Differential tests for the structured chain build: the block-assembled RREF
+of an upper-triangular product, the parity check read off an RREF, and the
+kept facts (negacyclic components, NSC verdicts, subcode verdicts), each
+against the elimination-based reference code it replaced."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpqc import negacyclic, product
+from mpqc.code import LinearCode
+from mpqc.gf import field, square_field
+from mpqc.matrix import Matrix
+from mpqc.negacyclic import centered_defining_set, negacyclic_code
+from mpqc.product import (
+    character_matrix,
+    is_nsc,
+    matrix_product_code,
+    nested_chain_product,
+    product_dual,
+)
+from mpqc.quantum import _chain_defining_sets, _chain_matrix, admissible_triples
+from mpqc.verify import random_dual_containing_chain, random_dual_containing_code
+
+# ---------------------------------------------------------------------------
+# reference implementations, kept verbatim from the elimination-based versions
+
+
+def reference_product(codes, A):
+    """Every block a_ij G_i stacked, then one kernel elimination."""
+    fld, n = codes[0].field, codes[0].n
+    m = A.ncols
+    mul = fld.tables.mul
+    zeros = [0] * n
+    rows = []
+    for i, code in enumerate(codes):
+        arow = A.rows[i]
+        for g in code.gen.rows:
+            rows.append([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)])
+    if not rows:
+        return LinearCode.zero_code(fld, n * m)
+    return LinearCode.from_generator(Matrix(fld, rows, ncols=n * m))
+
+
+def reference_nullspace(M):
+    R, rank, pivots = M.rref()
+    neg = M.field.tables.neg
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(M.ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * M.ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = neg[R.rows[r][fc]]
+        basis.append(v)
+    return Matrix(M.field, basis, ncols=M.ncols)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+SQUARE_FIELDS = [(2, 2), (3, 2), (5, 2), (7, 2)]  # GF(4), GF(9), GF(25), GF(49)
+
+
+@st.composite
+def component(draw, fld, n):
+    kind = draw(st.sampled_from(["random", "random", "zero", "full"]))
+    if kind == "zero":
+        return LinearCode.zero_code(fld, n)
+    if kind == "full":
+        return LinearCode.full_space(fld, n)
+    entry = st.just(0) | st.integers(0, fld.order - 1)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, n + 1)))]
+    return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+
+
+@st.composite
+def triangular_products(draw):
+    """Components and an s x m matrix, zero below the diagonal and nonzero on
+    it; entries above it are often zero."""
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(s, s + 2))
+    n = draw(st.integers(1, 5))
+    codes = [draw(component(fld, n)) for _ in range(s)]
+    above = st.just(0) | st.integers(0, fld.order - 1)
+    rows = [
+        [0] * i + [draw(st.integers(1, fld.order - 1))] + [draw(above) for _ in range(m - i - 1)]
+        for i in range(s)
+    ]
+    return codes, Matrix(fld, rows, ncols=m)
+
+
+# ---------------------------------------------------------------------------
+# block-assembled product RREF
+
+
+@settings(max_examples=400, deadline=None)
+@given(triangular_products())
+def test_triangular_product_matches_kernel(case):
+    codes, A = case
+    assert product._has_triangular_rref(A)
+    got = matrix_product_code(codes, A)
+    want = reference_product(codes, A)
+    assert got == want
+    assert got.gen.rows == want.gen.rows and got.k == sum(c.k for c in codes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_products(), st.integers(0, 2**32))
+def test_other_matrices_keep_the_kernel_path(case, seed):
+    codes, A = case
+    rng = random.Random(seed)
+    rows = [list(r) for r in A.rows]
+    i = rng.randrange(A.nrows)
+    if rng.random() < 0.5 or i == 0:
+        rows[i][i] = 0  # a zero on the diagonal
+    else:
+        rows[i][rng.randrange(i)] = rng.randrange(1, A.field.order)  # below it
+    B = Matrix(A.field, rows, ncols=A.ncols)
+    assert not product._has_triangular_rref(B)
+    assert matrix_product_code(codes, B) == reference_product(codes, B)
+
+
+def test_descending_and_ascending_chains_match_kernel(F25):
+    rng = random.Random(11)
+    for s in (2, 3, 4):
+        up = random_dual_containing_chain(F25, 6, s, rng)
+        for codes in (up, up[::-1]):
+            for _ in range(3):
+                rows = [[0] * i + [rng.randrange(1, 25) for _ in range(s - i)] for i in range(s)]
+                A = Matrix(F25, rows, ncols=s)
+                assert matrix_product_code(codes, A) == reference_product(codes, A)
+
+
+CHAIN_CASES = [(5, "full"), (9, "full"), (13, "full"), (7, "half"), (11, "half")]
+
+
+@pytest.mark.parametrize("l, family", CHAIN_CASES)
+def test_every_admissible_chain_matches_kernel(l, family):
+    fld = square_field(l)
+    A = _chain_matrix(fld)
+    for deltas in admissible_triples(l, family, strict=False):
+        n, sets = _chain_defining_sets(l, deltas, family)
+        codes = [negacyclic_code(n, fld, Z).code for Z in sets]
+        got = matrix_product_code(codes, A)
+        assert got.gen.rows == reference_product(codes, A).gen.rows, deltas
+        if l <= 9:
+            assert got.parity.rows == reference_nullspace(got.gen).rows, deltas
+
+
+def test_chain_product_still_checks_containment(F25):
+    rng = random.Random(5)
+    chain = random_dual_containing_chain(F25, 6, 3, rng)
+    A = Matrix(F25, [[1, 1, 1], [0, 2, 1], [0, 0, 1]])
+    assert nested_chain_product(chain, A) == reference_product(chain, A)
+    with pytest.raises(ValueError, match="containment chain"):
+        nested_chain_product([chain[0], chain[2], chain[1]], A)
+
+
+def test_product_dual_and_character_products_take_the_kernel(F25):
+    rng = random.Random(8)
+    codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(4)]
+    X = character_matrix(F25, 2)
+    assert not product._has_triangular_rref(X)
+    assert matrix_product_code(codes, X) == reference_product(codes, X)
+    A = Matrix(F25, [[1, 3, 4], [0, 2, 1], [0, 0, 4]])
+    dual = product_dual(codes[:3], A)
+    assert dual == reference_product(codes[:3], A).euclidean_dual()
+
+
+# ---------------------------------------------------------------------------
+# parity read off the RREF
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SQUARE_FIELDS), st.integers(1, 7), st.data())
+def test_parity_read_off_matches_nullspace(pm, n, data):
+    C = data.draw(component(field(*pm), n))
+    H = C.parity
+    assert H.rows == reference_nullspace(C.gen).rows
+    assert H.rows == C.gen.nullspace().rows
+    assert (C.gen @ H.transpose()).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_products())
+def test_product_parity_matches_nullspace(case):
+    C = matrix_product_code(*case)
+    assert C.parity.rows == reference_nullspace(C.gen).rows
+
+
+def test_parity_of_a_negacyclic_component(F25):
+    C = negacyclic_code(26, F25, centered_defining_set(5, 2)).code
+    assert C.parity.rows == reference_nullspace(C.gen).rows
+
+
+# ---------------------------------------------------------------------------
+# kept facts
+
+
+def test_negacyclic_memo_returns_the_same_code(F25):
+    Z = centered_defining_set(5, 1)
+    first = negacyclic_code(26, F25, Z)
+    assert negacyclic_code(26, F25, Z) is first
+    negacyclic._code_cache.clear()
+    again = negacyclic_code(26, F25, Z)
+    assert again is not first and again == first
+    assert again.code.gen.rows == first.code.gen.rows
+    assert negacyclic_code(26, F25, Z) is again
+
+
+def test_negacyclic_memo_keeps_the_argument_checks(F25):
+    Z = centered_defining_set(5, 1)
+    negacyclic_code(26, F25, Z)
+    with pytest.raises(negacyclic.NegacyclicError, match="different"):
+        negacyclic_code(26, field(3, 2), Z)
+
+
+def test_nsc_verdict_is_kept_per_matrix(F25, monkeypatch):
+    A = Matrix(F25, [[1, 1, 1], [0, 2, 1], [0, 0, 1]])
+    B = Matrix(F25, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # the 2 x 2 minor on columns 2, 3 is singular
+    product._nsc_verdicts.clear()
+    assert is_nsc(A) and not is_nsc(B)
+
+    def refuse(*args):
+        raise AssertionError("NSC verdict re-derived")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "det_inverse", refuse)
+        assert is_nsc(Matrix(F25, [list(r) for r in A.rows]))  # an equal matrix
+        assert not is_nsc(B)
+    product._nsc_verdicts.clear()
+    assert is_nsc(A) and not is_nsc(B)
+
+
+def test_subcode_verdict_is_kept_per_other_code(F9, monkeypatch):
+    small = LinearCode.from_generator(Matrix(F9, [[1, 1, 0, 0]]))
+    big = LinearCode.from_generator(Matrix(F9, [[1, 1, 0, 0], [0, 0, 1, 0]]))
+    other = LinearCode.from_generator(Matrix(F9, [[1, 0, 0, 0], [0, 0, 1, 0]]))
+    assert small.is_subcode_of(big)
+    assert not small.is_subcode_of(other)
+
+    def refuse(*args):
+        raise AssertionError("subcode verdict re-derived")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix, "__matmul__", refuse)
+        assert not small.is_subcode_of(other)
+        assert small.is_subcode_of(LinearCode.from_generator(big.gen))  # an equal code
+    assert small.is_subcode_of(big) and not small.is_subcode_of(other)
+    # the other order too, so a verdict keyed by self alone is caught either way
+    fresh = LinearCode.from_generator(small.gen)
+    assert not fresh.is_subcode_of(other)
+    assert fresh.is_subcode_of(big)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_products())
+def test_kept_verdicts_leave_equality_hash_and_dict_alone(case):
+    codes, A = case
+    for C in (matrix_product_code(codes, A), codes[0]):
+        fresh = LinearCode.from_generator(C.gen)
+        C.parity
+        C.is_hermitian_dual_containing()
+        C.is_subcode_of(fresh)
+        C.is_subcode_of(LinearCode.full_space(C.field, C.n))
+        assert fresh == C and C == fresh
+        assert hash(fresh) == hash(C)
+        assert fresh.to_dict() == C.to_dict()
+        assert len({fresh, C}) == 1
