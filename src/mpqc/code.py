@@ -170,14 +170,32 @@ class LinearCode:
         return LinearCode.from_generator(self.parity.conjugate())
 
     def is_hermitian_dual_containing(self) -> bool:
-        """Gram test conj(H) H^T = 0, run once per code."""
+        """Gram test conj(H) H^T = 0, run once per code.
+
+        The Gram matrix is Hermitian (entry (j, i) is the conjugate of entry
+        (i, j)), so only the entries i <= j are evaluated, each as a dot
+        product over the nonzero entries of row i, and the scan stops at the
+        first nonzero entry.
+        """
         if self._hermitian_dual_containing is None:
             self.field.subfield_order  # raises unless the order is a square
-            verdict = 2 * self.k >= self.n and (
-                self.parity.conjugate() @ self.parity.transpose()
-            ).is_zero()
+            verdict = 2 * self.k >= self.n and self._hermitian_gram_vanishes()
             object.__setattr__(self, "_hermitian_dual_containing", verdict)
         return self._hermitian_dual_containing
+
+    def _hermitian_gram_vanishes(self) -> bool:
+        add, mul = self.field.tables.add, self.field.tables.mul
+        conj = self.field.conj_table
+        H = self.parity.rows
+        for i, row in enumerate(H):
+            support = [(t, mul[conj[x]]) for t, x in enumerate(row) if x]
+            for other in H[i:]:
+                acc = 0
+                for t, m in support:
+                    acc = add[acc][m[other[t]]]
+                if acc:
+                    return False
+        return True
 
     # -- distance oracles --
 
@@ -263,6 +281,19 @@ class LinearCode:
             best_zeroes = 0
         return exact_report(n - best_zeroes, "exhaustive")
 
+    def mds_subset_size(self, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> int:
+        """t = min(k, n - k), the size of the column subsets `is_mds` scans.
+
+        Raises BudgetError when the C(n, t) subsets exceed max_subsets.  The
+        family verifier calls this ahead of any structural certificate, so
+        a code the scan would refuse stays refused however it is certified.
+        t = 0 (the zero code and the full space) is never refused.
+        """
+        n, t = self.n, min(self.k, self.n - self.k)
+        if t and math.comb(n, t) > max_subsets:
+            raise BudgetError(f"C({n},{t}) column subsets exceed budget {max_subsets}")
+        return t
+
     def is_mds(self, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> bool:
         """Certificate that d = n - k + 1.
 
@@ -271,13 +302,11 @@ class LinearCode:
         A depth-first scan shares partial eliminations between subsets and
         aborts on the first dependency.
         """
-        n, k = self.n, self.k
-        if k == 0 or k == n:
+        t = self.mds_subset_size(max_subsets)
+        if t == 0:
             return True
-        t = min(k, n - k)
-        if math.comb(n, t) > max_subsets:
-            raise BudgetError(f"C({n},{t}) column subsets exceed budget {max_subsets}")
-        mat = self.gen if t == k else self.parity
+        n = self.n
+        mat = self.gen if t == self.k else self.parity
         add, mul, neg, inv = self.field.tables
         cols = [[mat.rows[i][j] for i in range(t)] for j in range(n)]
 

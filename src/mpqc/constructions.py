@@ -6,12 +6,23 @@ explicit matrix check plus an MDS certificate before returning, and raises
 ConstructionError when no candidate passes, so a wrong code can never leak
 out silently.
 
+MDS is certified from structure where the rung knows it: a window code is
+the Euclidean dual of a GRS code, an extended code is a GRS code (GRS codes
+on distinct points with nonzero multipliers are MDS, and so are their
+duals), and a centered negacyclic code has a consecutive-run bound that
+meets Singleton.  The curve-drop rung and the registry carry no
+certificate; for them, and wherever a certificate does not match, the
+column-subset DFS `LinearCode.is_mds` decides.  The DFS's C(n, t) budget
+refusal still runs first for every candidate.
+
 The length l^2 - 1 family is built by a deterministic ladder:
 
   1. d = 1: the full space.
   2. Cyclic codes on the points alpha^0..alpha^(n-1) with a consecutive
-     defining window {b..b+d-2}; windows are prescreened by the coset
-     condition T and -lT disjoint mod n.  This covers 2 <= d <= l-1.
+     defining window T = {b..b+d-2}; windows are prescreened by the coset
+     condition T and -lT disjoint mod n.  The code ev{x^t : t not in -T}
+     is built as the dual of GRS_{d-1}(alpha^j, alpha^(jb)) and certified
+     by that GRS code.  This covers 2 <= d <= l-1.
   3. A column-multiplier search on rational normal curve point subsets:
      drop two of the q+1 curve points, then solve the F_l-linear system
      sum_j mu_j g_j conj(g_j)^T = 0 for per-column norms mu.  Any solution
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .code import BudgetError, LinearCode
 from .gf import Field, FieldError, SubfieldEmbedding, field, split_prime_power, square_field
@@ -55,14 +66,35 @@ class GrsSpec:
     k: int
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("evaluation points must be distinct")
         if len(self.multipliers) != len(self.points):
             raise ValueError("one multiplier per point")
-        if any(m == 0 for m in self.multipliers):
-            raise ValueError("multipliers must be nonzero")
+        defect = self.mds_defect()
+        if defect:
+            raise ValueError(defect)
         if not 0 <= self.k <= len(self.points):
             raise ValueError("dimension out of range")
+
+    def mds_defect(self) -> str | None:
+        """Why the code would not be MDS, or None: GRS codes on distinct
+        points with nonzero multipliers are MDS, and so are their duals."""
+        if len(set(self.points)) != len(self.points):
+            return "evaluation points must be distinct"
+        if any(m == 0 for m in self.multipliers):
+            return "multipliers must be nonzero"
+        return None
+
+
+def window_grs_spec(fld: Field, b: int, k: int) -> GrsSpec:
+    """GRS_k on the points alpha^j, j < q - 1, with multipliers alpha^(jb):
+    the evaluations of x^b, ..., x^(b+k-1) at every nonzero element."""
+    alpha = fld.generator
+    n = fld.order - 1
+    step = fld.pow(alpha, b)
+    points, mults = [1], [1]
+    for _ in range(n - 1):
+        points.append(fld.mul(points[-1], alpha))
+        mults.append(fld.mul(mults[-1], step))
+    return GrsSpec(points=tuple(points), multipliers=tuple(mults), k=k)
 
 
 def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
@@ -82,12 +114,25 @@ def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
 # subfield-linear solve for column norms
 
 
+# (field, subfield) -> _subfield_decomposition result; a plain dict, so a
+# tracer wrapping the function still sees every call
+_decomposition_cache: dict[tuple[Field, Field], tuple] = {}
+
+
 def _subfield_decomposition(fld: Field, sub: Field):
     """Write GF(l^2) as a 2-dim vector space over its GF(l) subfield.
 
     Returns (embedding image list, decompose) where decompose(x) gives the
     two GF(l)-codes of x over the basis {1, zeta}, zeta the field generator.
+    Built once per (field, subfield) pair.
     """
+    key = (fld, sub)
+    if key not in _decomposition_cache:
+        _decomposition_cache[key] = _build_subfield_decomposition(fld, sub)
+    return _decomposition_cache[key]
+
+
+def _build_subfield_decomposition(fld: Field, sub: Field):
     emb = SubfieldEmbedding(sub, fld)
     image = emb._img
     in_img = emb._pre
@@ -109,7 +154,10 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
 
     The system is linear over the subfield GF(l); its kernel is enumerated
     (seeded-random sampled past `cap`) for a vector with every coordinate
-    nonzero.  Returns mu as subfield codes, or None.
+    nonzero.  Returns mu as subfield codes, or None.  The enumeration takes
+    the coefficient vectors in itertools.product order, depth first with
+    the partial sum of each prefix kept, so each vector costs about one
+    scaled-row add.
     """
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
@@ -138,12 +186,20 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
         return v
 
     if l ** len(basis) <= cap:
-        for coeffs in itertools.product(range(l), repeat=len(basis)):
-            if any(coeffs):
-                v = combine(coeffs)
-                if all(v):
-                    return v
-        return None
+        # scaled[i][c] = c * basis[i]; level i adds c_i * basis[i] to the
+        # prefix sum for every c_i, the last coordinate varying fastest
+        scaled = [[[mul[c][y] for y in b] for c in range(l)] for b in basis]
+
+        def walk(level, acc):
+            if level == len(scaled):
+                return acc if all(acc) else None
+            for c, row in enumerate(scaled[level]):
+                found = walk(level + 1, [add[x][y] for x, y in zip(acc, row)] if c else acc)
+                if found is not None:
+                    return found
+            return None
+
+        return walk(0, [0] * n)
     import random
 
     rng = random.Random(0xC0DE)
@@ -204,11 +260,42 @@ _SPORADIC_PUNCTURED: dict[tuple[int, int], list[list[int]]] = {
 }
 
 
-def _verify_family_code(code: LinearCode, n: int, k: int, d: int, max_subsets: int) -> LinearCode:
+def _grs_dual_certificate(spec: GrsSpec, grs: LinearCode, code: LinearCode) -> bool:
+    """True when the spec passes its own MDS checks and the Euclidean dual
+    of `code` is grs = grs_code(spec)."""
+    return spec.mds_defect() is None and code.euclidean_dual() == grs
+
+
+def _verify_family_code(
+    code: LinearCode,
+    n: int,
+    k: int,
+    d: int,
+    max_subsets: int,
+    certificate: Callable[[], bool] | None = None,
+) -> LinearCode:
+    """Check a family candidate: dimension, the Hermitian Gram test, then MDS.
+
+    Every candidate runs the first two.  MDS comes from `certificate`, a
+    structural fact supplied by the rung that built the candidate:
+
+      cyclic window   its Euclidean dual is grs_code(window spec)
+      extended        it is grs_code(spec); the spec's own checks
+      negacyclic      the consecutive-run bound meets Singleton
+      curve drop, registry   none
+
+    When there is none, or it does not match, the column-subset DFS
+    `is_mds` decides instead.  A certificate never rejects a candidate.  The
+    DFS's C(n, t) budget refusal runs ahead of any certificate, so what the
+    DFS would refuse stays refused.
+    """
     if code.params() != (n, k):
         raise ConstructionError(f"built [{code.n},{code.k}], wanted [{n},{k}]")
     if not code.is_hermitian_dual_containing():
         raise ConstructionError(f"[{n},{k},{d}] candidate is not Hermitian dual-containing")
+    code.mds_subset_size(max_subsets)  # the DFS's budget refusal
+    if certificate is not None and certificate():
+        return code
     if not code.is_mds(max_subsets):
         raise ConstructionError(f"[{n},{k}] candidate is not MDS (wanted d = {d})")
     return code
@@ -235,22 +322,21 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
         _family_cache[key] = code
         return code
 
-    alpha = fld.generator
-    pts = [fld.pow(alpha, j) for j in range(n)]
-
-    def cyclic_candidate(T):
-        removed = {(-t) % n for t in T}
-        rows = [[fld.pow(a, t) for a in pts] for t in range(n) if t not in removed]
-        return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
-
-    # consecutive defining windows, smallest start first
+    # consecutive defining windows T = {b..b+d-2}, smallest start first.  The
+    # candidate ev{x^t : t not in -T} on the n-th roots of unity alpha^j is
+    # the Euclidean dual of ev{x^t : t in T} = GRS_{d-1}(alpha^j, alpha^(jb)),
+    # so it is built from that small GRS code's parity check
     for b in range(1, n + 1):
         T = [(b + i) % n for i in range(d - 1)]
         if any(((-l * t) % n) in T for t in T):
             continue
-        cand = cyclic_candidate(T)
+        spec = window_grs_spec(fld, b, d - 1)
+        grs = grs_code(fld, spec)
+        cand = LinearCode.from_generator(grs.parity)
         try:
-            code = _verify_family_code(cand, n, k, d, max_subsets)
+            code = _verify_family_code(
+                cand, n, k, d, max_subsets, lambda: _grs_dual_certificate(spec, grs, cand)
+            )
         except ConstructionError:
             continue
         _family_cache[key] = code
@@ -319,7 +405,10 @@ def extended_rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> Lin
         raise ConstructionError(f"designed distance {d} outside 2..{l}")
     k = n + 1 - d
     spec = GrsSpec(points=tuple(range(n)), multipliers=(1,) * n, k=k)
-    code = _verify_family_code(grs_code(fld, spec), n, k, d, max_subsets)
+    # the code is grs_code(spec) itself, so the spec's checks certify it
+    code = _verify_family_code(
+        grs_code(fld, spec), n, k, d, max_subsets, lambda: spec.mds_defect() is None
+    )
     _family_cache[key] = code
     return code
 
@@ -331,7 +420,7 @@ def negacyclic_mds_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> 
     force |Z| = d - 1 odd: even d maps to depth (d-2)/2 and d = 1 to the
     empty set.  Odd d >= 3 has no such defining set and is refused.
     """
-    from .negacyclic import centered_defining_set, negacyclic_code
+    from .negacyclic import centered_defining_set, distance_report, negacyclic_code
 
     key = ("negacyclic", l, d)
     if key in _family_cache:
@@ -353,6 +442,8 @@ def negacyclic_mds_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> 
         )
     depth = (d - 2) // 2
     nega = negacyclic_code(n, fld, centered_defining_set(l, depth))
-    code = _verify_family_code(nega.code, n, n + 1 - d, d, max_subsets)
+    code = _verify_family_code(
+        nega.code, n, n + 1 - d, d, max_subsets, lambda: distance_report(nega).exact
+    )
     _family_cache[key] = code
     return code

@@ -1,14 +1,59 @@
+import itertools
+
 import pytest
 
 from mpqc.code import LinearCode
 from mpqc.constructions import (
     ConstructionError,
     GrsSpec,
+    _rational_curve_points,
+    _solve_norms,
+    _subfield_decomposition,
     extended_rs_dual_containing,
     grs_code,
     negacyclic_mds_dual_containing,
     rs_dual_containing,
 )
+from mpqc.gf import field, split_prime_power, square_field
+from mpqc.matrix import Matrix
+
+
+def reference_solve_norms(fld, l, points, r, cap=400000):
+    # kept verbatim from the walk that re-summed every basis row per vector
+    # (the sampled branch past `cap` is unchanged and not copied)
+    sub = field(*split_prime_power(l))
+    _, decomp = _subfield_decomposition(fld, sub)
+    n = len(points)
+    cols = []
+    for g in points:
+        ent = []
+        for a in range(r):
+            for b in range(a, r):
+                va, vb = decomp(fld.mul(g[a], fld.conj(g[b])))
+                ent.append(va)
+                ent.append(vb)
+        cols.append(ent)
+    rows = [[cols[j][i] for j in range(n)] for i in range(len(cols[0]))]
+    basis = Matrix(sub, rows, ncols=n).nullspace().rows
+    if not basis:
+        return None
+    add, mul = sub.tables.add, sub.tables.mul
+
+    def combine(coeffs):
+        v = [0] * n
+        for c, b in zip(coeffs, basis):
+            if c:
+                m = mul[c]
+                v = [add[x][m[y]] for x, y in zip(v, b)]
+        return v
+
+    assert l ** len(basis) <= cap
+    for coeffs in itertools.product(range(l), repeat=len(basis)):
+        if any(coeffs):
+            v = combine(coeffs)
+            if all(v):
+                return v
+    return None
 
 
 def test_grs_spec_validation(F9):
@@ -110,3 +155,36 @@ def test_family_results_are_cached():
     a = rs_dual_containing(5, 4)
     b = rs_dual_containing(5, 4)
     assert a is b
+
+
+def _curve_drops(l, d):
+    curve = _rational_curve_points(square_field(l), d - 1)
+    for drop in itertools.combinations(range(len(curve)), 2):
+        yield drop, [p for i, p in enumerate(curve) if i not in drop]
+
+
+@pytest.mark.parametrize("l,d", [(3, 3), (3, 4), (5, 6)])
+def test_norm_walk_matches_reference_on_every_drop(l, d):
+    fld = square_field(l)
+    found = 0
+    for drop, pts in _curve_drops(l, d):
+        mu = _solve_norms(fld, l, pts, d - 1)
+        assert mu == reference_solve_norms(fld, l, pts, d - 1), drop
+        found += mu is not None
+    assert found == (45 if (l, d) == (3, 3) else 0)
+
+
+def test_norm_walk_matches_reference_at_l5_d5():
+    # every one of the 325 drops solves here; the reference walk takes about
+    # 0.6 s per drop, so two are checked: the one the ladder takes and the last
+    fld = square_field(5)
+    drops = dict(_curve_drops(5, 5))
+    for drop in [(0, 1), (24, 25)]:
+        mu = _solve_norms(fld, 5, drops[drop], 4)
+        assert mu is not None and all(mu)
+        assert mu == reference_solve_norms(fld, 5, drops[drop], 4)
+
+
+def test_subfield_decomposition_is_built_once():
+    fld, sub = square_field(5), field(5, 1)
+    assert _subfield_decomposition(fld, sub) is _subfield_decomposition(fld, sub)

@@ -48,6 +48,11 @@ def reference_is_hermitian_dual_containing(self):
     return reference_is_subcode_of(reference_hermitian_dual(self), self)
 
 
+def reference_gram_is_zero(self):
+    # kept verbatim from the full-product Gram test it replaced
+    return (self.parity.conjugate() @ self.parity.transpose()).is_zero()
+
+
 def reference_is_mds(self, max_subsets=10**6):
     n, k = self.n, self.k
     if k == 0 or k == n:
@@ -158,6 +163,34 @@ def test_duals_match_reference(C):
 @given(codes())
 def test_dual_containment_matches_reference(C):
     assert C.is_hermitian_dual_containing() == reference_is_hermitian_dual_containing(C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes())
+def test_upper_triangle_gram_matches_full_product(C):
+    # the triangle scan is compared at every rate, not only where 2k >= n
+    # lets it run inside the containment verdict
+    assert C._hermitian_gram_vanishes() == reference_gram_is_zero(C)
+    expected = 2 * C.k >= C.n and reference_gram_is_zero(C)
+    assert C.is_hermitian_dual_containing() == expected
+
+
+@pytest.mark.parametrize("pm", SQUARE_FIELDS)
+def test_both_gram_verdicts_occur(pm):
+    fld = field(*pm)
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            C = random_dual_containing_code(fld, n, rng.randint(0, n // 2), rng)
+        else:
+            rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            C = LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+        verdict = C._hermitian_gram_vanishes()
+        assert verdict == reference_gram_is_zero(C)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=200, deadline=None)
