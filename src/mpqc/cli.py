@@ -23,7 +23,7 @@ import json
 import sys
 
 from .claims import CHAIN_EXAMPLES, TABLE1
-from .code import BudgetError
+from .code import DEFAULT_ENUM_BUDGET, DEFAULT_SUBSET_BUDGET, BudgetError
 from .constructions import ConstructionError
 from .product import ConsistencyError
 from .quantum import (
@@ -330,8 +330,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table1", help="audit the ten-row comparison table", parents=[common])
     t.add_argument("--deep", action="store_true", help="construct every row, not just small ones")
-    t.add_argument("--budget", type=int, default=10**6, help="column-subset cap for certificates")
-    t.add_argument("--enum-budget", type=int, default=10**7, help="message enumeration cap")
+    t.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET, help="column-subset cap for certificates")
+    t.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET, help="message enumeration cap")
 
     e = sub.add_parser("example", help="audit one chain claim set", parents=[common])
     e.add_argument("--which", choices=["3.8", "3.10"], required=True)
@@ -348,7 +348,7 @@ def make_parser() -> argparse.ArgumentParser:
     bd.add_argument("--family", choices=["full", "half"], default="full", help="chain family for main1")
     bd.add_argument("--strict", action="store_true")
     bd.add_argument("--skip-range-check", action="store_true", help="audit out-of-range inputs")
-    bd.add_argument("--budget", type=int, default=10**6)
+    bd.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
 
     v = sub.add_parser("verify", help="run property batteries", parents=[common])
     v.add_argument("--suite", choices=["fields", "duals", "mpc", "negacyclic", "quantum", "all"], default="all")

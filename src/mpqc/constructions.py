@@ -10,10 +10,12 @@ MDS is certified from structure where the rung knows it: a window code is
 the Euclidean dual of a GRS code, an extended code is a GRS code (GRS codes
 on distinct points with nonzero multipliers are MDS, and so are their
 duals), and a centered negacyclic code has a consecutive-run bound that
-meets Singleton.  The curve-drop rung and the registry carry no
-certificate; for them, and wherever a certificate does not match, the
-column-subset DFS `LinearCode.is_mds` decides.  The DFS's C(n, t) budget
-refusal still runs first for every candidate.
+meets Singleton.  The curve-drop rung runs the column-subset DFS
+`LinearCode.is_mds` once, on the small self-orthogonal code whose Hermitian
+dual is the candidate; the dual of an MDS code is MDS, so that verdict is
+the candidate's certificate.  The registry carries none; for it, and
+wherever a certificate does not match, the DFS decides.  The DFS's C(n, t)
+budget refusal still runs first for every candidate.
 
 The length l^2 - 1 family is built by a deterministic ladder:
 
@@ -26,9 +28,11 @@ The length l^2 - 1 family is built by a deterministic ladder:
   3. A column-multiplier search on rational normal curve point subsets:
      drop two of the q+1 curve points, then solve the F_l-linear system
      sum_j mu_j g_j conj(g_j)^T = 0 for per-column norms mu.  Any solution
-     with all coordinates nonzero scales into a Hermitian self-orthogonal
-     [n, d-1] code whose Hermitian dual is the wanted code.  This covers
-     d = l.
+     with all coordinates nonzero scales into an [n, d-1] code whose
+     Hermitian dual is the candidate.  The candidate's Gram test is the
+     self-orthogonality check, and one DFS on the [n, d-1] code certifies
+     MDS.  This reaches d = l at l = 3 and 5, and at l = 7 under a raised
+     subset budget; it finds no candidate at l = 2 or 4.
   4. A registry of frozen generators for sporadic parameters that no
      parametric family reaches (currently the [8,5,4] code over GF(9),
      found by an exhaustive arc search and reverified here at runtime).
@@ -44,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .code import BudgetError, LinearCode
+from .code import DEFAULT_SUBSET_BUDGET, BudgetError, LinearCode
 from .gf import Field, FieldError, SubfieldEmbedding, field, split_prime_power, square_field
 from .matrix import Matrix
 
@@ -212,13 +216,14 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
     return None
 
 
-def _self_orthogonal_on_points(fld: Field, l: int, points, r: int) -> LinearCode | None:
-    """Hermitian self-orthogonal [n, r] code on the given projective points,
-    if some column scaling makes one."""
+def _norm_scaled_code(fld: Field, l: int, points, r: int) -> LinearCode | None:
+    """The [n, r] code on the given projective points with each column scaled
+    to its solved norm, or None when no norms exist or the rank falls short.
+    The norms make it Hermitian self-orthogonal; the caller checks that."""
     mu = _solve_norms(fld, l, points, r)
     if mu is None:
         return None
-    sub_emb = SubfieldEmbedding(field(*split_prime_power(l)), fld)
+    sub_emb, _ = _subfield_decomposition(fld, field(*split_prime_power(l)))
     # per-column scalars nu with nu^(l+1) = mu (norms are onto GF(l)*)
     nu_for = {}
     for target in set(mu):
@@ -226,9 +231,7 @@ def _self_orthogonal_on_points(fld: Field, l: int, points, r: int) -> LinearCode
         nu_for[target] = next(x for x in range(1, fld.order) if fld.pow(x, l + 1) == timg)
     G = [[fld.mul(points[j][a], nu_for[mu[j]]) for j in range(len(points))] for a in range(r)]
     code = LinearCode.from_generator(Matrix(fld, G, ncols=len(points)))
-    if code.k != r or not code.is_subcode_of(code.hermitian_dual()):
-        return None
-    return code
+    return code if code.k == r else None
 
 
 def _rational_curve_points(fld: Field, r: int) -> list[tuple[int, ...]]:
@@ -282,7 +285,8 @@ def _verify_family_code(
       cyclic window   its Euclidean dual is grs_code(window spec)
       extended        it is grs_code(spec); the spec's own checks
       negacyclic      the consecutive-run bound meets Singleton
-      curve drop, registry   none
+      curve drop      the rung's one DFS on the [n, d-1] code it dualized
+      registry        none
 
     When there is none, or it does not match, the column-subset DFS
     `is_mds` decides instead.  A certificate never rejects a candidate.  The
@@ -301,15 +305,19 @@ def _verify_family_code(
     return code
 
 
+# (family, l, d, max_subsets) -> verified code; the budget is part of the key
+# because a code certified under one budget may be refused under a smaller one
 _family_cache: dict[tuple, LinearCode] = {}
 
 
-def rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
+def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> LinearCode:
     """Hermitian dual-containing [l^2-1, l^2-d, d] MDS code over GF(l^2).
 
-    Supported for 1 <= d <= l, plus sporadic registry hits beyond that.
+    Supported for 1 <= d <= l - 1 by the cyclic windows and at d = l where
+    the curve drop finds a candidate (not at l = 2 or 4), plus sporadic
+    registry hits beyond that.
     """
-    key = ("punctured", l, d)
+    key = ("punctured", l, d, max_subsets)
     if key in _family_cache:
         return _family_cache[key]
     if d < 1 or d > l + 1:
@@ -342,14 +350,22 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
         _family_cache[key] = code
         return code
 
-    # norm-solved evaluation codes on curve point subsets
+    # norm-solved evaluation codes on curve point subsets: so is [n, d-1] and
+    # the candidate is its Hermitian dual
     curve = _rational_curve_points(fld, d - 1)
     budget_blocked: BudgetError | None = None
     for drop in itertools.combinations(range(len(curve)), 2):
         sub_pts = [p for i, p in enumerate(curve) if i not in drop]
-        so = _self_orthogonal_on_points(fld, l, sub_pts, d - 1)
+        so = _norm_scaled_code(fld, l, sub_pts, d - 1)
         if so is None:
             continue
+        # so is self-orthogonal iff cand contains its own Hermitian dual (so);
+        # cand keeps the Gram verdict for _verify_family_code
+        cand = so.hermitian_dual()
+        if not cand.is_hermitian_dual_containing():
+            continue
+        # one DFS, on the smaller code: the dual of an MDS code is MDS, and
+        # both scan the same C(n, d-1) column subsets
         try:
             mds = so.is_mds(max_subsets)
         except BudgetError as exc:
@@ -357,10 +373,7 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
             break
         if not mds:
             continue
-        try:
-            code = _verify_family_code(so.hermitian_dual(), n, k, d, max_subsets)
-        except ConstructionError:
-            continue
+        code = _verify_family_code(cand, n, k, d, max_subsets, lambda: mds)
         _family_cache[key] = code
         return code
     if budget_blocked is not None:
@@ -377,22 +390,24 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
         _family_cache[key] = code
         return code
 
+    endpoint = " (the d = l+1 endpoint admits no multiplier-scaled evaluation code)"
     raise ConstructionError(
         f"no verified [{n},{k},{d}] dual-containing code over GF({l}^2): "
         "cyclic windows, curve-subset norm solving and the sporadic registry "
-        "are all exhausted (the d = l+1 endpoint admits no multiplier-scaled "
-        "evaluation code)"
+        f"are all exhausted{endpoint if d == l + 1 else ''}"
     )
 
 
-def extended_rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
+def extended_rs_dual_containing(
+    l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET
+) -> LinearCode:
     """Hermitian dual-containing [l^2, l^2+1-d, d] MDS code over GF(l^2).
 
     Plain evaluation of all polynomials of degree < k at every field element
     passes the containment check throughout 2 <= d <= l; d = 1 degenerates
     to the full space.
     """
-    key = ("extended", l, d)
+    key = ("extended", l, d, max_subsets)
     if key in _family_cache:
         return _family_cache[key]
     fld = square_field(l)
@@ -413,7 +428,9 @@ def extended_rs_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> Lin
     return code
 
 
-def negacyclic_mds_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> LinearCode:
+def negacyclic_mds_dual_containing(
+    l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET
+) -> LinearCode:
     """Hermitian dual-containing [l^2+1, l^2+2-d, d] MDS code, l = 1 mod 4.
 
     Realized by the centered negacyclic defining sets, whose coset sizes
@@ -422,7 +439,7 @@ def negacyclic_mds_dual_containing(l: int, d: int, max_subsets: int = 10**6) -> 
     """
     from .negacyclic import centered_defining_set, distance_report, negacyclic_code
 
-    key = ("negacyclic", l, d)
+    key = ("negacyclic", l, d, max_subsets)
     if key in _family_cache:
         return _family_cache[key]
     if l % 4 != 1:

@@ -19,6 +19,9 @@ polynomials of degree m over GF(p), the one whose non-leading coefficient
 vector encodes the smallest integer (constant term = least significant
 digit) is chosen.  Two processes therefore always agree on every element
 code.
+
+The package's one set of polynomial helpers over a Field (``poly_mul``,
+``poly_divmod``, ``poly_eval``) lives here too.
 """
 
 from __future__ import annotations
@@ -88,52 +91,72 @@ def split_prime_power(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients as plain ints mod p,
-# constant term first.  Only what the modulus search needs.
+# polynomials over a Field: coefficient lists of element codes, constant term
+# first.  Over a prime field GF(p) the codes are the residues mod p, so the
+# modulus search below runs on field(p); Field(p, 1) takes its modulus x
+# before any polynomial call, so building it never recurses.
 
 
-def _poly_trim(c: list[int]) -> list[int]:
+def poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    _poly_trim(a)
+def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = fld.add, fld.mul
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    b = poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = poly_trim(list(a))
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = fld.inv(b[-1])
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
+    sub, mul = fld.sub, fld.mul
+    while a and len(a) - 1 >= db:
         shift = len(a) - 1 - db
-        f = a[-1] * inv_lead % p
+        f = mul(a[-1], inv_lead)
         q[shift] = f
         for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * bi) % p
-        _poly_trim(a)
+            if bi:
+                a[shift + i] = sub(a[shift + i], mul(f, bi))
+        poly_trim(a)
     return q, a
 
 
-def _poly_eval(c: Sequence[int], x: int, p: int) -> int:
+def poly_eval(fld: "Field", c: Sequence[int], x: int) -> int:
     acc = 0
     for ci in reversed(c):
-        acc = (acc * x + ci) % p
+        acc = fld.add(fld.mul(acc, x), ci)
     return acc
 
 
-def _is_irreducible(c: list[int], p: int) -> bool:
-    """Monic poly over GF(p): no roots, then trial division by all monic
-    polynomials of degree 2..deg/2 (only reachable factor degrees)."""
+def _is_irreducible(c: list[int], fp: "Field") -> bool:
+    """Monic poly over the prime field fp: no roots, then trial division by
+    all monic polynomials of degree 2..deg/2 (only reachable factor degrees)."""
     deg = len(c) - 1
     if deg == 1:
         return True
+    p = fp.p
     for x in range(p):
-        if _poly_eval(c, x, p) == 0:
+        if poly_eval(fp, c, x) == 0:
             return False
     for fdeg in range(2, deg // 2 + 1):
         for enc in range(p**fdeg):
             div = _decode_coeffs(enc, p, fdeg) + [1]
-            if not _poly_divmod(c, div, p)[1]:
+            if not poly_divmod(fp, c, div)[1]:
                 return False
     return True
 
@@ -162,9 +185,10 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """
     if m == 1:
         return (0, 1)
+    fp = field(p)
     for enc in range(p**m):
         cand = _decode_coeffs(enc, p, m) + [1]
-        if _is_irreducible(cand, p):
+        if _is_irreducible(cand, fp):
             return tuple(cand)
     raise FieldError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
@@ -347,12 +371,7 @@ class Field:
         g = self.generator
         v = 1
         h = _generator_step_digits(p, self.m)
-        if self.m == 1:
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                v = v * g % p
-        elif h is None:
+        if h is None:
             for i in range(q - 1):
                 exp[i] = v
                 log[v] = i
@@ -448,12 +467,9 @@ class Field:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FieldElement(self, value % self.p if self.m == 1 else self._int_code(value))
+            # integers embed through the prime subfield
+            return FieldElement(self, value % self.p)
         return FieldElement(self, self.from_coeffs(value))
-
-    def _int_code(self, value: int) -> int:
-        # integers embed through the prime subfield
-        return value % self.p
 
     # -- arithmetic on codes --
 
@@ -656,15 +672,8 @@ class SubfieldEmbedding:
         self.degree = ext.m // base.m
         root = self._modulus_root()
         self._root = root
-        img = [0] * base.order
-        rp = [1]
-        for _ in range(base.m - 1):
-            rp.append(ext.mul(rp[-1], root))
-        for a in range(base.order):
-            acc = 0
-            for c, r in zip(base.coeffs(a), rp):
-                acc = ext.add(acc, ext.mul(c, r))
-            img[a] = acc
+        # a = sum c_i x^i maps to sum c_i root^i; prime-subfield digits share codes
+        img = [poly_eval(ext, base.coeffs(a), root) for a in range(base.order)]
         self._img = img
         self._pre = {v: a for a, v in enumerate(img)}
         if len(self._pre) != base.order:
@@ -678,15 +687,12 @@ class SubfieldEmbedding:
             return base.from_coeffs([0, 1])
         q = base.order
         step = (ext.order - 1) // (q - 1)
-        mod = [c % base.p for c in base.modulus]  # prime-subfield constants share codes
         roots = []
-        # the subfield of order q is {0} plus the order-(q-1) subgroup
+        # the subfield of order q is {0} plus the order-(q-1) subgroup; the
+        # modulus coefficients are prime-subfield constants, which share codes
         for j in range(q - 1):
             x = ext._exp[j * step % (ext.order - 1)]
-            acc = 0
-            for c in reversed(mod):
-                acc = ext.add(ext.mul(acc, x), c)
-            if acc == 0:
+            if poly_eval(ext, base.modulus, x) == 0:
                 roots.append(x)
         if not roots:
             raise FieldError("base modulus has no root in extension")

@@ -6,7 +6,8 @@ g(x) = prod_{j in Z} (x - gamma^j) for a fixed primitive 2n-th root of
 unity gamma living in GF(q^e); coset closure of Z is what makes the
 coefficients land back in GF(q), and that landing is asserted rather than
 assumed.  The canonical gamma comes from the canonical generator of the
-extension, so every run builds the identical code.
+extension, so every run builds the identical code.  The polynomial
+arithmetic is gf's (``poly_mul``, ``poly_divmod``, ``poly_eval``).
 
 `negacyclic_code` keeps each verified code in a module dict keyed by
 (n, field, defining set), so a chain that reuses a component builds and
@@ -20,61 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .code import LinearCode
-from .gf import Field, FieldError, primitive_root_of_unity
+from .gf import Field, FieldError, poly_divmod, poly_eval, poly_mul, primitive_root_of_unity
 from .matrix import Matrix
 
 
 class NegacyclicError(ValueError):
     pass
-
-
-# -- polynomial helpers on coefficient lists (constant term first) --
-
-
-def poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_mul(fld: Field, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = fld.add, fld.mul
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
-
-
-def poly_divmod(fld: Field, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = poly_trim(list(a))
-    db = len(b) - 1
-    inv_lead = fld.inv(b[-1])
-    q = [0] * max(len(a) - db, 0)
-    sub, mul = fld.sub, fld.mul
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        f = mul(a[-1], inv_lead)
-        q[shift] = f
-        for i, bi in enumerate(b):
-            if bi:
-                a[shift + i] = sub(a[shift + i], mul(f, bi))
-        poly_trim(a)
-    return q, a
-
-
-def poly_eval(fld: Field, c: list[int], x: int) -> int:
-    acc = 0
-    for ci in reversed(c):
-        acc = fld.add(fld.mul(acc, x), ci)
-    return acc
 
 
 # -- cyclotomic structure --
@@ -238,23 +190,22 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCo
     for j in defining.residues:
         root = ext.pow(gamma, j)
         g = poly_mul(ext, g, [ext.neg(root), 1])
-    # coefficients must sit in the embedded copy of GF(q)
-    coeffs = []
-    for c in g:
-        if ext.pow(c, fld.order) != c or not emb.in_image(c):
-            raise NegacyclicError("generator polynomial escaped the base field; "
-                                  "the defining set cannot be coset-closed")
-        coeffs.append(emb.restrict(c))
+    # coefficients must sit in the embedded copy of GF(q); restrict runs the
+    # Frobenius membership test once per coefficient
+    try:
+        coeffs = [emb.restrict(c) for c in g]
+    except FieldError as exc:
+        raise NegacyclicError("generator polynomial escaped the base field; "
+                              "the defining set cannot be coset-closed") from exc
 
     xn_plus_1 = [1] + [0] * (n - 1) + [1]
     _, rem = poly_divmod(fld, xn_plus_1, coeffs)
     if rem:
         raise NegacyclicError("generator polynomial does not divide x^n + 1")
 
-    g_ext = g
+    residues = set(defining.residues)
     for j in range(1, 2 * n, 2):
-        val = poly_eval(ext, g_ext, ext.pow(gamma, j))
-        if (val == 0) != (j in set(defining.residues)):
+        if (poly_eval(ext, g, ext.pow(gamma, j)) == 0) != (j in residues):
             raise NegacyclicError(f"root pattern mismatch at exponent {j}")
 
     deg = len(coeffs) - 1

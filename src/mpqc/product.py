@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import DistanceReport, LinearCode, best_distance_report, exact_report
+from .code import DEFAULT_ENUM_BUDGET, DistanceReport, LinearCode, best_distance_report, exact_report
 from .gf import Field
 from .matrix import Matrix
 
@@ -166,7 +166,7 @@ def row_prefix_code(A: Matrix, k: int) -> LinearCode:
 
 
 def frr_distance_bound(
-    codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix, budget: int = 10**7
+    codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix, budget: int = DEFAULT_ENUM_BUDGET
 ) -> int:
     """min over i of d_i * d(prefix_i); valid whenever A has full row rank.
 
@@ -337,7 +337,7 @@ def product_distance_report(
     codes: Sequence[LinearCode],
     dists: Sequence[int],
     A: Matrix,
-    budget: int = 10**7,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DistanceReport:
     """Best certified distance statement for [C_1..C_s]A from exact
     component distances: the NSC equality when it applies, else the NSC

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .claims import TABLE1
-from .code import DistanceReport, LinearCode
+from .code import DEFAULT_ENUM_BUDGET, DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode
 from .constructions import (
     ConstructionError,
     extended_rs_dual_containing,
@@ -221,8 +221,8 @@ def build_character_product(
     l: int,
     dists: Sequence[int],
     kind: str,
-    max_subsets: int = 10**6,
-    enum_budget: int = 10**7,
+    max_subsets: int = DEFAULT_SUBSET_BUDGET,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CaseBuild:
     """Four components of one family (punctured, extended or negacyclic) at
     the given distances, their product under the 4 x 4 character matrix, and
@@ -241,8 +241,8 @@ def build_case(
     d: int,
     case: str,
     check_range: bool = True,
-    max_subsets: int = 10**6,
-    enum_budget: int = 10**7,
+    max_subsets: int = DEFAULT_SUBSET_BUDGET,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CaseBuild:
     """Construct the four components, the quadrupled product, and the
     quantum record; attach a discrepancy record when the formula disagrees.

@@ -2,19 +2,24 @@ import itertools
 
 import pytest
 
-from mpqc.code import LinearCode
+from mpqc import constructions
+from mpqc.code import BudgetError, LinearCode
 from mpqc.constructions import (
+    _SPORADIC_PUNCTURED,
     ConstructionError,
     GrsSpec,
+    _grs_dual_certificate,
     _rational_curve_points,
     _solve_norms,
     _subfield_decomposition,
+    _verify_family_code,
     extended_rs_dual_containing,
     grs_code,
     negacyclic_mds_dual_containing,
     rs_dual_containing,
+    window_grs_spec,
 )
-from mpqc.gf import field, split_prime_power, square_field
+from mpqc.gf import SubfieldEmbedding, field, split_prime_power, square_field
 from mpqc.matrix import Matrix
 
 
@@ -188,3 +193,181 @@ def test_norm_walk_matches_reference_at_l5_d5():
 def test_subfield_decomposition_is_built_once():
     fld, sub = square_field(5), field(5, 1)
     assert _subfield_decomposition(fld, sub) is _subfield_decomposition(fld, sub)
+
+
+# ---------------------------------------------------------------------------
+# the curve-drop rung against the parent's, which built the Hermitian dual
+# twice and ran the C(n, d-1) DFS on both the code and its dual
+
+
+def reference_self_orthogonal_on_points(fld, l, points, r):
+    # kept verbatim from the rung that checked containment by is_subcode_of
+    mu = _solve_norms(fld, l, points, r)
+    if mu is None:
+        return None
+    sub_emb = SubfieldEmbedding(field(*split_prime_power(l)), fld)
+    # per-column scalars nu with nu^(l+1) = mu (norms are onto GF(l)*)
+    nu_for = {}
+    for target in set(mu):
+        timg = sub_emb.embed(target)
+        nu_for[target] = next(x for x in range(1, fld.order) if fld.pow(x, l + 1) == timg)
+    G = [[fld.mul(points[j][a], nu_for[mu[j]]) for j in range(len(points))] for a in range(r)]
+    code = LinearCode.from_generator(Matrix(fld, G, ncols=len(points)))
+    if code.k != r or not code.is_subcode_of(code.hermitian_dual()):
+        return None
+    return code
+
+
+def reference_rs_dual_containing(l, d, max_subsets=10**6):
+    # kept verbatim from the parent ladder, less its memo; every rung but the
+    # curve drop calls today's shared helpers
+    if d < 1 or d > l + 1:
+        raise ConstructionError(f"designed distance {d} outside 1..{l + 1}")
+    fld = square_field(l)
+    n = l * l - 1
+    k = n - (d - 1)
+    if d == 1:
+        return LinearCode.full_space(fld, n)
+    for b in range(1, n + 1):
+        T = [(b + i) % n for i in range(d - 1)]
+        if any(((-l * t) % n) in T for t in T):
+            continue
+        spec = window_grs_spec(fld, b, d - 1)
+        grs = grs_code(fld, spec)
+        cand = LinearCode.from_generator(grs.parity)
+        try:
+            return _verify_family_code(
+                cand, n, k, d, max_subsets, lambda: _grs_dual_certificate(spec, grs, cand)
+            )
+        except ConstructionError:
+            continue
+    curve = _rational_curve_points(fld, d - 1)
+    budget_blocked = None
+    for drop in itertools.combinations(range(len(curve)), 2):
+        sub_pts = [p for i, p in enumerate(curve) if i not in drop]
+        so = reference_self_orthogonal_on_points(fld, l, sub_pts, d - 1)
+        if so is None:
+            continue
+        try:
+            mds = so.is_mds(max_subsets)
+        except BudgetError as exc:
+            budget_blocked = exc
+            break
+        if not mds:
+            continue
+        try:
+            return _verify_family_code(so.hermitian_dual(), n, k, d, max_subsets)
+        except ConstructionError:
+            continue
+    if budget_blocked is not None:
+        raise BudgetError(
+            f"found an [{n},{d - 1}] self-orthogonal candidate for d = {d} but "
+            f"cannot certify it: {budget_blocked}"
+        )
+    frozen = _SPORADIC_PUNCTURED.get((l, d))
+    if frozen is not None:
+        return _verify_family_code(
+            LinearCode.from_generator(Matrix(fld, frozen, ncols=n)), n, k, d, max_subsets
+        )
+    raise ConstructionError(
+        f"no verified [{n},{k},{d}] dual-containing code over GF({l}^2): "
+        "cyclic windows, curve-subset norm solving and the sporadic registry "
+        "are all exhausted (the d = l+1 endpoint admits no multiplier-scaled "
+        "evaluation code)"
+    )
+
+
+@pytest.fixture()
+def fresh_families(monkeypatch):
+    """An empty family cache, so each family is rebuilt under the test."""
+    monkeypatch.setattr(constructions, "_family_cache", {})
+
+
+@pytest.mark.parametrize("l,d", [(3, 3), (5, 5)])
+def test_curve_rung_builds_the_parent_code(l, d, fresh_families):
+    assert rs_dual_containing(l, d) == reference_rs_dual_containing(l, d)
+
+
+@pytest.mark.parametrize("l,d", [(2, 2), (4, 4), (5, 6)])
+def test_curve_rung_refuses_like_the_parent(l, d, fresh_families):
+    with pytest.raises(Exception) as ours:
+        rs_dual_containing(l, d)
+    with pytest.raises(Exception) as theirs:
+        reference_rs_dual_containing(l, d)
+    assert type(ours.value) is type(theirs.value) is ConstructionError
+
+
+def test_curve_rung_budget_refusal_matches_the_parent(fresh_families):
+    with pytest.raises(BudgetError) as ours:
+        rs_dual_containing(5, 5, max_subsets=2000)
+    with pytest.raises(BudgetError) as theirs:
+        reference_rs_dual_containing(5, 5, max_subsets=2000)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("l,d", [(3, 3), (5, 5)])
+def test_curve_drop_runs_one_dfs_and_one_dual(l, d, fresh_families, monkeypatch):
+    calls = {"is_mds": [], "hermitian_dual": [], "drops": 0}
+    real_is_mds, real_dual = LinearCode.is_mds, LinearCode.hermitian_dual
+    real_scaled = constructions._norm_scaled_code
+
+    def is_mds(self, max_subsets=10**6):
+        calls["is_mds"].append(self.params())
+        return real_is_mds(self, max_subsets)
+
+    def hermitian_dual(self):
+        calls["hermitian_dual"].append(self.params())
+        return real_dual(self)
+
+    def scaled(*args):
+        so = real_scaled(*args)
+        calls["drops"] += so is not None
+        return so
+
+    monkeypatch.setattr(LinearCode, "is_mds", is_mds)
+    monkeypatch.setattr(LinearCode, "hermitian_dual", hermitian_dual)
+    monkeypatch.setattr(constructions, "_norm_scaled_code", scaled)
+    C = rs_dual_containing(l, d)
+    n = l * l - 1
+    assert C.params() == (n, n - (d - 1))
+    # the first drop that solves is accepted; the DFS runs on the small code
+    assert calls == {"is_mds": [(n, d - 1)], "hermitian_dual": [(n, d - 1)], "drops": 1}
+
+
+@pytest.mark.parametrize("l,d", [(2, 2), (4, 4)])
+def test_even_l_refusal_does_not_blame_the_endpoint(l, d):
+    n = l * l - 1
+    with pytest.raises(ConstructionError) as exc:
+        rs_dual_containing(l, d)
+    assert str(exc.value) == (
+        f"no verified [{n},{n - d + 1},{d}] dual-containing code over GF({l}^2): "
+        "cyclic windows, curve-subset norm solving and the sporadic registry "
+        "are all exhausted"
+    )
+
+
+def test_endpoint_refusal_names_the_endpoint():
+    with pytest.raises(ConstructionError) as exc:
+        rs_dual_containing(5, 6)
+    assert str(exc.value) == (
+        "no verified [24,19,6] dual-containing code over GF(5^2): "
+        "cyclic windows, curve-subset norm solving and the sporadic registry "
+        "are all exhausted (the d = l+1 endpoint admits no multiplier-scaled "
+        "evaluation code)"
+    )
+
+
+@pytest.mark.parametrize(
+    "family,l,d,refusal",
+    [
+        (rs_dual_containing, 5, 5, r"C\(24,4\) column subsets exceed budget 2000$"),
+        (extended_rs_dual_containing, 5, 4, r"^C\(25,3\) column subsets exceed budget 2000$"),
+    ],
+)
+def test_family_memo_keys_the_budget(family, l, d, refusal, fresh_families):
+    # a code certified under the default budget is not handed out under a
+    # budget that refuses it, and the refusal does not evict the code
+    C = family(l, d)
+    with pytest.raises(BudgetError, match=refusal):
+        family(l, d, max_subsets=2000)
+    assert family(l, d) is C

@@ -6,8 +6,13 @@ from mpqc.gf import (
     Field,
     FieldElement,
     FieldError,
+    SubfieldEmbedding,
+    _decode_coeffs,
     field,
+    is_prime,
     multiplicative_order,
+    poly_divmod,
+    poly_eval,
     primitive_root_of_unity,
     smallest_irreducible,
     square_field,
@@ -202,3 +207,134 @@ def test_element_serialization_roundtrip(F25):
         e = FieldElement(F25, code)
         assert F25.from_coeffs(list(e.coeffs)) == code
     assert F25.to_dict() == {"p": 5, "m": 2, "modulus": [2, 0, 1]}
+
+
+# ---------------------------------------------------------------------------
+# the polynomial helpers over a Field against the mod-p integer copies that
+# the modulus search used before
+
+
+def reference_poly_trim(c):
+    # kept verbatim from gf._poly_trim
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def reference_poly_divmod(a, b, p):
+    # kept verbatim from gf._poly_divmod
+    a = list(a)
+    reference_poly_trim(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        shift = len(a) - 1 - db
+        f = a[-1] * inv_lead % p
+        q[shift] = f
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - f * bi) % p
+        reference_poly_trim(a)
+    return q, a
+
+
+def reference_poly_eval(c, x, p):
+    # kept verbatim from gf._poly_eval
+    acc = 0
+    for ci in reversed(c):
+        acc = (acc * x + ci) % p
+    return acc
+
+
+def reference_is_irreducible(c, p):
+    # kept verbatim from gf._is_irreducible
+    deg = len(c) - 1
+    if deg == 1:
+        return True
+    for x in range(p):
+        if reference_poly_eval(c, x, p) == 0:
+            return False
+    for fdeg in range(2, deg // 2 + 1):
+        for enc in range(p**fdeg):
+            div = _decode_coeffs(enc, p, fdeg) + [1]
+            if not reference_poly_divmod(c, div, p)[1]:
+                return False
+    return True
+
+
+def reference_smallest_irreducible(p, m):
+    if m == 1:
+        return (0, 1)
+    for enc in range(p**m):
+        cand = _decode_coeffs(enc, p, m) + [1]
+        if reference_is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError("no irreducible found")
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 42) if is_prime(p)])
+def test_smallest_irreducible_matches_the_integer_search(p):
+    for m in range(1, 5):
+        assert smallest_irreducible(p, m) == reference_smallest_irreducible(p, m), (p, m)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def _poly_pair(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    a = draw(st.lists(st.integers(0, p - 1), max_size=9))
+    b = draw(st.lists(st.integers(0, p - 1), max_size=5)) + [draw(st.integers(1, p - 1))]
+    return p, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_pair())
+def test_poly_divmod_matches_the_integer_copy(case):
+    p, a, b = case
+    a_before, b_before = list(a), list(b)
+    assert poly_divmod(field(p), a, b) == reference_poly_divmod(a, b, p)
+    assert (a, b) == (a_before, b_before)  # neither operand is modified
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_pair())
+def test_poly_eval_matches_the_integer_copy(case):
+    p, a, _ = case
+    for x in range(p):
+        assert poly_eval(field(p), a, x) == reference_poly_eval(a, x, p)
+
+
+@pytest.mark.parametrize(
+    "base,ext",
+    [((3, 1), (3, 2)), ((3, 2), (3, 4)), ((5, 2), (5, 4)), ((2, 2), (2, 4)), ((7, 2), (7, 4)), ((3, 2), (3, 8))],
+)
+def test_embedding_tables_match_the_horner_loops(base, ext):
+    # the two hand-written loops the embedding used, kept verbatim
+    base, ext = field(*base), field(*ext)
+    emb = SubfieldEmbedding(base, ext)
+    root = emb._root
+    if base.m > 1 and base.m != ext.m:
+        q = base.order
+        step = (ext.order - 1) // (q - 1)
+        mod = [c % base.p for c in base.modulus]
+        roots = []
+        for j in range(q - 1):
+            x = ext._exp[j * step % (ext.order - 1)]
+            acc = 0
+            for c in reversed(mod):
+                acc = ext.add(ext.mul(acc, x), c)
+            if acc == 0:
+                roots.append(x)
+        assert root == min(roots)
+    img = [0] * base.order
+    rp = [1]
+    for _ in range(base.m - 1):
+        rp.append(ext.mul(rp[-1], root))
+    for a in range(base.order):
+        acc = 0
+        for c, r in zip(base.coeffs(a), rp):
+            acc = ext.add(acc, ext.mul(c, r))
+        img[a] = acc
+    assert emb._img == img

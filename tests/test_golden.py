@@ -38,6 +38,9 @@ CASES = {
     "table1-deep": (["table1", "--deep"], 0),
     "verify-all-7": (["verify", "--suite", "all", "--seed", "7"], 0),
     "example-3.10-l11-deep": (["example", "--which", "3.10", "--l", "11", "--deep"], 2),
+    # d = l components: the curve-drop rung's success path
+    "build-3.1-l3-d1233": (["build", "--theorem", "3.1", "--l", "3", "--d", "1,2,3,3"], 0),
+    "build-3.1-l5-d2335": (["build", "--theorem", "3.1", "--l", "5", "--d", "2,3,3,5"], 0),
 }
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mpqc.code import LinearCode
+from mpqc.gf import poly_divmod, poly_eval, poly_mul
 from mpqc.negacyclic import (
     NegacyclicError,
     bch_bound,
@@ -10,9 +11,6 @@ from mpqc.negacyclic import (
     half_length_defining_set,
     negacyclic_code,
     negacyclic_shift,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
 )
 
 
