@@ -25,6 +25,8 @@ import sys
 from .claims import CHAIN_EXAMPLES, TABLE1
 from .code import DEFAULT_ENUM_BUDGET, DEFAULT_SUBSET_BUDGET, BudgetError
 from .constructions import ConstructionError
+from .gf import FieldError
+from .negacyclic import NegacyclicError
 from .product import ConsistencyError
 from .quantum import (
     admissible_triples,
@@ -37,6 +39,9 @@ from .quantum import (
 from .verify import run_suites
 
 BUILD_DEPTH_LIMIT = 7  # largest subfield order fully constructed by default
+# a failed internal check: counted as an internal failure of the row, while
+# any other exception is a bug and propagates
+ENGINE_FAILURES = (ConsistencyError, NegacyclicError, FieldError)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +131,7 @@ def cmd_table1(deep: bool, budget: int, enum_budget: int) -> dict:
             except (ConstructionError, BudgetError) as exc:
                 entry["verified"] = ""
                 entry["verification"] = f"formula-only ({exc})"
-            except (ConsistencyError, Exception) as exc:  # pragma: no cover
+            except ENGINE_FAILURES as exc:  # pragma: no cover
                 failures += 1
                 entry["verified"] = ""
                 entry["verification"] = f"internal failure ({exc})"
@@ -178,7 +183,7 @@ def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
                     )
                 except (ConstructionError, BudgetError):
                     continue
-                except (ConsistencyError, Exception):  # pragma: no cover
+                except ENGINE_FAILURES:  # pragma: no cover
                     failures += 1
 
     records = verified if verified else audit_rows

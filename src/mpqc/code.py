@@ -4,7 +4,9 @@ A code is stored as its reduced row-echelon generator matrix, so two equal
 codes compare equal as objects and serialization is reproducible.  Its parity
 check H = [-P^T | I] is read off that RREF on first use, with no further
 elimination; every containment fact is a product with H (C in D iff
-H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0).  A code
+H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0), taken
+as sparse dot products over the nonzero entries of one side's rows that
+stop at the first nonzero entry (one helper, ``_dots_vanish``).  A code
 keeps H, its Hermitian verdict and its subcode verdicts (one per other code
 value) in slots that ==, hash and to_dict ignore, so a code shared between
 builds answers each fact once.  Distance facts always travel with a
@@ -145,14 +147,19 @@ class LinearCode:
         return self.gen.row_space_contains(codes)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
-        """H_other G_self^T = 0, run once per (self, other value) pair."""
+        """H_other G_self^T = 0, run once per (self, other value) pair.
+
+        Each entry is a dot product over the nonzero entries of one of
+        self's rows (few for a systematic generator), and the scan stops at
+        the first nonzero entry.
+        """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         if self.k > other.k:
             return False
         verdict = self._subcode_of.get(other)
         if verdict is None:
-            verdict = (other.parity @ self.gen.transpose()).is_zero()
+            verdict = _dots_vanish(self.field, self.gen.rows, other.parity.rows)
             self._subcode_of[other] = verdict
         return verdict
 
@@ -184,18 +191,8 @@ class LinearCode:
         return self._hermitian_dual_containing
 
     def _hermitian_gram_vanishes(self) -> bool:
-        add, mul = self.field.tables.add, self.field.tables.mul
-        conj = self.field.conj_table
         H = self.parity.rows
-        for i, row in enumerate(H):
-            support = [(t, mul[conj[x]]) for t, x in enumerate(row) if x]
-            for other in H[i:]:
-                acc = 0
-                for t, m in support:
-                    acc = add[acc][m[other[t]]]
-                if acc:
-                    return False
-        return True
+        return _dots_vanish(self.field, H, H, hermitian=True)
 
     # -- distance oracles --
 
@@ -340,6 +337,27 @@ class LinearCode:
             return True
 
         return walk(0, [])
+
+
+def _dots_vanish(fld: Field, left, right, hermitian: bool = False) -> bool:
+    """Whether every dot product of a row of `left` with a row of `right` is 0.
+
+    Each product runs over the nonzero entries of the left row only, and the
+    scan stops at the first nonzero product.  With `hermitian`, left and
+    right are the same rows, the left entries are conjugated, and only the
+    pairs (i, j >= i) are evaluated: the Gram matrix is Hermitian.
+    """
+    add, mul = fld.tables.add, fld.tables.mul
+    conj = fld.conj_table if hermitian else None
+    for i, row in enumerate(left):
+        support = [(t, mul[conj[x] if conj else x]) for t, x in enumerate(row) if x]
+        for other in right[i:] if hermitian else right:
+            acc = 0
+            for t, m in support:
+                acc = add[acc][m[other[t]]]
+            if acc:
+                return False
+    return True
 
 
 def best_distance_report(

@@ -17,8 +17,17 @@ index them directly instead of calling a method per entry.
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
 vector encodes the smallest integer (constant term = least significant
-digit) is chosen.  Two processes therefore always agree on every element
-code.
+digit) is chosen.  The generator is pinned the same way: the smallest code
+g >= 2 of multiplicative order p^m - 1.  Two processes therefore always
+agree on every element code and every table.
+
+``RawField`` is the one table-free implementation of GF(p^m): schoolbook
+multiply and reduce, a GF(p)-linear Frobenius map, the norm-first generator
+search (N(g) must be a primitive root of GF(p), which settles every prime
+of p^m - 1 that divides p - 1 with m - 1 Frobenius maps; only the other
+primes need full powers) and the smallest-root rule that pins
+``SubfieldEmbedding``.  A Field bootstraps its tables from one; the
+negacyclic builder works in GF(l^4) through one without tabulating it.
 
 The package's one set of polynomial helpers over a Field (``poly_mul``,
 ``poly_divmod``, ``poly_eval``) lives here too.
@@ -205,6 +214,147 @@ def _generator_step_digits(p: int, m: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# table-free arithmetic
+
+
+class RawField:
+    """GF(p^m) arithmetic on element codes with no tables.
+
+    A product is a schoolbook multiply reduced through the precomputed
+    residues of x^m .. x^(2m-2); the Frobenius map a -> a^p is applied as the
+    GF(p)-linear map given by the images of the basis monomials.  Each Field
+    bootstraps its tables from one of these, and the negacyclic builder works
+    in GF(l^4) through one without ever tabulating it.
+
+    The canonical generator is the smallest code g >= 2 of multiplicative
+    order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
+    product of g's m conjugates, is a primitive root of GF(p) exactly when
+    g^((Q-1)/r) != 1 for every prime r | p - 1, so only the primes of Q - 1
+    that do not divide p - 1 need full powers.  The test is the same as
+    checking every prime of Q - 1, so is the generator it finds.
+    """
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self.m = m
+        self.order = p**m
+        self.modulus: tuple[int, ...] = smallest_irreducible(p, m)
+        self._xpow = self._reduction_table()
+        # Frobenius images of 1, x, ..., x^(m-1) as coefficient vectors
+        self._frob = [_decode_coeffs(self.pow(p**i, p), p, m) for i in range(m)]
+
+    def __repr__(self):
+        return f"table-free GF({self.p}^{self.m})"
+
+    def _reduction_table(self) -> list[list[int]]:
+        # coefficient vectors of x^m .. x^(2m-2) reduced mod the modulus
+        p, m = self.p, self.m
+        mod = list(self.modulus)
+        table = []
+        cur = [(-c) % p for c in mod[:m]]  # x^m = -(mod - x^m)
+        table.append(list(cur))
+        for _ in range(m - 2):
+            cur = [0] + cur
+            if len(cur) > m:
+                lead = cur.pop()
+                cur = [(ci + lead * ri) % p for ci, ri in zip(cur, table[0])]
+            table.append(list(cur))
+        return table
+
+    def add(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        av, bv = _decode_coeffs(a, p, m), _decode_coeffs(b, p, m)
+        return _encode_coeffs([x + y for x, y in zip(av, bv)], p)
+
+    def neg(self, a: int) -> int:
+        return _encode_coeffs([-x for x in _decode_coeffs(a, self.p, self.m)], self.p)
+
+    def mul(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
+        av = _decode_coeffs(a, p, m)
+        bv = _decode_coeffs(b, p, m)
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(av):
+            if ai:
+                for j, bj in enumerate(bv):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        acc = prod[:m]
+        for k in range(m, 2 * m - 1):
+            c = prod[k]
+            if c:
+                red = self._xpow[k - m]
+                acc = [(x + c * r) % p for x, r in zip(acc, red)]
+        return _encode_coeffs(acc, p)
+
+    def pow(self, a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+    def frobenius(self, a: int) -> int:
+        """a^p, one pass of the linear map."""
+        p = self.p
+        acc = [0] * self.m
+        for ai, image in zip(_decode_coeffs(a, p, self.m), self._frob):
+            if ai:
+                acc = [x + ai * y for x, y in zip(acc, image)]
+        return _encode_coeffs(acc, p)
+
+    def norm(self, a: int) -> int:
+        """a * a^p * ... * a^(p^(m-1)), an element of GF(p)."""
+        acc = c = a
+        for _ in range(self.m - 1):
+            c = self.frobenius(c)
+            acc = self.mul(acc, c)
+        return acc
+
+    @functools.cached_property
+    def generator(self) -> int:
+        q, p = self.order, self.p
+        if q == 2:
+            return 1
+        base_checks = [(p - 1) // r for r in prime_factors(p - 1)]
+        full_checks = [(q - 1) // r for r in prime_factors(q - 1) if (p - 1) % r]
+        for g in range(2, q):
+            # norms are prime-field codes, so the residue test is integer pow
+            nm = self.norm(g)
+            if all(pow(nm, e, p) != 1 for e in base_checks) and all(
+                self.pow(g, e) != 1 for e in full_checks
+            ):
+                return g
+        raise FieldError("no generator found")  # unreachable for true fields
+
+    def smallest_root(self, f: Sequence[int]) -> int:
+        """Smallest code among the roots of f, a monic irreducible over GF(p)
+        whose degree d divides m.
+
+        The roots are the d Frobenius conjugates of any one of them, and they
+        lie in the order-(p^d - 1) subgroup, which is walked from 1 until the
+        first root.
+        """
+        d = len(f) - 1
+        sub_order = self.p**d - 1
+        if (self.order - 1) % sub_order:
+            raise FieldError(f"GF({self.p}^{d}) is not a subfield of GF({self.p}^{self.m})")
+        w = self.pow(self.generator, (self.order - 1) // sub_order)
+        x = 1
+        for _ in range(sub_order):
+            if poly_eval(self, f, x) == 0:
+                roots = [x]
+                for _ in range(d - 1):
+                    roots.append(self.frobenius(roots[-1]))
+                return min(roots)
+            x = self.mul(x, w)
+        raise FieldError("polynomial has no root in the field")  # f was not irreducible
+
+
+# ---------------------------------------------------------------------------
 # operation tables
 
 
@@ -278,68 +428,16 @@ class Field:
         self.p = p
         self.m = m
         self.order = order
-        self.modulus: tuple[int, ...] = smallest_irreducible(p, m)
-        self._xpow = self._reduction_table()
-        self.generator: int = self._find_generator()
+        # the table-free arithmetic pins the modulus and the generator and
+        # steps out the exp table below
+        self.raw = RawField(p, m)
+        self.modulus: tuple[int, ...] = self.raw.modulus
+        self.generator: int = self.raw.generator
         self._build_tables()
         self._tables: FieldTables | None = None
         self._conj_table: list[int] | None = None
 
     # -- construction internals --
-
-    def _reduction_table(self) -> list[list[int]]:
-        # coefficient vectors of x^m .. x^(2m-2) reduced mod the modulus
-        p, m = self.p, self.m
-        mod = list(self.modulus)
-        table = []
-        cur = [(-c) % p for c in mod[:m]]  # x^m = -(mod - x^m)
-        table.append(list(cur))
-        for _ in range(m - 2):
-            cur = [0] + cur
-            if len(cur) > m:
-                lead = cur.pop()
-                cur = [(ci + lead * ri) % p for ci, ri in zip(cur, table[0])]
-            table.append(list(cur))
-        return table
-
-    def _mul_codes_raw(self, a: int, b: int) -> int:
-        # table-free multiply, used only while bootstrapping the tables
-        p, m = self.p, self.m
-        if m == 1:
-            return a * b % p
-        av = _decode_coeffs(a, p, m)
-        bv = _decode_coeffs(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(av):
-            if ai:
-                for j, bj in enumerate(bv):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        acc = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = self._xpow[k - m]
-                acc = [(x + c * r) % p for x, r in zip(acc, red)]
-        return _encode_coeffs(acc, p)
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_codes_raw(r, a)
-            a = self._mul_codes_raw(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        q = self.order
-        if q == 2:
-            return 1
-        checks = [(q - 1) // r for r in prime_factors(q - 1)]
-        for g in range(2, q):
-            if all(self._pow_raw(g, e) != 1 for e in checks):
-                return g
-        raise FieldError("no generator found")  # unreachable for true fields
 
     def _times_generator_blocks(self, h: int):
         """Tables for v -> g*v on codes split as v = lo + P*hi, P = p^h.
@@ -349,10 +447,10 @@ class Field:
         """
         p, m = self.p, self.m
         P = p**h
-        g = self.generator
-        lo_t = [self._mul_codes_raw(x, g) for x in range(P)]
-        gxh = self._mul_codes_raw(P, g)  # g * x^h
-        hi_t = [self._mul_codes_raw(y, gxh) for y in range(p ** (m - h))]
+        g, raw_mul = self.generator, self.raw.mul
+        lo_t = [raw_mul(x, g) for x in range(P)]
+        gxh = raw_mul(P, g)  # g * x^h
+        hi_t = [raw_mul(y, gxh) for y in range(p ** (m - h))]
         block_add = [[(a + b) % p for b in range(p)] for a in range(p)]
         for k in range(1, h):
             # extend the table from k to k+1 digits: one more low digit
@@ -375,7 +473,7 @@ class Field:
             for i in range(q - 1):
                 exp[i] = v
                 log[v] = i
-                v = self._mul_codes_raw(v, g)
+                v = self.raw.mul(v, g)
         else:
             P, lo_t, hi_t, block_add = self._times_generator_blocks(h)
             for i in range(q - 1):
@@ -660,11 +758,14 @@ class SubfieldEmbedding:
     """Field homomorphism GF(q) -> GF(q^e) with an explicit preimage table.
 
     The canonical basis element x of the base field is sent to the smallest
-    (by code) root of the base modulus inside the extension, which pins one
-    embedding among the m conjugate choices.
+    (by code) root of the base modulus inside the extension
+    (``RawField.smallest_root``), which pins one embedding among the m
+    conjugate choices.  The extension is a Field or a RawField: the image
+    table is spanned GF(p)-linearly from the powers of that root, so an
+    untabulated GF(l^4) embeds GF(l^2) as cheaply as a tabulated one.
     """
 
-    def __init__(self, base: Field, ext: Field):
+    def __init__(self, base: Field, ext: "Field | RawField"):
         if ext.p != base.p or ext.m % base.m != 0:
             raise FieldError(f"{ext} is not an extension of {base}")
         self.base = base
@@ -672,8 +773,16 @@ class SubfieldEmbedding:
         self.degree = ext.m // base.m
         root = self._modulus_root()
         self._root = root
-        # a = sum c_i x^i maps to sum c_i root^i; prime-subfield digits share codes
-        img = [poly_eval(ext, base.coeffs(a), root) for a in range(base.order)]
+        # a = sum c_i x^i maps to sum c_i root^i: span the image digit-wise,
+        # one base digit at a time (code c + p^i d gets image(c) + d root^i)
+        p, m = ext.p, ext.m
+        images = [[0] * m]
+        power = 1
+        for _ in range(base.m):
+            pv = _decode_coeffs(power, p, m)
+            images = [[x + d * y for x, y in zip(v, pv)] for d in range(p) for v in images]
+            power = ext.mul(power, root)
+        img = [_encode_coeffs(v, p) for v in images]
         self._img = img
         self._pre = {v: a for a, v in enumerate(img)}
         if len(self._pre) != base.order:
@@ -685,18 +794,9 @@ class SubfieldEmbedding:
             return 0  # degenerate modulus "x"; constants embed as themselves
         if base.m == ext.m:
             return base.from_coeffs([0, 1])
-        q = base.order
-        step = (ext.order - 1) // (q - 1)
-        roots = []
-        # the subfield of order q is {0} plus the order-(q-1) subgroup; the
-        # modulus coefficients are prime-subfield constants, which share codes
-        for j in range(q - 1):
-            x = ext._exp[j * step % (ext.order - 1)]
-            if poly_eval(ext, base.modulus, x) == 0:
-                roots.append(x)
-        if not roots:
-            raise FieldError("base modulus has no root in extension")
-        return min(roots)
+        raw = ext if isinstance(ext, RawField) else ext.raw
+        # the modulus coefficients are prime-subfield constants, which share codes
+        return raw.smallest_root(base.modulus)
 
     def embed(self, a: int) -> int:
         return self._img[a]
@@ -728,6 +828,19 @@ def multiplicative_order(a: int, n: int) -> int:
     return e
 
 
+def root_extension_degree(base: Field, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> int:
+    """e = ord_n(q), the degree of the smallest extension of GF(q) holding a
+    primitive n-th root of unity; refused when n and q share a factor or
+    when q^e exceeds the cap."""
+    q = base.order
+    if math.gcd(n, q) != 1:
+        raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")
+    e = multiplicative_order(q, n)
+    if q**e > order_cap:
+        raise FieldError(f"extension order {q}^{e} exceeds cap {order_cap}")
+    return e
+
+
 def primitive_root_of_unity(
     base: Field, n: int, order_cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[SubfieldEmbedding, int]:
@@ -737,12 +850,7 @@ def primitive_root_of_unity(
     gamma is taken as g^((q^e - 1)/n) for the canonical generator g of the
     extension, so repeated calls agree.
     """
-    q = base.order
-    if math.gcd(n, q) != 1:
-        raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")
-    e = multiplicative_order(q, n)
-    if q**e > order_cap:
-        raise FieldError(f"extension order {q}^{e} exceeds cap {order_cap}")
+    e = root_extension_degree(base, n, order_cap)
     ext = field(base.p, base.m * e)
     emb = SubfieldEmbedding(base, ext)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)

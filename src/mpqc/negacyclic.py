@@ -3,11 +3,27 @@
 A code is pinned by a defining set Z of odd residues modulo 2n, closed
 under multiplication by q.  Its generator polynomial is
 g(x) = prod_{j in Z} (x - gamma^j) for a fixed primitive 2n-th root of
-unity gamma living in GF(q^e); coset closure of Z is what makes the
-coefficients land back in GF(q), and that landing is asserted rather than
-assumed.  The canonical gamma comes from the canonical generator of the
-extension, so every run builds the identical code.  The polynomial
-arithmetic is gf's (``poly_mul``, ``poly_divmod``, ``poly_eval``).
+unity gamma living in GF(q^e), e = ord_2n(q).  The canonical gamma is
+gen^((q^e - 1)/2n) for the canonical generator gen of the extension, so
+every run builds the identical code.
+
+The extension is never tabulated.  Once per (field, 2n), gamma and its
+minimal polynomial mu over GF(q) (degree e) are formed in a table-free
+``gf.RawField``, and mu's coefficients come back to GF(q) through the
+Frobenius-checked smallest-root embedding.  Everything after that runs in
+K = GF(q)[t]/(mu) on GF(q)'s tables, with t standing for gamma, by one
+route for every e: g is multiplied out there, each of its coefficients
+must have no t-component (coset closure of Z is what makes them land in
+GF(q), and the landing is asserted rather than assumed), and g(t^j) must
+vanish for exactly the odd j in Z.
+
+The generator matrix is written down in reduced row-echelon form, with no
+elimination: with r = deg g and k = n - r, row i is
+x^i - x^k (x^(i-k) mod g), stepped out by the x^-1 recurrence, so the
+pivots are 0..k-1 (any k consecutive positions are an information set).
+Every row is then checked against the remainder matrix, whose column j is
+x^j mod g from the forward recurrence, and the same recurrence checks
+x^n = -1 mod g, i.e. g | x^n + 1.  The dimension k must be n - |Z|.
 
 `negacyclic_code` keeps each verified code in a module dict keyed by
 (n, field, defining set), so a chain that reuses a component builds and
@@ -21,7 +37,15 @@ import math
 from dataclasses import dataclass
 
 from .code import LinearCode
-from .gf import Field, FieldError, poly_divmod, poly_eval, poly_mul, primitive_root_of_unity
+from .gf import (
+    Field,
+    FieldError,
+    RawField,
+    SubfieldEmbedding,
+    poly_divmod,
+    poly_mul,
+    root_extension_degree,
+)
 from .matrix import Matrix
 
 
@@ -158,15 +182,17 @@ class NegacyclicCode:
 # built codes by (n, field, defining set); a plain dict, so a tracer wrapping
 # negacyclic_code still sees every call
 _code_cache: dict[tuple, NegacyclicCode] = {}
+# minimal polynomials of the canonical primitive 2n-th roots, by (field, 2n)
+_minpoly_cache: dict[tuple, list[int]] = {}
 
 
 def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     """Build the code with the given defining set and verify its algebra.
 
-    Checks performed: the generator polynomial has all coefficients fixed by
-    the Frobenius x -> x^q (subfield membership), divides x^n + 1 exactly,
-    and vanishes at gamma^j for exactly the j in the defining set among odd
-    residues, and the code has dimension n - |Z|.  Any failure is an
+    Checks performed: the generator polynomial has every coefficient in
+    GF(q), divides x^n + 1 exactly, and vanishes at gamma^j for exactly the
+    j in the defining set among odd residues; every generator row is a
+    multiple of it, and the code has dimension n - |Z|.  Any failure is an
     internal consistency error.  The checks run once per distinct code: a
     repeated call returns the same object, with the facts it has kept.
     """
@@ -183,37 +209,144 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode
 def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     if not defining.residues:
         return NegacyclicCode(LinearCode.full_space(fld, n), defining, (1,))
-
-    emb, gamma = primitive_root_of_unity(fld, 2 * n)
-    ext = emb.ext
-    g = [1]
-    for j in defining.residues:
-        root = ext.pow(gamma, j)
-        g = poly_mul(ext, g, [ext.neg(root), 1])
-    # coefficients must sit in the embedded copy of GF(q); restrict runs the
-    # Frobenius membership test once per coefficient
-    try:
-        coeffs = [emb.restrict(c) for c in g]
-    except FieldError as exc:
-        raise NegacyclicError("generator polynomial escaped the base field; "
-                              "the defining set cannot be coset-closed") from exc
-
-    xn_plus_1 = [1] + [0] * (n - 1) + [1]
-    _, rem = poly_divmod(fld, xn_plus_1, coeffs)
-    if rem:
-        raise NegacyclicError("generator polynomial does not divide x^n + 1")
-
-    residues = set(defining.residues)
-    for j in range(1, 2 * n, 2):
-        if (poly_eval(ext, g, ext.pow(gamma, j)) == 0) != (j in residues):
-            raise NegacyclicError(f"root pattern mismatch at exponent {j}")
-
-    deg = len(coeffs) - 1
-    rows = [[0] * shift + coeffs + [0] * (n - deg - shift - 1) for shift in range(n - deg)]
-    code = LinearCode.from_generator(Matrix(fld, rows, ncols=n))
-    if code.k != n - len(defining):
+    coeffs = _generator_polynomial(n, fld, defining)
+    r = len(coeffs) - 1
+    k = n - r
+    if k != n - len(defining):
         raise NegacyclicError("dimension disagrees with the defining set size")
+    # systematic RREF: row i = x^i - x^k (x^(i-k) mod g), pivots 0..k-1
+    neg = fld.tables.neg
+    tails = []
+    s = [1] + [0] * (r - 1)
+    for _ in range(k):
+        s = _times_inverse_x_mod(fld, s, coeffs)
+        tails.append([neg[x] for x in s])
+    rows = [[0] * i + [1] + [0] * (k - 1 - i) + tails[k - 1 - i] for i in range(k)]
+    _check_remainders(fld, n, coeffs, rows)
+    code = LinearCode(fld, n, Matrix(fld, rows, ncols=n))
     return NegacyclicCode(code, defining, tuple(coeffs))
+
+
+def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int]:
+    """g(x) = prod_{j in Z} (x - gamma^j) over GF(q), constant term first.
+
+    The product is formed in K = GF(q)[t]/(mu), mu the minimal polynomial of
+    gamma, where gamma is t.  Checked: t^(2n) = 1, every coefficient of g
+    lands in GF(q) (no t-components), and g(t^j) = 0 exactly for the odd j
+    in Z.
+    """
+    add, mul, neg, _ = fld.tables
+    mu = _root_minpoly(fld, 2 * n)
+    # K = GF(q)[t]/(mu) is GF(q^e) with gamma = t; its elements are length-e
+    # coefficient lists, and power[j] = t^j for 0 <= j < 2n
+    e = len(mu) - 1
+    power = [[1] + [0] * (e - 1)]
+    for _ in range(2 * n - 1):
+        power.append(_times_x_mod(fld, power[-1], mu))
+    if _times_x_mod(fld, power[-1], mu) != power[0]:
+        raise NegacyclicError(f"t is not a {2 * n}-th root of unity modulo its minimal polynomial")
+
+    # g = prod (x - t^j) over K, constant term first
+    g = [power[0]]
+    for j in defining.residues:
+        root = power[j]
+        shifted = [[0] * e] + g
+        scaled = [_k_mul(fld, c, root, mu) for c in g] + [[0] * e]
+        g = [[add[x][neg[y]] for x, y in zip(a, b)] for a, b in zip(shifted, scaled)]
+    # coset closure lands every coefficient in GF(q): no t-components
+    if any(any(c[1:]) for c in g):
+        raise NegacyclicError("generator polynomial escaped the base field; "
+                              "the defining set cannot be coset-closed")
+    coeffs = [c[0] for c in g]
+
+    # g(t^j) = sum_i g_i t^(ij mod 2n): zero exactly on the defining set
+    residues = set(defining.residues)
+    two_n = 2 * n
+    for j in range(1, two_n, 2):
+        acc = [0] * e
+        for i, gi in enumerate(coeffs):
+            if gi:
+                m = mul[gi]
+                acc = [add[a][m[b]] for a, b in zip(acc, power[i * j % two_n])]
+        if (not any(acc)) != (j in residues):
+            raise NegacyclicError(f"root pattern mismatch at exponent {j}")
+    return coeffs
+
+
+def _root_minpoly(fld: Field, two_n: int) -> list[int]:
+    """Minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen the
+    canonical generator of GF(Q = q^e), kept per (field, 2n).
+
+    GF(Q) is worked in table-free; mu = prod_{i<e} (x - gamma^(q^i)) is
+    formed there, and each coefficient comes back to GF(q) through the
+    smallest-root embedding, whose restrict checks Frobenius fixation.
+    """
+    key = (fld, two_n)
+    if key not in _minpoly_cache:
+        e = root_extension_degree(fld, two_n)
+        ext = RawField(fld.p, fld.m * e)
+        emb = SubfieldEmbedding(fld, ext)
+        gamma = ext.pow(ext.generator, (ext.order - 1) // two_n)
+        mu = [1]
+        conj = gamma
+        for _ in range(e):
+            mu = poly_mul(ext, mu, [ext.neg(conj), 1])
+            conj = ext.pow(conj, fld.order)
+        if conj != gamma:
+            raise NegacyclicError(f"gamma is not fixed by the {e}-th power of Frobenius")
+        try:
+            _minpoly_cache[key] = [emb.restrict(c) for c in mu]
+        except FieldError as exc:
+            raise NegacyclicError("minimal polynomial escaped the base field") from exc
+    return _minpoly_cache[key]
+
+
+def _k_mul(fld: Field, a: list[int], b: list[int], mu: list[int]) -> list[int]:
+    """a * b in GF(q)[t]/(mu), as a length-deg(mu) list."""
+    rem = poly_divmod(fld, poly_mul(fld, a, b), mu)[1]
+    return rem + [0] * (len(mu) - 1 - len(rem))
+
+
+def _times_x_mod(fld: Field, s: list[int], monic: list[int]) -> list[int]:
+    """x s mod f for a monic f of degree r and s of length r."""
+    add, mul, neg, _ = fld.tables
+    m = mul[neg[s[-1]]]
+    return [add[x][m[c]] for x, c in zip([0] + s[:-1], monic)]
+
+
+def _times_inverse_x_mod(fld: Field, s: list[int], monic: list[int]) -> list[int]:
+    """x^-1 s mod f for a monic f of degree r with f(0) != 0, s of length r:
+    clear the constant term with a multiple of f, then shift down."""
+    add, mul, neg, inv = fld.tables
+    m = mul[neg[mul[s[0]][inv[monic[0]]]]]
+    return [add[x][m[c]] for x, c in zip(s[1:] + [0], monic[1:])]
+
+
+def _check_remainders(fld: Field, n: int, g: list[int], rows: list[list[int]]) -> None:
+    """Every row is 0 mod g, and g divides x^n + 1.
+
+    Column j of the remainder matrix is x^j mod g (the forward recurrence);
+    row i is [e_i | tail] with pivots 0..k-1, so its residue is column i plus
+    the tail's combination of columns k..n-1, O(r^2) per row.
+    """
+    add, mul, _, _ = fld.tables
+    r = len(g) - 1
+    k = n - r
+    one = [1] + [0] * (r - 1)
+    col, cols = one, []
+    for _ in range(n):
+        cols.append(col)
+        col = _times_x_mod(fld, col, g)
+    if any(add[x][y] for x, y in zip(col, one)):
+        raise NegacyclicError("generator polynomial does not divide x^n + 1")
+    for i, row in enumerate(rows):
+        acc = cols[i]
+        for c, v in zip(cols[k:], row[k:]):
+            if v:
+                m = mul[v]
+                acc = [add[a][m[b]] for a, b in zip(acc, c)]
+        if any(acc):
+            raise NegacyclicError(f"generator row {i} is not a multiple of g")
 
 
 def negacyclic_shift(fld: Field, word: list[int]) -> list[int]:

@@ -186,3 +186,25 @@ def test_verify_reports_injected_failure(monkeypatch):
     doc = json.loads(out)
     assert doc["rows"][0]["passed"] is False
     assert "rank lied" in doc["rows"][0]["details"]
+
+
+@pytest.mark.parametrize("command", [["table1"], ["example", "--which", "3.8", "--l", "5"]])
+def test_engine_failures_are_counted_and_bugs_propagate(monkeypatch, command):
+    from mpqc import cli
+    from mpqc.negacyclic import NegacyclicError
+
+    def failing(*args, **kwargs):
+        raise NegacyclicError("root pattern mismatch at exponent 1")
+
+    def buggy(*args, **kwargs):
+        raise TypeError("a bug, not a verification failure")
+
+    for name in ("build_case", "build_chain"):
+        monkeypatch.setattr(cli, name, failing)
+    code, out = run_cli(command)
+    assert code == 1
+    assert "internal failures: 0" not in out
+    for name in ("build_case", "build_chain"):
+        monkeypatch.setattr(cli, name, buggy)
+    with pytest.raises(TypeError):
+        run_cli(command)

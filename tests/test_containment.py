@@ -48,6 +48,15 @@ def reference_is_hermitian_dual_containing(self):
     return reference_is_subcode_of(reference_hermitian_dual(self), self)
 
 
+def reference_matmul_subcode(self, other):
+    # kept verbatim from the dense product H_other G_self^T it replaced
+    if self.field != other.field or self.n != other.n:
+        raise ValueError("codes live in different spaces")
+    if self.k > other.k:
+        return False
+    return (other.parity @ self.gen.transpose()).is_zero()
+
+
 def reference_gram_is_zero(self):
     # kept verbatim from the full-product Gram test it replaced
     return (self.parity.conjugate() @ self.parity.transpose()).is_zero()
@@ -150,6 +159,16 @@ def test_subcode_matches_reference(pair):
     a, b = pair
     assert a.is_subcode_of(b) == reference_is_subcode_of(a, b)
     assert b.is_subcode_of(a) == reference_is_subcode_of(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_pairs())
+def test_sparse_subcode_matches_the_matmul_verdict(pair):
+    a, b = pair
+    # fresh objects, so no kept verdict answers for the sparse test
+    a2, b2 = LinearCode(a.field, a.n, a.gen), LinearCode(b.field, b.n, b.gen)
+    assert a2.is_subcode_of(b2) == reference_matmul_subcode(a, b)
+    assert b2.is_subcode_of(a2) == reference_matmul_subcode(b, a)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,11 +6,14 @@ from mpqc.gf import (
     Field,
     FieldElement,
     FieldError,
+    RawField,
     SubfieldEmbedding,
     _decode_coeffs,
+    _encode_coeffs,
     field,
     is_prime,
     multiplicative_order,
+    prime_factors,
     poly_divmod,
     poly_eval,
     primitive_root_of_unity,
@@ -338,3 +341,91 @@ def test_embedding_tables_match_the_horner_loops(base, ext):
             acc = ext.add(acc, ext.mul(c, r))
         img[a] = acc
     assert emb._img == img
+
+
+# ---------------------------------------------------------------------------
+# the norm-first generator search
+
+
+class ReferenceGeneratorSearch:
+    """The search Field ran before the norm test, kept verbatim: every prime
+    of q - 1 by a full square-and-multiply power."""
+
+    def __init__(self, raw: RawField):
+        self.p, self.m, self.order, self._xpow = raw.p, raw.m, raw.order, raw._xpow
+
+    def _mul_codes_raw(self, a: int, b: int) -> int:
+        # table-free multiply, used only while bootstrapping the tables
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
+        av = _decode_coeffs(a, p, m)
+        bv = _decode_coeffs(b, p, m)
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(av):
+            if ai:
+                for j, bj in enumerate(bv):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        acc = prod[:m]
+        for k in range(m, 2 * m - 1):
+            c = prod[k]
+            if c:
+                red = self._xpow[k - m]
+                acc = [(x + c * r) % p for x, r in zip(acc, red)]
+        return _encode_coeffs(acc, p)
+
+    def _pow_raw(self, a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_codes_raw(r, a)
+            a = self._mul_codes_raw(a, a)
+            e >>= 1
+        return r
+
+    def _find_generator(self) -> int:
+        q = self.order
+        if q == 2:
+            return 1
+        checks = [(q - 1) // r for r in prime_factors(q - 1)]
+        for g in range(2, q):
+            if all(self._pow_raw(g, e) != 1 for e in checks):
+                return g
+        raise FieldError("no generator found")  # unreachable for true fields
+
+
+def _prime_powers(limit):
+    for p in filter(is_prime, range(2, limit + 1)):
+        q, m = p, 1
+        while q <= limit:
+            yield p, m
+            q, m = q * p, m + 1
+
+
+def test_norm_first_generator_matches_the_full_power_search():
+    cases = list(_prime_powers(2**16)) + [(3, 8), (17, 4), (29, 4)]
+    assert len(cases) > 6000
+    for p, m in cases:
+        raw = RawField(p, m)
+        assert raw.generator == ReferenceGeneratorSearch(raw)._find_generator(), (p, m)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 4), (5, 2), (3, 3), (17, 4), (7, 6)])
+def test_raw_frobenius_and_norm(pm):
+    raw = RawField(*pm)
+    p, q = raw.p, raw.order
+    for a in list(range(min(q, 60))) + [q - 1]:
+        assert raw.frobenius(a) == raw.pow(a, p)
+        nm = raw.norm(a)
+        assert nm < p and nm == raw.pow(a, (q - 1) // (p - 1))
+
+
+@pytest.mark.parametrize("base,ext", [((3, 2), (3, 4)), ((5, 2), (5, 4)), ((2, 2), (2, 6)), ((7, 2), (7, 4))])
+def test_table_free_embedding_matches_the_tabulated_one(base, ext):
+    base = field(*base)
+    tabled = SubfieldEmbedding(base, field(*ext))
+    untabled = SubfieldEmbedding(base, RawField(*ext))
+    assert untabled._root == tabled._root
+    assert untabled._img == tabled._img
+    for b in range(0, field(*ext).order, 7):
+        assert untabled.in_image(b) == tabled.in_image(b)

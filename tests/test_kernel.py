@@ -106,7 +106,7 @@ def reference_exp_log_zech(F):
     for i in range(q - 1):
         exp[i] = v
         log[v] = i
-        v = F._mul_codes_raw(v, g)
+        v = F.raw.mul(v, g)
     for i in range(q - 1, 2 * q):
         exp[i] = exp[i - (q - 1)]
     p = F.p

@@ -1,9 +1,32 @@
+import functools
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+
 import pytest
 
+import mpqc
+from mpqc import gf
+from mpqc.cli import main
 from mpqc.code import LinearCode
-from mpqc.gf import poly_divmod, poly_eval, poly_mul
+from mpqc.gf import (
+    field,
+    multiplicative_order,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    primitive_root_of_unity,
+    square_field,
+)
+from mpqc.matrix import Matrix
 from mpqc.negacyclic import (
+    DefiningSet,
     NegacyclicError,
+    _generator_polynomial,
     bch_bound,
     centered_defining_set,
     cyclotomic_coset,
@@ -196,3 +219,152 @@ def test_serialization(F25):
     out = nc.to_dict()
     assert out["defining_set"]["residues"] == [11, 13, 15]
     assert out["code"]["k"] == 23
+
+
+# ---------------------------------------------------------------------------
+# components from their generator polynomial: differentials and guards
+
+
+def reference_code(fld, n, genpoly):
+    """The row-reduced shifts of g, as the builder computed the code before."""
+    coeffs = list(genpoly)
+    deg = len(coeffs) - 1
+    rows = [[0] * shift + coeffs + [0] * (n - deg - shift - 1) for shift in range(n - deg)]
+    return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+
+
+def reference_genpoly(n, fld, defining):
+    """g through the tabulated extension that primitive_root_of_unity builds,
+    with the embedding root re-derived by the scan the embedding used."""
+    emb, gamma = primitive_root_of_unity(fld, 2 * n)
+    ext = emb.ext
+    if 1 < fld.m < ext.m:
+        step = (ext.order - 1) // (fld.order - 1)
+        roots = []
+        for j in range(fld.order - 1):
+            x = ext._exp[j * step % (ext.order - 1)]
+            if poly_eval(ext, fld.modulus, x) == 0:
+                roots.append(x)
+        assert emb._root == min(roots)
+    g = [1]
+    for j in defining.residues:
+        root = ext.pow(gamma, j)
+        g = poly_mul(ext, g, [ext.neg(root), 1])
+    return [emb.restrict(c) for c in g]
+
+
+def _family_sets(l):
+    """(n, defining set) for every depth of each family defined at l."""
+    out = []
+    if l % 4 == 1:
+        out += [(l * l + 1, centered_defining_set(l, d)) for d in range((l - 1) // 2 + 1)]
+    if l % 2:
+        out += [((l * l + 1) // 2, half_length_defining_set(l, d)) for d in range(1, (l - 1) // 2 + 1)]
+    return out
+
+
+def _small_sets(n, q, max_seeds=3):
+    odd = range(1, 2 * n, 2)
+    seen = set()
+    for size in range(1, max_seeds + 1):
+        for seeds in itertools.combinations(odd, size):
+            Z = defining_set_from_residues(n, q, seeds)
+            if Z.residues not in seen:
+                seen.add(Z.residues)
+                yield Z
+
+
+@pytest.mark.parametrize("l", [5, 9, 13, 17, 7, 11])
+def test_remainder_rref_matches_row_reduced_shifts(l):
+    fld = square_field(l)
+    families = _family_sets(l)
+    if l in (7, 11):  # half-length depths only
+        families = [(n, Z) for n, Z in families if n % 2]
+    else:  # centered depths only
+        families = [(n, Z) for n, Z in families if n == l * l + 1]
+    assert families
+    for n, Z in families:
+        nc = negacyclic_code(n, fld, Z)
+        assert nc.code == reference_code(fld, n, nc.genpoly)
+        assert nc.code.k == n - len(Z)
+
+
+@pytest.mark.parametrize("pm,n,e", [((3, 2), 5, 2), ((3, 2), 7, 3), ((5, 2), 3, 1)])
+def test_remainder_rref_on_the_battery_pairs(pm, n, e):
+    # the verify battery's (n, q) pairs: gamma lives in GF(q^e)
+    fld = field(*pm)
+    assert multiplicative_order(fld.order, 2 * n) == e
+    count = 0
+    for Z in _small_sets(n, fld.order):
+        nc = negacyclic_code(n, fld, Z)
+        assert nc.code == reference_code(fld, n, nc.genpoly)
+        assert list(nc.genpoly) == reference_genpoly(n, fld, Z)
+        count += 1
+    assert count >= 4
+
+
+def test_table_free_genpoly_matches_the_tabulated_extension(monkeypatch):
+    # each GF(l^4) is built once for its l and dropped, not kept in the
+    # package's unbounded field cache
+    monkeypatch.setattr(gf, "field", functools.lru_cache(maxsize=4)(lambda p, m=1: gf.Field(p, m)))
+    for l in [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]:
+        fld = square_field(l)
+        for n, Z in _family_sets(l):
+            assert _generator_polynomial(n, fld, Z) == reference_genpoly(n, fld, Z), (l, n, Z)
+
+
+def test_escaping_generator_is_rejected(F25):
+    # residue 1 alone is not closed under *25 mod 52 (its coset is {1, 25});
+    # bypass the defining-set validation to reach the landing check
+    Z = object.__new__(DefiningSet)
+    for name, value in {"residues": (1,), "cosets": (), "n": 26, "q": 25}.items():
+        object.__setattr__(Z, name, value)
+    with pytest.raises(NegacyclicError, match="escaped the base field"):
+        _generator_polynomial(26, F25, Z)
+
+
+GUARD = """
+import json
+import mpqc.gf as gf
+import mpqc.matrix as matrix
+
+orders = []
+field_init = gf.Field.__init__
+
+def counting_init(self, p, m, *args, **kwargs):
+    orders.append(p**m)
+    field_init(self, p, m, *args, **kwargs)
+
+def refuse(*args, **kwargs):
+    raise AssertionError("dense elimination or product")
+
+gf.Field.__init__ = counting_init
+matrix.Matrix.rref = refuse
+matrix.Matrix.__matmul__ = refuse
+from mpqc.quantum import build_chain
+
+cb = build_chain(17, (1, 2, 3))
+print(json.dumps({"orders": orders, "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower]}))
+"""
+
+
+def test_chain_components_need_no_extension_field_and_no_elimination():
+    # a fresh interpreter, so every cache is cold
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["params"] == [870, 840, 8]
+    assert 17**4 not in doc["orders"]
+    assert sorted(doc["orders"]) == [17, 17**2]
+
+
+def test_extension_cap_refusal_is_up_front():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["build", "--theorem", "main2", "--l", "37", "--deltas", "1,2,3"])
+    assert code == 1
+    assert "extension order 1369^2 exceeds cap 1048576" in buf.getvalue()
