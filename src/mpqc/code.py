@@ -159,7 +159,12 @@ class LinearCode:
             return False
         verdict = self._subcode_of.get(other)
         if verdict is None:
-            verdict = _dots_vanish(self.field, self.gen.rows, other.parity.rows)
+            add, mul = self.field.tables.add, self.field.tables.mul
+            H = other.parity.rows
+            verdict = all(
+                _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(row) if x], H)
+                for row in self.gen.rows
+            )
             self._subcode_of[other] = verdict
         return verdict
 
@@ -191,8 +196,13 @@ class LinearCode:
         return self._hermitian_dual_containing
 
     def _hermitian_gram_vanishes(self) -> bool:
+        add, mul = self.field.tables.add, self.field.tables.mul
+        conj = self.field.conj_table
         H = self.parity.rows
-        return _dots_vanish(self.field, H, H, hermitian=True)
+        return all(
+            _dots_vanish(add, [(t, mul[conj[x]]) for t, x in enumerate(row) if x], H[i:])
+            for i, row in enumerate(H)
+        )
 
     # -- distance oracles --
 
@@ -339,24 +349,19 @@ class LinearCode:
         return walk(0, [])
 
 
-def _dots_vanish(fld: Field, left, right, hermitian: bool = False) -> bool:
-    """Whether every dot product of a row of `left` with a row of `right` is 0.
+def _dots_vanish(add, support, rows) -> bool:
+    """Whether one vector has dot product 0 with every row of `rows`.
 
-    Each product runs over the nonzero entries of the left row only, and the
-    scan stops at the first nonzero product.  With `hermitian`, left and
-    right are the same rows, the left entries are conjugated, and only the
-    pairs (i, j >= i) are evaluated: the Gram matrix is Hermitian.
+    The vector is given by its support, (position, mul row) for each of its
+    nonzero entries, so each product runs over those entries only; the scan
+    stops at the first nonzero product.
     """
-    add, mul = fld.tables.add, fld.tables.mul
-    conj = fld.conj_table if hermitian else None
-    for i, row in enumerate(left):
-        support = [(t, mul[conj[x] if conj else x]) for t, x in enumerate(row) if x]
-        for other in right[i:] if hermitian else right:
-            acc = 0
-            for t, m in support:
-                acc = add[acc][m[other[t]]]
-            if acc:
-                return False
+    for row in rows:
+        acc = 0
+        for t, m in support:
+            acc = add[acc][m[row[t]]]
+        if acc:
+            return False
     return True
 
 

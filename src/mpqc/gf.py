@@ -26,8 +26,9 @@ multiply and reduce, a GF(p)-linear Frobenius map, the norm-first generator
 search (N(g) must be a primitive root of GF(p), which settles every prime
 of p^m - 1 that divides p - 1 with m - 1 Frobenius maps; only the other
 primes need full powers) and the smallest-root rule that pins
-``SubfieldEmbedding``.  A Field bootstraps its tables from one; the
-negacyclic builder works in GF(l^4) through one without tabulating it.
+``SubfieldEmbedding``.  A Field bootstraps its tables from one, and
+``primitive_root_of_unity`` returns its extension as one, so the negacyclic
+builder works in GF(l^4) without tabulating it.
 
 The package's one set of polynomial helpers over a Field (``poly_mul``,
 ``poly_divmod``, ``poly_eval``) lives here too.
@@ -223,8 +224,8 @@ class RawField:
     A product is a schoolbook multiply reduced through the precomputed
     residues of x^m .. x^(2m-2); the Frobenius map a -> a^p is applied as the
     GF(p)-linear map given by the images of the basis monomials.  Each Field
-    bootstraps its tables from one of these, and the negacyclic builder works
-    in GF(l^4) through one without ever tabulating it.
+    bootstraps its tables from one of these, and ``primitive_root_of_unity``
+    builds its extension as one.
 
     The canonical generator is the smallest code g >= 2 of multiplicative
     order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
@@ -828,30 +829,24 @@ def multiplicative_order(a: int, n: int) -> int:
     return e
 
 
-def root_extension_degree(base: Field, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """e = ord_n(q), the degree of the smallest extension of GF(q) holding a
-    primitive n-th root of unity; refused when n and q share a factor or
-    when q^e exceeds the cap."""
-    q = base.order
-    if math.gcd(n, q) != 1:
-        raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")
-    e = multiplicative_order(q, n)
-    if q**e > order_cap:
-        raise FieldError(f"extension order {q}^{e} exceeds cap {order_cap}")
-    return e
-
-
 def primitive_root_of_unity(
     base: Field, n: int, order_cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[SubfieldEmbedding, int]:
     """Embedding of GF(q) into the smallest GF(q^e) containing an element of
     multiplicative order exactly n, together with that element.
 
-    gamma is taken as g^((q^e - 1)/n) for the canonical generator g of the
-    extension, so repeated calls agree.
+    e = ord_n(q); refused when n and q share a factor or when q^e exceeds
+    the cap.  The extension is a table-free RawField, so no GF(q^e) table
+    is built.  gamma is g^((q^e - 1)/n) for the canonical generator g of
+    the extension, so repeated calls agree.
     """
-    e = root_extension_degree(base, n, order_cap)
-    ext = field(base.p, base.m * e)
+    q = base.order
+    if math.gcd(n, q) != 1:
+        raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")
+    e = multiplicative_order(q, n)
+    if q**e > order_cap:
+        raise FieldError(f"extension order {q}^{e} exceeds cap {order_cap}")
+    ext = RawField(base.p, base.m * e)
     emb = SubfieldEmbedding(base, ext)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)
     return emb, gamma

@@ -8,14 +8,15 @@ gen^((q^e - 1)/2n) for the canonical generator gen of the extension, so
 every run builds the identical code.
 
 The extension is never tabulated.  Once per (field, 2n), gamma and its
-minimal polynomial mu over GF(q) (degree e) are formed in a table-free
-``gf.RawField``, and mu's coefficients come back to GF(q) through the
-Frobenius-checked smallest-root embedding.  Everything after that runs in
-K = GF(q)[t]/(mu) on GF(q)'s tables, with t standing for gamma, by one
-route for every e: g is multiplied out there, each of its coefficients
-must have no t-component (coset closure of Z is what makes them land in
-GF(q), and the landing is asserted rather than assumed), and g(t^j) must
-vanish for exactly the odd j in Z.
+minimal polynomial mu over GF(q) (degree e) are formed in the table-free
+extension that ``gf.primitive_root_of_unity`` returns, and mu's
+coefficients come back to GF(q) through the Frobenius-checked smallest-root
+embedding.  Everything after that runs in K = GF(q)[t]/(mu) on GF(q)'s
+tables, with t standing for gamma, by one route for every e: g is
+multiplied out there, each of its coefficients must have no t-component
+(coset closure of Z is what makes them land in GF(q), and the landing is
+asserted rather than assumed), and g(t^j) must vanish for exactly the odd
+j in Z.
 
 The generator matrix is written down in reduced row-echelon form, with no
 elimination: with r = deg g and k = n - r, row i is
@@ -37,15 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .code import LinearCode
-from .gf import (
-    Field,
-    FieldError,
-    RawField,
-    SubfieldEmbedding,
-    poly_divmod,
-    poly_mul,
-    root_extension_degree,
-)
+from .gf import Field, FieldError, poly_divmod, poly_mul, primitive_root_of_unity
 from .matrix import Matrix
 
 
@@ -277,16 +270,15 @@ def _root_minpoly(fld: Field, two_n: int) -> list[int]:
     """Minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen the
     canonical generator of GF(Q = q^e), kept per (field, 2n).
 
-    GF(Q) is worked in table-free; mu = prod_{i<e} (x - gamma^(q^i)) is
-    formed there, and each coefficient comes back to GF(q) through the
-    smallest-root embedding, whose restrict checks Frobenius fixation.
+    ``primitive_root_of_unity`` gives gamma in a table-free GF(Q);
+    mu = prod_{i<e} (x - gamma^(q^i)) is formed there, and each coefficient
+    comes back to GF(q) through the smallest-root embedding, whose restrict
+    checks Frobenius fixation.
     """
     key = (fld, two_n)
     if key not in _minpoly_cache:
-        e = root_extension_degree(fld, two_n)
-        ext = RawField(fld.p, fld.m * e)
-        emb = SubfieldEmbedding(fld, ext)
-        gamma = ext.pow(ext.generator, (ext.order - 1) // two_n)
+        emb, gamma = primitive_root_of_unity(fld, two_n)
+        ext, e = emb.ext, emb.degree
         mu = [1]
         conj = gamma
         for _ in range(e):

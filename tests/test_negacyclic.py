@@ -14,6 +14,7 @@ from mpqc import gf
 from mpqc.cli import main
 from mpqc.code import LinearCode
 from mpqc.gf import (
+    SubfieldEmbedding,
     field,
     multiplicative_order,
     poly_divmod,
@@ -233,11 +234,13 @@ def reference_code(fld, n, genpoly):
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
 
 
-def reference_genpoly(n, fld, defining):
-    """g through the tabulated extension that primitive_root_of_unity builds,
-    with the embedding root re-derived by the scan the embedding used."""
-    emb, gamma = primitive_root_of_unity(fld, 2 * n)
-    ext = emb.ext
+@functools.lru_cache(maxsize=1)
+def tabulated_embedding(fld, e):
+    """GF(q) inside a tabulated GF(q^e) built here (not through the package's
+    field cache), with the embedding root re-derived by a scan of the
+    subfield's cyclic group in the exp table."""
+    ext = gf.Field(fld.p, fld.m * e)
+    emb = SubfieldEmbedding(fld, ext)
     if 1 < fld.m < ext.m:
         step = (ext.order - 1) // (fld.order - 1)
         roots = []
@@ -246,6 +249,14 @@ def reference_genpoly(n, fld, defining):
             if poly_eval(ext, fld.modulus, x) == 0:
                 roots.append(x)
         assert emb._root == min(roots)
+    return emb
+
+
+def reference_genpoly(n, fld, defining):
+    """g through a tabulated extension, as the builder computed it before."""
+    emb = tabulated_embedding(fld, multiplicative_order(fld.order, 2 * n))
+    ext = emb.ext
+    gamma = ext.pow(ext.generator, (ext.order - 1) // (2 * n))
     g = [1]
     for j in defining.residues:
         root = ext.pow(gamma, j)
@@ -303,14 +314,20 @@ def test_remainder_rref_on_the_battery_pairs(pm, n, e):
     assert count >= 4
 
 
-def test_table_free_genpoly_matches_the_tabulated_extension(monkeypatch):
-    # each GF(l^4) is built once for its l and dropped, not kept in the
-    # package's unbounded field cache
-    monkeypatch.setattr(gf, "field", functools.lru_cache(maxsize=4)(lambda p, m=1: gf.Field(p, m)))
+def test_table_free_genpoly_matches_the_tabulated_extension():
+    # both families at l have e = 2, so each tabulated GF(l^4) is built once
     for l in [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]:
         fld = square_field(l)
         for n, Z in _family_sets(l):
             assert _generator_polynomial(n, fld, Z) == reference_genpoly(n, fld, Z), (l, n, Z)
+    tabulated_embedding.cache_clear()
+
+
+def test_primitive_root_extension_is_not_tabulated():
+    emb, gamma = primitive_root_of_unity(square_field(17), 2 * 290)
+    assert isinstance(emb.ext, gf.RawField)
+    assert emb.ext.order == 17**4
+    assert emb.ext.pow(gamma, 290) == emb.ext.neg(1)
 
 
 def test_escaping_generator_is_rejected(F25):
