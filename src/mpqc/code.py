@@ -1,9 +1,14 @@
 """Linear codes over a Field: duals, containment, distance oracles.
 
-A code is stored as its reduced row-echelon generator matrix, so two equal
-codes compare equal as objects and serialization is reproducible.  Its parity
-check H = [-P^T | I] is read off that RREF on first use, with no further
-elimination; every containment fact is a product with H (C in D iff
+A code is stored by either of its two canonical forms and reads the other
+off on first use, with no further elimination: its reduced row-echelon
+generator G, or its right-reduced parity check H = [-P^T | I] (each row's
+last nonzero entry is a 1 that is zero in every other row, rows ordered by
+it).  The RREF G comes with every code built from a spanning set; H comes
+with codes assembled on the dual side (`LinearCode.from_parity`, the
+triangular matrix product codes).  Both forms are unique, so two equal codes
+compare equal as objects and serialization is reproducible; ==, hash and
+to_dict read G.  Every containment fact is a product with H (C in D iff
 H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0), taken
 as sparse dot products over the nonzero entries of one side's rows that
 stop at the first nonzero entry (one helper, ``_dots_vanish``).  A code
@@ -67,14 +72,14 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 
 class LinearCode:
-    __slots__ = ("field", "n", "k", "gen", "_parity", "_hermitian_dual_containing", "_subcode_of")
+    __slots__ = ("field", "n", "k", "_gen", "_parity", "_hermitian_dual_containing", "_subcode_of")
 
-    def __init__(self, fld: Field, n: int, gen: Matrix):
+    def __init__(self, fld: Field, n: int, gen: Matrix | None, parity: Matrix | None = None):
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", gen.nrows)
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "_parity", None)
+        object.__setattr__(self, "k", gen.nrows if parity is None else n - parity.nrows)
+        object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_parity", parity)
         object.__setattr__(self, "_hermitian_dual_containing", None)
         object.__setattr__(self, "_subcode_of", {})
 
@@ -86,6 +91,14 @@ class LinearCode:
         """Canonicalize any spanning set; dependent and zero rows are fine."""
         R, rank, _ = rows.rref()
         return cls(rows.field, rows.ncols, R.take_rows(rank))
+
+    @classmethod
+    def from_parity(cls, H: Matrix) -> "LinearCode":
+        """The code whose parity check is H, already right-reduced.
+
+        The caller vouches for the form, as `LinearCode(fld, n, gen)` trusts
+        an RREF generator; `gen` is read off H only if something asks."""
+        return cls(H.field, H.ncols, None, H)
 
     @classmethod
     def full_space(cls, fld: Field, n: int) -> "LinearCode":
@@ -124,11 +137,24 @@ class LinearCode:
         return out
 
     @property
+    def gen(self) -> Matrix:
+        """k rows in RREF spanning the code (I_n for the full space).
+
+        A code stored by its right-reduced H reads G off H's trailing pivots
+        (each row's last nonzero entry), the mirror of `parity`, without an
+        elimination.
+        """
+        if self._gen is None:
+            G = self._parity.rref_nullspace(self._parity.trailing_columns())
+            object.__setattr__(self, "_gen", G)
+        return self._gen
+
+    @property
     def parity(self) -> Matrix:
         """n - k rows spanning the Euclidean dual (I_n for the zero code).
 
-        `gen` is in RREF, so H = [-P^T | I] is read off its pivots (each
-        row's first nonzero entry) without another elimination.
+        `gen` is in RREF, so the right-reduced H = [-P^T | I] is read off its
+        pivots (each row's first nonzero entry) without another elimination.
         """
         if self._parity is None:
             H = self.gen.rref_nullspace(self.gen.leading_columns())

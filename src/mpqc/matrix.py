@@ -223,12 +223,30 @@ class Matrix:
             j += 1
         return cols
 
+    def trailing_columns(self) -> list[int]:
+        """The column of each row's last nonzero entry; for a right-reduced
+        matrix without zero rows (rows ordered by it, each a 1 that is zero
+        in every other row) these are its pivots, read in one right-to-left
+        pass."""
+        cols = []
+        j = self.ncols - 1
+        for row in reversed(self.rows):
+            while not row[j]:
+                j -= 1
+            cols.append(j)
+            j -= 1
+        cols.reverse()
+        return cols
+
     def rref_nullspace(self, pivots: Sequence[int]) -> "Matrix":
         """The nullspace of a matrix already in RREF, with no elimination.
 
         With the pivot columns of `self` given, the basis is [-P^T | I]
         spread over the columns: one vector per free column fc, 1 there and
-        -self[r][fc] at the pivot column of each row r.
+        -self[r][fc] at the pivot column of each row r.  Nothing here needs
+        the pivots to lead their rows, only that each is a 1 that is zero in
+        every other row, so a right-reduced matrix with its trailing pivots
+        gives its (RREF) nullspace the same way.
         """
         neg = self.field.tables.neg
         pivot_set = set(pivots)

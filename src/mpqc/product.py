@@ -7,19 +7,25 @@ the full-row-rank bound through the row-prefix codes of A, and the sharper
 non-singular-by-columns bound, which is an equality when A is also upper
 triangular.
 
-When A is upper triangular with a nonzero diagonal (the chain matrices) the
-blocks are already block-echelon, and the product's RREF is assembled block
-by block from the components' RREFs without an elimination; every other A
-(the character tables, the random matrices of the verify batteries, the
-(A^-1)^T of the dual identity) goes through the elimination kernel.  The
-choice is read off A itself.
+When A is upper triangular with a nonzero diagonal (the chain matrices,
+square or padded to square with identity rows and zero components) the
+product is assembled on its parity side: the dual identity
+C^perp = [C_1-dual..C_m-dual](A^-1)^T gives a block lower-triangular parity
+check, which is right-reduced block by block from the components' parity
+checks without an elimination, and the code is stored by it (its k x nm
+generator is read off only if something asks).  A^-1 comes from the kernel
+and A A^-1 = I is checked entrywise.  Every other A (the character tables,
+the random matrices of the verify batteries) goes through the elimination
+kernel.  The choice is read off A itself.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
-both sides, and every dual-containing product construction tests its
-components and its output for Hermitian containment, raising
-ConsistencyError if the algebra and the matrices ever disagree.  Each fact
-is checked once: codes keep their containment verdicts, and `is_nsc` keeps
-its verdict per matrix value in a module dict.
+both sides (the product side built from its definition through the kernel,
+never through the parity-side assembly that relies on the identity), and
+every dual-containing product construction tests its components and its
+output for Hermitian containment, raising ConsistencyError if the algebra
+and the matrices ever disagree.  Each fact is checked once: codes keep their
+containment verdicts, and `is_nsc` keeps its verdict per matrix value in a
+module dict.
 """
 
 from __future__ import annotations
@@ -47,21 +53,30 @@ def _check_components(codes: Sequence[LinearCode]) -> tuple[Field, int]:
     return fld, n
 
 
-def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """The length n*m code generated by the blocks a_ij G_i.
-
-    An upper-triangular A with a nonzero diagonal takes the block-by-block
-    RREF of `_triangular_product`; any other A, the elimination kernel."""
-    fld, n = _check_components(codes)
-    s, m = A.nrows, A.ncols
-    if s != len(codes):
-        raise ValueError(f"A has {s} rows but {len(codes)} components given")
-    if s > m:
+def _check_product(codes: Sequence[LinearCode], A: Matrix) -> None:
+    fld, _ = _check_components(codes)
+    if A.nrows != len(codes):
+        raise ValueError(f"A has {A.nrows} rows but {len(codes)} components given")
+    if A.nrows > A.ncols:
         raise ValueError("A must have at least as many columns as rows")
     if A.field != fld:
         raise ValueError("A must live over the component field")
-    if _has_triangular_rref(A):
+
+
+def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+    """The length n*m code generated by the blocks a_ij G_i.
+
+    An upper-triangular A with a nonzero diagonal takes the parity-side
+    assembly of `_triangular_product`; any other A, the elimination kernel."""
+    _check_product(codes, A)
+    if _has_triangular_parity(A):
         return _triangular_product(codes, A)
+    return _kernel_product(codes, A)
+
+
+def _kernel_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+    """Every block row (a_ij G_i)_j stacked, then one kernel elimination."""
+    fld, n = codes[0].field, codes[0].n
     mul = fld.tables.mul
     zeros = [0] * n
     rows = []
@@ -70,57 +85,91 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
         for g in code.gen.rows:
             rows.append([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)])
     if not rows:
-        return LinearCode.zero_code(fld, n * m)
-    return LinearCode.from_generator(Matrix(fld, rows, ncols=n * m))
+        return LinearCode.zero_code(fld, n * A.ncols)
+    return LinearCode.from_generator(Matrix(fld, rows, ncols=n * A.ncols))
 
 
-def _has_triangular_rref(A: Matrix) -> bool:
-    """Upper triangular with a nonzero diagonal: the blocks a_ij G_i are then
-    block-echelon, and `_triangular_product` reduces them without a kernel."""
+def _has_triangular_parity(A: Matrix) -> bool:
+    """Upper triangular with a nonzero diagonal: (A^-1)^T is then lower
+    triangular, and `_triangular_product` assembles the product's parity
+    check block by block without a kernel."""
     return is_upper_triangular(A) and all(A.rows[i][i] for i in range(A.nrows))
 
 
-def _triangular_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """The RREF of [C_1..C_s]A assembled block by block, last block first.
+def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
+    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise.
 
-    Block i's rows (a_ij G_i)_j vanish before column block i and hold a_ii G_i
-    there, so scaled by 1/a_ii they carry G_i's pivots (offset by i*n).  What
-    remains is clearing those rows at the pivot columns of every later block,
-    with the later blocks' already-reduced rows.  Reduced rows vanish on each
-    other's pivots, so the coefficient at one pivot is not changed by clearing
-    another, and a row holding b_j g in column block j can meet a later pivot
-    only on the support of g.  In a descending chain (each later component
-    inside the earlier ones) a later component's pivots are among C_i's, so a
-    row of block i meets at most one of them per later block.
+    The check pins the kernel's inverse as the inverse, so for an upper
+    triangular A the result is lower triangular."""
+    add, mul = A.field.tables.add, A.field.tables.mul
+    _, ainv = A.det_inverse()
+    if ainv is None:
+        raise ConsistencyError("a triangular matrix with a nonzero diagonal came out singular")
+    cols = list(zip(*ainv.rows))
+    for i, arow in enumerate(A.rows):
+        for j, col in enumerate(cols):
+            acc = 0
+            for a, x in zip(arow, col):
+                if a:
+                    acc = add[acc][mul[a][x]]
+            if acc != (i == j):
+                raise ConsistencyError("A A^-1 = I failed on this instance")
+    return cols
+
+
+def _triangular_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+    """[C_1..C_s]A stored by its right-reduced parity check, through the dual
+    identity [C_1-dual..C_m-dual](A^-1)^T.
+
+    An s x m A with s < m is first padded to m x m with identity rows and
+    m - s zero components, whose duals are the full space (H = I_n).  B =
+    (A^-1)^T is lower triangular, so block i's rows (b_ij h)_j, one per row h
+    of H_i, vanish after column block i and hold b_ii h there; scaled by
+    1/b_ii they carry H_i's trailing pivots (offset by i*n).  What remains is
+    clearing those rows at the trailing pivots of every earlier block, with
+    the earlier blocks' already-reduced rows.  Reduced rows vanish on each
+    other's pivots, so the coefficient at one pivot is not changed by
+    clearing another, and a row holding b_j h in column block j can meet an
+    earlier pivot only on the support of h.  In a descending chain (each
+    later component inside the earlier ones) each earlier dual lies inside
+    the later ones, so its trailing pivots are among H_i's, and a row of
+    block i meets at most one of them per earlier block.
+
+    Each row of block i' of H is orthogonal to each row of block i of the
+    product's generator: their dot product is (B A^T)_{i'i} (h.g) =
+    delta_{i'i} (h.g) = 0, because each H_i is read off C_i.  H has full rank
+    sum(n - k_i) = nm - sum(k_i) by its pivots, so it is the product's dual.
     """
     fld, n = codes[0].field, codes[0].n
     s, m = A.nrows, A.ncols
     add, mul, neg, inv = fld.tables
+    square = A if s == m else Matrix(
+        fld, [*A.rows, *([0] * i + [1] + [0] * (m - i - 1) for i in range(s, m))], ncols=m
+    )
+    B = _checked_inverse_transpose(square)
+    unit = Matrix.identity(fld, n) if s < m else None
     zeros = [0] * n
-    later: dict[int, list] = {}  # pivot column -> nonzero (column, entry) pairs of its row
+    earlier: dict[int, list] = {}  # trailing pivot column -> nonzero (column, entry) pairs of its row
     rows: list[list[int]] = []
-    for i in reversed(range(s)):
-        scale = mul[inv[A.rows[i][i]]]
-        brow = [scale[a] for a in A.rows[i]]
-        offsets = [j * n for j in range(i + 1, s) if brow[j]]
-        gen = codes[i].gen
-        block = []
-        for g, lead in zip(gen.rows, gen.leading_columns()):
+    for i in range(m):
+        scale = mul[inv[B[i][i]]]
+        brow = [scale[b] for b in B[i][: i + 1]]
+        offsets = [j * n for j in range(i) if brow[j]]
+        H = codes[i].parity if i < s else unit
+        tail = [0] * (n * (m - i - 1))
+        for h, pivot in zip(H.rows, H.trailing_columns()):
             row = []
             for b in brow:
-                row += g if b == 1 else [mul[b][y] for y in g] if b else zeros
-            for p in [o + t for t, y in enumerate(g) if y for o in offsets]:
-                if p in later:
+                row += h if b == 1 else [mul[b][y] for y in h] if b else zeros
+            for p in [o + t for t, y in enumerate(h) if y for o in offsets]:
+                if p in earlier:
                     f = mul[neg[row[p]]]
-                    for j, y in later[p]:
+                    for j, y in earlier[p]:
                         row[j] = add[row[j]][f[y]]
-            block.append(row)
-            if i:  # block 0 clears nothing
-                later[i * n + lead] = [(j, y) for j, y in enumerate(row[i * n:], i * n) if y]
-        rows[:0] = block
-    if not rows:
-        return LinearCode.zero_code(fld, n * m)
-    return LinearCode(fld, n * m, Matrix(fld, rows, ncols=n * m))
+            if i < m - 1:  # the last block clears nothing
+                earlier[i * n + pivot] = [(j, y) for j, y in enumerate(row) if y]
+            rows.append(row + tail)
+    return LinearCode.from_parity(Matrix(fld, rows, ncols=n * m))
 
 
 def is_frr(A: Matrix) -> bool:
@@ -201,14 +250,18 @@ def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     """Dual of [C_1..C_s]A, via [C_1-dual..C_s-dual](A^-1)^T.
 
     Both that expression and the plain nullspace dual of the product are
-    computed; disagreement would break the dual identity and raises.
+    computed; disagreement would break the dual identity and raises.  The
+    product is built from its definition, the block rows a_ij G_i through
+    the kernel, for every A: the triangular assembly relies on this identity,
+    so it cannot be one side of its check.
     """
     if A.nrows != A.ncols:
         raise ValueError("the dual identity needs a square matrix")
     det, ainv = A.det_inverse()
     if ainv is None:
         raise ValueError("the dual identity needs a nonsingular matrix")
-    lhs = matrix_product_code(codes, A).euclidean_dual()
+    _check_product(codes, A)
+    lhs = _kernel_product(codes, A).euclidean_dual()
     rhs = matrix_product_code([c.euclidean_dual() for c in codes], ainv.transpose())
     if lhs != rhs:
         raise ConsistencyError("dual identity failed on this instance")

@@ -352,16 +352,25 @@ def counting_init(self, p, m, *args, **kwargs):
     orders.append(p**m)
     field_init(self, p, m, *args, **kwargs)
 
+wide = []  # row counts of matrices as wide as the product with more rows than its H
+matrix_init = matrix.Matrix.__init__
+
+def counting_matrix_init(self, *args, **kwargs):
+    matrix_init(self, *args, **kwargs)
+    if self.ncols == 870 and self.nrows > 15:
+        wide.append(self.nrows)
+
 def refuse(*args, **kwargs):
     raise AssertionError("dense elimination or product")
 
 gf.Field.__init__ = counting_init
+matrix.Matrix.__init__ = counting_matrix_init
 matrix.Matrix.rref = refuse
 matrix.Matrix.__matmul__ = refuse
 from mpqc.quantum import build_chain
 
 cb = build_chain(17, (1, 2, 3))
-print(json.dumps({"orders": orders, "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower]}))
+print(json.dumps({"orders": orders, "wide": wide, "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower]}))
 """
 
 
@@ -377,6 +386,7 @@ def test_chain_components_need_no_extension_field_and_no_elimination():
     assert doc["params"] == [870, 840, 8]
     assert 17**4 not in doc["orders"]
     assert sorted(doc["orders"]) == [17, 17**2]
+    assert doc["wide"] == []  # the [870,855] product is never written as its generator
 
 
 def test_extension_cap_refusal_is_up_front():

@@ -1,7 +1,8 @@
-"""Differential tests for the structured chain build: the block-assembled RREF
-of an upper-triangular product, the parity check read off an RREF, and the
-kept facts (negacyclic components, NSC verdicts, subcode verdicts), each
-against the elimination-based reference code it replaced."""
+"""Differential tests for the structured chain build: the parity-side
+assembly of an upper-triangular product, the parity check read off an RREF
+and the RREF read off a parity check, and the kept facts (negacyclic
+components, NSC verdicts, subcode verdicts), each against the reference code
+it replaced."""
 
 import random
 
@@ -15,6 +16,7 @@ from mpqc.gf import field, square_field
 from mpqc.matrix import Matrix
 from mpqc.negacyclic import centered_defining_set, negacyclic_code
 from mpqc.product import (
+    ConsistencyError,
     character_matrix,
     is_nsc,
     matrix_product_code,
@@ -42,6 +44,49 @@ def reference_product(codes, A):
     if not rows:
         return LinearCode.zero_code(fld, n * m)
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n * m))
+
+
+def reference_triangular_product(codes, A):
+    """The RREF of [C_1..C_s]A assembled block by block, last block first.
+
+    Block i's rows (a_ij G_i)_j vanish before column block i and hold a_ii G_i
+    there, so scaled by 1/a_ii they carry G_i's pivots (offset by i*n).  What
+    remains is clearing those rows at the pivot columns of every later block,
+    with the later blocks' already-reduced rows.  Reduced rows vanish on each
+    other's pivots, so the coefficient at one pivot is not changed by clearing
+    another, and a row holding b_j g in column block j can meet a later pivot
+    only on the support of g.  In a descending chain (each later component
+    inside the earlier ones) a later component's pivots are among C_i's, so a
+    row of block i meets at most one of them per later block.
+    """
+    fld, n = codes[0].field, codes[0].n
+    s, m = A.nrows, A.ncols
+    add, mul, neg, inv = fld.tables
+    zeros = [0] * n
+    later: dict[int, list] = {}  # pivot column -> nonzero (column, entry) pairs of its row
+    rows: list[list[int]] = []
+    for i in reversed(range(s)):
+        scale = mul[inv[A.rows[i][i]]]
+        brow = [scale[a] for a in A.rows[i]]
+        offsets = [j * n for j in range(i + 1, s) if brow[j]]
+        gen = codes[i].gen
+        block = []
+        for g, lead in zip(gen.rows, gen.leading_columns()):
+            row = []
+            for b in brow:
+                row += g if b == 1 else [mul[b][y] for y in g] if b else zeros
+            for p in [o + t for t, y in enumerate(g) if y for o in offsets]:
+                if p in later:
+                    f = mul[neg[row[p]]]
+                    for j, y in later[p]:
+                        row[j] = add[row[j]][f[y]]
+            block.append(row)
+            if i:  # block 0 clears nothing
+                later[i * n + lead] = [(j, y) for j, y in enumerate(row[i * n:], i * n) if y]
+        rows[:0] = block
+    if not rows:
+        return LinearCode.zero_code(fld, n * m)
+    return LinearCode(fld, n * m, Matrix(fld, rows, ncols=n * m))
 
 
 def reference_nullspace(M):
@@ -96,18 +141,61 @@ def triangular_products(draw):
 
 
 # ---------------------------------------------------------------------------
-# block-assembled product RREF
+# parity-side product assembly
 
 
 @settings(max_examples=400, deadline=None)
 @given(triangular_products())
 def test_triangular_product_matches_kernel(case):
     codes, A = case
-    assert product._has_triangular_rref(A)
+    assert product._has_triangular_parity(A)
     got = matrix_product_code(codes, A)
     want = reference_product(codes, A)
+    assert got.k == sum(c.k for c in codes)
+    assert got.parity.rows == want.parity.rows
+    assert got.gen.rows == want.gen.rows
     assert got == want
-    assert got.gen.rows == want.gen.rows and got.k == sum(c.k for c in codes)
+    old = reference_triangular_product(codes, A)
+    assert got.parity.rows == old.parity.rows and got.gen.rows == old.gen.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_products())
+def test_from_parity_round_trips(case):
+    codes, A = case
+    for C in (*codes, reference_product(codes, A)):
+        back = LinearCode.from_parity(C.parity)
+        assert back.k == C.k and back.parity is C.parity
+        assert back.gen.rows == C.gen.rows
+        assert back == C and hash(back) == hash(C)
+
+
+def test_from_parity_of_the_trivial_codes(F9):
+    for n in (1, 4):
+        zero = LinearCode.from_parity(Matrix.identity(F9, n))
+        full = LinearCode.from_parity(Matrix.zeros(F9, 0, n))
+        assert zero.k == 0 and zero == LinearCode.zero_code(F9, n)
+        assert full.k == n and full == LinearCode.full_space(F9, n)
+
+
+def test_trailing_columns_of_a_right_reduced_matrix(F9):
+    H = Matrix(F9, [[2, 1, 0, 0, 0], [1, 0, 2, 1, 0], [0, 0, 1, 0, 1]])
+    assert H.trailing_columns() == [1, 3, 4]
+    assert Matrix.zeros(F9, 0, 3).trailing_columns() == []
+
+
+def test_triangular_product_checks_the_inverse(F25, monkeypatch):
+    codes = [LinearCode.full_space(F25, 2), LinearCode.zero_code(F25, 2)]
+    A = Matrix(F25, [[1, 3], [0, 2]])
+    _, ainv = A.det_inverse()
+    matrix_product_code(codes, A)
+    wrong = Matrix(F25, [list(ainv.rows[0]), [0, 1]])
+    monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, wrong))
+    with pytest.raises(ConsistencyError, match="A A\\^-1 = I"):
+        matrix_product_code(codes, A)
+    monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, None))
+    with pytest.raises(ConsistencyError, match="singular"):
+        matrix_product_code(codes, A)
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +210,7 @@ def test_other_matrices_keep_the_kernel_path(case, seed):
     else:
         rows[i][rng.randrange(i)] = rng.randrange(1, A.field.order)  # below it
     B = Matrix(A.field, rows, ncols=A.ncols)
-    assert not product._has_triangular_rref(B)
+    assert not product._has_triangular_parity(B)
     assert matrix_product_code(codes, B) == reference_product(codes, B)
 
 
@@ -148,7 +236,9 @@ def test_every_admissible_chain_matches_kernel(l, family):
         n, sets = _chain_defining_sets(l, deltas, family)
         codes = [negacyclic_code(n, fld, Z).code for Z in sets]
         got = matrix_product_code(codes, A)
-        assert got.gen.rows == reference_product(codes, A).gen.rows, deltas
+        old = reference_triangular_product(codes, A)
+        assert got.parity.rows == old.parity.rows, deltas
+        assert got.gen.rows == old.gen.rows == reference_product(codes, A).gen.rows, deltas
         if l <= 9:
             assert got.parity.rows == reference_nullspace(got.gen).rows, deltas
 
@@ -166,11 +256,26 @@ def test_product_dual_and_character_products_take_the_kernel(F25):
     rng = random.Random(8)
     codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(4)]
     X = character_matrix(F25, 2)
-    assert not product._has_triangular_rref(X)
+    assert not product._has_triangular_parity(X)
     assert matrix_product_code(codes, X) == reference_product(codes, X)
     A = Matrix(F25, [[1, 3, 4], [0, 2, 1], [0, 0, 4]])
     dual = product_dual(codes[:3], A)
     assert dual == reference_product(codes[:3], A).euclidean_dual()
+
+
+def test_product_dual_builds_its_side_from_the_definition(F25, monkeypatch):
+    # the dual identity is what the triangular assembly relies on, so its
+    # check must not build either side through that assembly
+    rng = random.Random(9)
+    codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(3)]
+    A = Matrix(F25, [[1, 3, 4], [0, 2, 1], [0, 0, 4]])
+    want = product_dual(codes, A)
+
+    def refuse(*args):
+        raise AssertionError("dual identity checked through the triangular assembly")
+
+    monkeypatch.setattr(product, "_triangular_product", refuse)
+    assert product_dual(codes, A) == want
 
 
 # ---------------------------------------------------------------------------
