@@ -5,13 +5,13 @@ off on first use, with no further elimination: its reduced row-echelon
 generator G, or its right-reduced parity check H = [-P^T | I] (each row's
 last nonzero entry is a 1 that is zero in every other row, rows ordered by
 it).  The RREF G comes with every code built from a spanning set; H comes
-with codes assembled on the dual side (`LinearCode.from_parity`, the
-triangular matrix product codes).  Both forms are unique, so two equal codes
-compare equal as objects and serialization is reproducible; ==, hash and
-to_dict read G.  Every containment fact is a product with H (C in D iff
-H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0), taken
-as sparse dot products over the nonzero entries of one side's rows that
-stop at the first nonzero entry (one helper, ``_dots_vanish``).  A code
+with codes assembled on the dual side (`LinearCode.from_parity`: the matrix
+product codes, through the dual identity).  Both forms are unique, so two
+equal codes compare equal as objects and serialization is reproducible; ==,
+hash and to_dict read G.  Every containment fact is a product with H (C in
+D iff H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0),
+taken as sparse dot products over the nonzero entries of one side's rows
+that stop at the first nonzero entry (one helper, ``_dots_vanish``).  A code
 keeps H, its Hermitian verdict and its subcode verdicts (one per other code
 value) in slots that ==, hash and to_dict ignore, so a code shared between
 builds answers each fact once.  Distance facts always travel with a

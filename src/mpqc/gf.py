@@ -5,8 +5,9 @@ a code are the coefficients of the element in the polynomial basis, constant
 term first.  Each field carries exp/log tables over a canonical generator of
 the multiplicative group plus a Zech logarithm table, so that addition,
 multiplication and inversion are all O(1) table lookups.  The exp table is
-stepped out by a precomputed multiply-by-generator map on half-digit blocks
-where that map's tables stay O(p^m), and by a direct multiply otherwise.
+stepped out by the table-free multiply of ``RawField`` (below), one product
+with the generator per element.  Fields, and the extensions that
+``primitive_root_of_unity`` reaches, are refused above DEFAULT_ORDER_CAP.
 
 ``Field.tables`` gives ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
 ``inv[a]``, built on first use.  Up to order TABLE_ORDER_CAP add and mul are
@@ -201,17 +202,6 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(cand, fp):
             return tuple(cand)
     raise FieldError(f"no irreducible of degree {m} over GF({p})")  # unreachable
-
-
-def _generator_step_digits(p: int, m: int) -> int | None:
-    """Low-block width h of the block multiply-by-generator step in GF(p^m).
-
-    The step adds h-digit blocks through a p^h x p^h table.  It is taken only
-    while that table has at most 3 p^m entries (m even, or p <= 3); None
-    means the bootstrap multiplies by the generator directly instead.
-    """
-    h = (m + 1) // 2
-    return h if m > 1 and p ** (2 * h) <= 3 * p**m else None
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +408,14 @@ class _ZechTable(dict):
 class Field:
     """GF(p^m) with table-backed arithmetic on integer element codes."""
 
-    def __init__(self, p: int, m: int, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree {m} must be >= 1")
         order = p**m
-        if order > order_cap:
-            raise FieldError(f"field order {order} exceeds cap {order_cap}")
+        if order > DEFAULT_ORDER_CAP:
+            raise FieldError(f"field order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         self.p = p
         self.m = m
         self.order = order
@@ -440,49 +430,16 @@ class Field:
 
     # -- construction internals --
 
-    def _times_generator_blocks(self, h: int):
-        """Tables for v -> g*v on codes split as v = lo + P*hi, P = p^h.
-
-        g*v = lo_t[lo] (+) hi_t[hi], where (+) is digit-wise addition mod p,
-        done on the low and high h-digit blocks through block_add.
-        """
-        p, m = self.p, self.m
-        P = p**h
-        g, raw_mul = self.generator, self.raw.mul
-        lo_t = [raw_mul(x, g) for x in range(P)]
-        gxh = raw_mul(P, g)  # g * x^h
-        hi_t = [raw_mul(y, gxh) for y in range(p ** (m - h))]
-        block_add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        for k in range(1, h):
-            # extend the table from k to k+1 digits: one more low digit
-            prev = block_add
-            block_add = [
-                [(a0 + b0) % p + p * s for s in prev[a1] for b0 in range(p)]
-                for a1 in range(p**k)
-                for a0 in range(p)
-            ]
-        return P, lo_t, hi_t, block_add
-
     def _build_tables(self):
         q, p = self.order, self.p
         exp = [1] * (2 * q)
         log = [-1] * q
-        g = self.generator
+        g, raw_mul = self.generator, self.raw.mul
         v = 1
-        h = _generator_step_digits(p, self.m)
-        if h is None:
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                v = self.raw.mul(v, g)
-        else:
-            P, lo_t, hi_t, block_add = self._times_generator_blocks(h)
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                a = lo_t[v % P]
-                b = hi_t[v // P]
-                v = block_add[a % P][b % P] + P * block_add[a // P][b // P]
+        for i in range(q - 1):
+            exp[i] = v
+            log[v] = i
+            v = raw_mul(v, g)
         for i in range(q - 1, 2 * q):
             exp[i] = exp[i - (q - 1)]
         # zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0
@@ -829,9 +786,7 @@ def multiplicative_order(a: int, n: int) -> int:
     return e
 
 
-def primitive_root_of_unity(
-    base: Field, n: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> tuple[SubfieldEmbedding, int]:
+def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int]:
     """Embedding of GF(q) into the smallest GF(q^e) containing an element of
     multiplicative order exactly n, together with that element.
 
@@ -844,8 +799,8 @@ def primitive_root_of_unity(
     if math.gcd(n, q) != 1:
         raise FieldError(f"gcd({n}, {q}) != 1: no primitive {n}-th root exists")
     e = multiplicative_order(q, n)
-    if q**e > order_cap:
-        raise FieldError(f"extension order {q}^{e} exceeds cap {order_cap}")
+    if q**e > DEFAULT_ORDER_CAP:
+        raise FieldError(f"extension order {q}^{e} exceeds cap {DEFAULT_ORDER_CAP}")
     ext = RawField(base.p, base.m * e)
     emb = SubfieldEmbedding(base, ext)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)

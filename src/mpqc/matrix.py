@@ -66,9 +66,12 @@ class Matrix:
     def __init__(self, fld: Field, rows: Iterable[Sequence[int]], ncols: int | None = None):
         grid = tuple(tuple(r) for r in rows)
         if grid:
-            ncols = len(grid[0])
-            if any(len(r) != ncols for r in grid):
+            width = len(grid[0])
+            if any(len(r) != width for r in grid):
                 raise ValueError("ragged rows")
+            if ncols is not None and ncols != width:
+                raise ValueError(f"rows of length {width} given with ncols={ncols}")
+            ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         q = fld.order

@@ -7,20 +7,19 @@ the full-row-rank bound through the row-prefix codes of A, and the sharper
 non-singular-by-columns bound, which is an equality when A is also upper
 triangular.
 
-When A is upper triangular with a nonzero diagonal (the chain matrices,
-square or padded to square with identity rows and zero components) the
-product is assembled on its parity side: the dual identity
-C^perp = [C_1-dual..C_m-dual](A^-1)^T gives a block lower-triangular parity
-check, which is right-reduced block by block from the components' parity
-checks without an elimination, and the code is stored by it (its k x nm
-generator is read off only if something asks).  A^-1 comes from the kernel
-and A A^-1 = I is checked entrywise.  Every other A (the character tables,
-the random matrices of the verify batteries) goes through the elimination
-kernel.  The choice is read off A itself.
+Every product is assembled on its parity side whenever A, padded to square
+with identity rows and zero components, is nonsingular: the dual identity
+C^perp = [C_1-dual..C_m-dual](A^-1)^T (Blackmore and Norton) stacks one
+block row (b_ij h)_j per row h of each component's parity check, and that
+sum(n - k_i)-row stack is right-reduced by one kernel elimination and stores
+the code (its k x nm generator is read off only if something asks).  A^-1
+comes from the kernel and A A^-1 = I is checked entrywise.  A singular
+padded A (rank-deficient, or padded off its pivots) goes through the kernel
+on the block rows a_ij G_i instead.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
-both sides (the product side built from its definition through the kernel,
-never through the parity-side assembly that relies on the identity), and
+both sides (each built from its definition through the kernel, never
+through the parity-side assembly that relies on the identity), and
 every dual-containing product construction tests its components and its
 output for Hermitian containment, raising ConsistencyError if the algebra
 and the matrices ever disagree.  Each fact is checked once: codes keep their
@@ -36,7 +35,7 @@ from typing import Sequence
 
 from .code import DEFAULT_ENUM_BUDGET, DistanceReport, LinearCode, best_distance_report, exact_report
 from .gf import Field
-from .matrix import Matrix
+from .matrix import Matrix, _eliminate
 
 
 class ConsistencyError(RuntimeError):
@@ -66,12 +65,18 @@ def _check_product(codes: Sequence[LinearCode], A: Matrix) -> None:
 def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     """The length n*m code generated by the blocks a_ij G_i.
 
-    An upper-triangular A with a nonzero diagonal takes the parity-side
-    assembly of `_triangular_product`; any other A, the elimination kernel."""
+    Stored by its parity check from `_parity_product` whenever A, padded to
+    square, is nonsingular; a singular padded A goes through the elimination
+    kernel."""
     _check_product(codes, A)
-    if _has_triangular_parity(A):
-        return _triangular_product(codes, A)
-    return _kernel_product(codes, A)
+    fld, (s, m) = A.field, A.shape
+    square = A if s == m else Matrix(
+        fld, [*A.rows, *([0] * i + [1] + [0] * (m - i - 1) for i in range(s, m))], ncols=m
+    )
+    B = _checked_inverse_transpose(square)
+    if B is None:
+        return _kernel_product(codes, A)
+    return _parity_product(codes, B)
 
 
 def _kernel_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
@@ -89,22 +94,13 @@ def _kernel_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n * A.ncols))
 
 
-def _has_triangular_parity(A: Matrix) -> bool:
-    """Upper triangular with a nonzero diagonal: (A^-1)^T is then lower
-    triangular, and `_triangular_product` assembles the product's parity
-    check block by block without a kernel."""
-    return is_upper_triangular(A) and all(A.rows[i][i] for i in range(A.nrows))
-
-
-def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
-    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise.
-
-    The check pins the kernel's inverse as the inverse, so for an upper
-    triangular A the result is lower triangular."""
+def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]] | None:
+    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise; None when
+    A is singular."""
     add, mul = A.field.tables.add, A.field.tables.mul
     _, ainv = A.det_inverse()
     if ainv is None:
-        raise ConsistencyError("a triangular matrix with a nonzero diagonal came out singular")
+        return None
     cols = list(zip(*ainv.rows))
     for i, arow in enumerate(A.rows):
         for j, col in enumerate(cols):
@@ -117,59 +113,36 @@ def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
     return cols
 
 
-def _triangular_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> LinearCode:
     """[C_1..C_s]A stored by its right-reduced parity check, through the dual
     identity [C_1-dual..C_m-dual](A^-1)^T.
 
-    An s x m A with s < m is first padded to m x m with identity rows and
-    m - s zero components, whose duals are the full space (H = I_n).  B =
-    (A^-1)^T is lower triangular, so block i's rows (b_ij h)_j, one per row h
-    of H_i, vanish after column block i and hold b_ii h there; scaled by
-    1/b_ii they carry H_i's trailing pivots (offset by i*n).  What remains is
-    clearing those rows at the trailing pivots of every earlier block, with
-    the earlier blocks' already-reduced rows.  Reduced rows vanish on each
-    other's pivots, so the coefficient at one pivot is not changed by
-    clearing another, and a row holding b_j h in column block j can meet an
-    earlier pivot only on the support of h.  In a descending chain (each
-    later component inside the earlier ones) each earlier dual lies inside
-    the later ones, so its trailing pivots are among H_i's, and a row of
-    block i meets at most one of them per earlier block.
-
-    Each row of block i' of H is orthogonal to each row of block i of the
-    product's generator: their dot product is (B A^T)_{i'i} (h.g) =
-    delta_{i'i} (h.g) = 0, because each H_i is read off C_i.  H has full rank
-    sum(n - k_i) = nm - sum(k_i) by its pivots, so it is the product's dual.
+    B = (A^-1)^T for A padded to m x m with identity rows; the m - s padding
+    components are zero codes, whose duals are the full space (H = I_n).
+    Each row h of H_i gives the block row (b_ij h)_j.  It is orthogonal to
+    each row of block i' of the product's generator: their dot product is
+    (B A^T)_{ii'} (h.g) = delta_{ii'} (h.g) = 0, because H_i is read off C_i.
+    The stack is right-reduced by the elimination kernel run on reversed
+    columns (its RREF, mirrored back), and it must keep its full rank
+    sum(n - k_i) = nm - sum(k_i), so it spans the product's dual.
     """
-    fld, n = codes[0].field, codes[0].n
-    s, m = A.nrows, A.ncols
-    add, mul, neg, inv = fld.tables
-    square = A if s == m else Matrix(
-        fld, [*A.rows, *([0] * i + [1] + [0] * (m - i - 1) for i in range(s, m))], ncols=m
-    )
-    B = _checked_inverse_transpose(square)
-    unit = Matrix.identity(fld, n) if s < m else None
+    fld, n, s = codes[0].field, codes[0].n, len(codes)
+    ncols = n * len(B)
+    mul = fld.tables.mul
+    unit = Matrix.identity(fld, n) if s < len(B) else None
     zeros = [0] * n
-    earlier: dict[int, list] = {}  # trailing pivot column -> nonzero (column, entry) pairs of its row
-    rows: list[list[int]] = []
-    for i in range(m):
-        scale = mul[inv[B[i][i]]]
-        brow = [scale[b] for b in B[i][: i + 1]]
-        offsets = [j * n for j in range(i) if brow[j]]
-        H = codes[i].parity if i < s else unit
-        tail = [0] * (n * (m - i - 1))
-        for h, pivot in zip(H.rows, H.trailing_columns()):
+    rows = []
+    for i, brow in enumerate(B):
+        for h in (codes[i].parity if i < s else unit).rows:
+            h = h[::-1]
             row = []
-            for b in brow:
+            for b in reversed(brow):
                 row += h if b == 1 else [mul[b][y] for y in h] if b else zeros
-            for p in [o + t for t, y in enumerate(h) if y for o in offsets]:
-                if p in earlier:
-                    f = mul[neg[row[p]]]
-                    for j, y in earlier[p]:
-                        row[j] = add[row[j]][f[y]]
-            if i < m - 1:  # the last block clears nothing
-                earlier[i * n + pivot] = [(j, y) for j, y in enumerate(row) if y]
-            rows.append(row + tail)
-    return LinearCode.from_parity(Matrix(fld, rows, ncols=n * m))
+            rows.append(row)
+    pivots, _ = _eliminate(fld, rows, ncols)
+    if len(pivots) < len(rows):
+        raise ConsistencyError("the dual identity's parity check lost rank on this instance")
+    return LinearCode.from_parity(Matrix(fld, [r[::-1] for r in reversed(rows)], ncols=ncols))
 
 
 def is_frr(A: Matrix) -> bool:
@@ -250,10 +223,10 @@ def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     """Dual of [C_1..C_s]A, via [C_1-dual..C_s-dual](A^-1)^T.
 
     Both that expression and the plain nullspace dual of the product are
-    computed; disagreement would break the dual identity and raises.  The
-    product is built from its definition, the block rows a_ij G_i through
-    the kernel, for every A: the triangular assembly relies on this identity,
-    so it cannot be one side of its check.
+    computed; disagreement would break the dual identity and raises.  Both
+    products are built from their definition, the block rows a_ij G_i
+    through the kernel: `matrix_product_code` relies on this identity, so it
+    cannot be either side of its check.
     """
     if A.nrows != A.ncols:
         raise ValueError("the dual identity needs a square matrix")
@@ -262,7 +235,7 @@ def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
         raise ValueError("the dual identity needs a nonsingular matrix")
     _check_product(codes, A)
     lhs = _kernel_product(codes, A).euclidean_dual()
-    rhs = matrix_product_code([c.euclidean_dual() for c in codes], ainv.transpose())
+    rhs = _kernel_product([c.euclidean_dual() for c in codes], ainv.transpose())
     if lhs != rhs:
         raise ConsistencyError("dual identity failed on this instance")
     return lhs

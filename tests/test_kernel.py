@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqc.gf import (
-    DEFAULT_ORDER_CAP,
     TABLE_ORDER_CAP,
     Field,
     FieldElement,
-    _generator_step_digits,
     field,
-    is_prime,
 )
 from mpqc.matrix import Matrix
 
@@ -274,19 +271,3 @@ def test_bootstrap_matches_reference(pm):
     assert F._exp == exp
     assert F._log == log
     assert F._zech == zech
-
-
-def test_block_step_tables_stay_linear_in_the_order():
-    # the block step's addition table has p^(2h) entries; odd m with a large
-    # p (GF(97^3): 97^4 entries) must fall back to the direct multiply
-    for p, m in [(97, 3), (13, 5), (7, 7), (5, 3)]:
-        assert _generator_step_digits(p, m) is None
-    assert _generator_step_digits(17, 4) == 2
-    assert _generator_step_digits(2, 5) == 3
-    for p in filter(is_prime, range(2, 1025)):
-        for m in range(2, 21):
-            if p**m > DEFAULT_ORDER_CAP:
-                break
-            h = _generator_step_digits(p, m)
-            if h is not None:
-                assert p ** (2 * h) <= 3 * p**m

@@ -135,6 +135,14 @@ def test_empty_and_zero_shapes(F9):
     assert Z.nullspace().shape == (4, 4)
 
 
+def test_column_count_must_match_the_rows(F9):
+    assert Matrix(F9, [[1, 2]], ncols=2).shape == (1, 2)
+    with pytest.raises(ValueError, match="ncols=5"):
+        Matrix(field(3, 2), [[1, 2]], ncols=5)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(F9, [[1, 2], [1]], ncols=2)
+
+
 def test_serialization(F9):
     M = Matrix(F9, [[0, 4]])
     d = M.to_dict()

@@ -389,6 +389,40 @@ def test_chain_components_need_no_extension_field_and_no_elimination():
     assert doc["wide"] == []  # the [870,855] product is never written as its generator
 
 
+CASE_GUARD = """
+import json
+import mpqc.matrix as matrix
+
+wide = []  # row counts of matrices as wide as the product with more rows than its H
+matrix_init = matrix.Matrix.__init__
+
+def counting_matrix_init(self, *args, **kwargs):
+    matrix_init(self, *args, **kwargs)
+    if self.ncols == 96 and self.nrows > 5:
+        wide.append(self.nrows)
+
+matrix.Matrix.__init__ = counting_matrix_init
+from mpqc.quantum import build_case
+
+cb = build_case(5, 4, "i")
+print(json.dumps({"wide": wide, "params": [cb.built.n, cb.built.k, cb.built.d_lower]}))
+"""
+
+
+def test_character_product_is_built_on_its_parity_side():
+    # the [96,91] character product over GF(25) is held by its 5-row parity
+    # check; a fresh interpreter, so every cache is cold
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", CASE_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["params"] == [96, 86, 4]
+    assert doc["wide"] == []  # never written as its 91-row generator
+
+
 def test_extension_cap_refusal_is_up_front():
     buf = io.StringIO()
     with redirect_stdout(buf):

@@ -1,5 +1,5 @@
 """Differential tests for the structured chain build: the parity-side
-assembly of an upper-triangular product, the parity check read off an RREF
+assembly of a matrix product code, the parity check read off an RREF
 and the RREF read off a parity check, and the kept facts (negacyclic
 components, NSC verdicts, subcode verdicts), each against the reference code
 it replaced."""
@@ -7,7 +7,7 @@ it replaced."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpqc import negacyclic, product
@@ -19,6 +19,7 @@ from mpqc.product import (
     ConsistencyError,
     character_matrix,
     is_nsc,
+    is_upper_triangular,
     matrix_product_code,
     nested_chain_product,
     product_dual,
@@ -140,6 +141,33 @@ def triangular_products(draw):
     return codes, Matrix(fld, rows, ncols=m)
 
 
+@st.composite
+def other_products(draw):
+    """Components and a matrix of every other shape the product meets: a
+    nonsingular square A that is not upper triangular, an s x m A with s < m
+    (its identity padding is singular whenever its leading s x s block is),
+    a character table, or an A whose rows are dependent."""
+    kind = draw(st.sampled_from(["square", "wide", "character", "deficient"]))
+    pm = draw(st.sampled_from(SQUARE_FIELDS[1:] if kind == "character" else SQUARE_FIELDS))
+    fld = field(*pm)
+    entry = st.just(0) | st.integers(0, fld.order - 1)
+    if kind == "character":
+        A = character_matrix(fld, draw(st.integers(1, 2)))
+    else:
+        s = draw(st.integers(1 if kind == "wide" else 2, 4))
+        extra = {"square": st.just(0), "wide": st.integers(1, 2), "deficient": st.integers(0, 1)}[kind]
+        m = s + draw(extra)
+        rows = [[draw(entry) for _ in range(m)] for _ in range(s)]
+        if kind == "deficient":
+            c = draw(st.integers(0, fld.order - 1))
+            rows[-1] = [fld.tables.mul[c][x] for x in rows[0]]
+        A = Matrix(fld, rows, ncols=m)
+        if kind == "square":
+            assume(A.det().code and not is_upper_triangular(A))
+    n = draw(st.integers(1, 4))
+    return [draw(component(fld, n)) for _ in range(A.nrows)], A
+
+
 # ---------------------------------------------------------------------------
 # parity-side product assembly
 
@@ -148,7 +176,6 @@ def triangular_products(draw):
 @given(triangular_products())
 def test_triangular_product_matches_kernel(case):
     codes, A = case
-    assert product._has_triangular_parity(A)
     got = matrix_product_code(codes, A)
     want = reference_product(codes, A)
     assert got.k == sum(c.k for c in codes)
@@ -157,6 +184,22 @@ def test_triangular_product_matches_kernel(case):
     assert got == want
     old = reference_triangular_product(codes, A)
     assert got.parity.rows == old.parity.rows and got.gen.rows == old.gen.rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(other_products())
+def test_every_matrix_matches_kernel(case):
+    codes, A = case
+    s = A.nrows
+    got = matrix_product_code(codes, A)
+    want = reference_product(codes, A)
+    # the padded A is nonsingular exactly when its leading s x s block is,
+    # and only then is the product stored by its parity check
+    padded_nonsingular = A.submatrix(range(s), range(s)).det().code != 0
+    assert (got._gen is None) == padded_nonsingular
+    assert got.k == want.k
+    assert got.gen.rows == want.gen.rows
+    assert got.parity.rows == want.parity.rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,9 +236,9 @@ def test_triangular_product_checks_the_inverse(F25, monkeypatch):
     monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, wrong))
     with pytest.raises(ConsistencyError, match="A A\\^-1 = I"):
         matrix_product_code(codes, A)
+    # an inverse that comes out singular sends the product to the kernel
     monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, None))
-    with pytest.raises(ConsistencyError, match="singular"):
-        matrix_product_code(codes, A)
+    assert matrix_product_code(codes, A) == reference_product(codes, A)
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,7 +253,6 @@ def test_other_matrices_keep_the_kernel_path(case, seed):
     else:
         rows[i][rng.randrange(i)] = rng.randrange(1, A.field.order)  # below it
     B = Matrix(A.field, rows, ncols=A.ncols)
-    assert not product._has_triangular_parity(B)
     assert matrix_product_code(codes, B) == reference_product(codes, B)
 
 
@@ -256,7 +298,6 @@ def test_product_dual_and_character_products_take_the_kernel(F25):
     rng = random.Random(8)
     codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(4)]
     X = character_matrix(F25, 2)
-    assert not product._has_triangular_parity(X)
     assert matrix_product_code(codes, X) == reference_product(codes, X)
     A = Matrix(F25, [[1, 3, 4], [0, 2, 1], [0, 0, 4]])
     dual = product_dual(codes[:3], A)
@@ -264,7 +305,7 @@ def test_product_dual_and_character_products_take_the_kernel(F25):
 
 
 def test_product_dual_builds_its_side_from_the_definition(F25, monkeypatch):
-    # the dual identity is what the triangular assembly relies on, so its
+    # the dual identity is what the parity-side assembly relies on, so its
     # check must not build either side through that assembly
     rng = random.Random(9)
     codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(3)]
@@ -272,9 +313,9 @@ def test_product_dual_builds_its_side_from_the_definition(F25, monkeypatch):
     want = product_dual(codes, A)
 
     def refuse(*args):
-        raise AssertionError("dual identity checked through the triangular assembly")
+        raise AssertionError("dual identity checked through the parity-side assembly")
 
-    monkeypatch.setattr(product, "_triangular_product", refuse)
+    monkeypatch.setattr(product, "_parity_product", refuse)
     assert product_dual(codes, A) == want
 
 
