@@ -8,10 +8,11 @@ it).  The RREF G comes with every code built from a spanning set; H comes
 with codes assembled on the dual side (`LinearCode.from_parity`: the matrix
 product codes, through the dual identity).  Both forms are unique, so two
 equal codes compare equal as objects and serialization is reproducible; ==,
-hash and to_dict read G.  Every containment fact is a product with H (C in
-D iff H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0),
-taken as sparse dot products over the nonzero entries of one side's rows
-that stop at the first nonzero entry (one helper, ``_dots_vanish``).  A code
+hash and to_dict read G.  Every containment fact is a product with H (w in
+C iff H w^T = 0; C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff
+conj(H) H^T = 0), taken as sparse dot products over the nonzero entries of
+one side's rows that stop at the first nonzero entry (one helper,
+``_dots_vanish``).  A code
 keeps H, its Hermitian verdict and its subcode verdicts (one per other code
 value) in slots that ==, hash and to_dict ignore, so a code shared between
 builds answers each fact once.  Distance facts always travel with a
@@ -164,13 +165,15 @@ class LinearCode:
     # -- membership and containment --
 
     def contains_word(self, word) -> bool:
-        """Membership for a word given as element codes (the Matrix convention)."""
+        """Membership for a word given as element codes (the Matrix convention):
+        w is in C iff H w^T = 0."""
         codes = [x.code if hasattr(x, "code") else x for x in word]
         if len(codes) != self.n:
             raise ValueError("word length mismatch")
         if any(not 0 <= x < self.field.order for x in codes):
             raise ValueError("word entries are not element codes")
-        return self.gen.row_space_contains(codes)
+        add, mul = self.field.tables.add, self.field.tables.mul
+        return _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(codes) if x], self.parity.rows)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         """H_other G_self^T = 0, run once per (self, other value) pair.

@@ -44,7 +44,9 @@ raises with that explanation.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -118,11 +120,7 @@ def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
 # subfield-linear solve for column norms
 
 
-# (field, subfield) -> _subfield_decomposition result; a plain dict, so a
-# tracer wrapping the function still sees every call
-_decomposition_cache: dict[tuple[Field, Field], tuple] = {}
-
-
+@functools.cache
 def _subfield_decomposition(fld: Field, sub: Field):
     """Write GF(l^2) as a 2-dim vector space over its GF(l) subfield.
 
@@ -130,13 +128,6 @@ def _subfield_decomposition(fld: Field, sub: Field):
     two GF(l)-codes of x over the basis {1, zeta}, zeta the field generator.
     Built once per (field, subfield) pair.
     """
-    key = (fld, sub)
-    if key not in _decomposition_cache:
-        _decomposition_cache[key] = _build_subfield_decomposition(fld, sub)
-    return _decomposition_cache[key]
-
-
-def _build_subfield_decomposition(fld: Field, sub: Field):
     emb = SubfieldEmbedding(sub, fld)
     image = emb._img
     in_img = emb._pre
@@ -153,15 +144,19 @@ def _build_subfield_decomposition(fld: Field, sub: Field):
     return emb, lambda x: table[x]
 
 
-def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, cap: int = 400000):
+# kernel vectors `_solve_norms` enumerates before it samples instead
+NORM_SEARCH_CAP = 400000
+
+
+def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     """Column norms mu in (GF(l)*)^n with sum_j mu_j g_j conj(g_j)^T = 0.
 
     The system is linear over the subfield GF(l); its kernel is enumerated
-    (seeded-random sampled past `cap`) for a vector with every coordinate
-    nonzero.  Returns mu as subfield codes, or None.  The enumeration takes
-    the coefficient vectors in itertools.product order, depth first with
-    the partial sum of each prefix kept, so each vector costs about one
-    scaled-row add.
+    (seeded-random sampled past NORM_SEARCH_CAP) for a vector with every
+    coordinate nonzero.  Returns mu as subfield codes, or None.  The
+    enumeration takes the coefficient vectors in itertools.product order,
+    depth first with the partial sum of each prefix kept, so each vector
+    costs about one scaled-row add.
     """
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
@@ -189,7 +184,7 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
                 v = [add[x][m[y]] for x, y in zip(v, b)]
         return v
 
-    if l ** len(basis) <= cap:
+    if l ** len(basis) <= NORM_SEARCH_CAP:
         # scaled[i][c] = c * basis[i]; level i adds c_i * basis[i] to the
         # prefix sum for every c_i, the last coordinate varying fastest
         scaled = [[[mul[c][y] for y in b] for c in range(l)] for b in basis]
@@ -204,10 +199,8 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int, ca
             return None
 
         return walk(0, [0] * n)
-    import random
-
     rng = random.Random(0xC0DE)
-    for _ in range(cap):
+    for _ in range(NORM_SEARCH_CAP):
         coeffs = [rng.randrange(l) for _ in basis]
         if any(coeffs):
             v = combine(coeffs)
@@ -305,9 +298,12 @@ def _verify_family_code(
     return code
 
 
-# (family, l, d, max_subsets) -> verified code; the budget is part of the key
-# because a code certified under one budget may be refused under a smaller one
-_family_cache: dict[tuple, LinearCode] = {}
+# Each family function returns its cached private body, called with
+# (l, d, max_subsets) in that order, so the budget is part of the key: a code
+# certified under one budget may be refused under a smaller one.  Refusals
+# raise, so they are never kept.  The cache sits on the private bodies because
+# a tracer that wraps plain public functions would no longer see a decorated
+# one.
 
 
 def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> LinearCode:
@@ -317,18 +313,18 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET)
     the curve drop finds a candidate (not at l = 2 or 4), plus sporadic
     registry hits beyond that.
     """
-    key = ("punctured", l, d, max_subsets)
-    if key in _family_cache:
-        return _family_cache[key]
+    return _punctured(l, d, max_subsets)
+
+
+@functools.cache
+def _punctured(l: int, d: int, max_subsets: int) -> LinearCode:
     if d < 1 or d > l + 1:
         raise ConstructionError(f"designed distance {d} outside 1..{l + 1}")
     fld = square_field(l)
     n = l * l - 1
     k = n - (d - 1)
     if d == 1:
-        code = LinearCode.full_space(fld, n)
-        _family_cache[key] = code
-        return code
+        return LinearCode.full_space(fld, n)
 
     # consecutive defining windows T = {b..b+d-2}, smallest start first.  The
     # candidate ev{x^t : t not in -T} on the n-th roots of unity alpha^j is
@@ -342,13 +338,11 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET)
         grs = grs_code(fld, spec)
         cand = LinearCode.from_generator(grs.parity)
         try:
-            code = _verify_family_code(
+            return _verify_family_code(
                 cand, n, k, d, max_subsets, lambda: _grs_dual_certificate(spec, grs, cand)
             )
         except ConstructionError:
             continue
-        _family_cache[key] = code
-        return code
 
     # norm-solved evaluation codes on curve point subsets: so is [n, d-1] and
     # the candidate is its Hermitian dual
@@ -373,9 +367,7 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET)
             break
         if not mds:
             continue
-        code = _verify_family_code(cand, n, k, d, max_subsets, lambda: mds)
-        _family_cache[key] = code
-        return code
+        return _verify_family_code(cand, n, k, d, max_subsets, lambda: mds)
     if budget_blocked is not None:
         raise BudgetError(
             f"found an [{n},{d - 1}] self-orthogonal candidate for d = {d} but "
@@ -384,11 +376,9 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET)
 
     frozen = _SPORADIC_PUNCTURED.get((l, d))
     if frozen is not None:
-        code = _verify_family_code(
+        return _verify_family_code(
             LinearCode.from_generator(Matrix(fld, frozen, ncols=n)), n, k, d, max_subsets
         )
-        _family_cache[key] = code
-        return code
 
     endpoint = " (the d = l+1 endpoint admits no multiplier-scaled evaluation code)"
     raise ConstructionError(
@@ -407,25 +397,23 @@ def extended_rs_dual_containing(
     passes the containment check throughout 2 <= d <= l; d = 1 degenerates
     to the full space.
     """
-    key = ("extended", l, d, max_subsets)
-    if key in _family_cache:
-        return _family_cache[key]
+    return _extended(l, d, max_subsets)
+
+
+@functools.cache
+def _extended(l: int, d: int, max_subsets: int) -> LinearCode:
     fld = square_field(l)
     n = l * l
     if d == 1:
-        code = LinearCode.full_space(fld, n)
-        _family_cache[key] = code
-        return code
+        return LinearCode.full_space(fld, n)
     if d < 2 or d > l:
         raise ConstructionError(f"designed distance {d} outside 2..{l}")
     k = n + 1 - d
     spec = GrsSpec(points=tuple(range(n)), multipliers=(1,) * n, k=k)
     # the code is grs_code(spec) itself, so the spec's checks certify it
-    code = _verify_family_code(
+    return _verify_family_code(
         grs_code(fld, spec), n, k, d, max_subsets, lambda: spec.mds_defect() is None
     )
-    _family_cache[key] = code
-    return code
 
 
 def negacyclic_mds_dual_containing(
@@ -437,11 +425,13 @@ def negacyclic_mds_dual_containing(
     force |Z| = d - 1 odd: even d maps to depth (d-2)/2 and d = 1 to the
     empty set.  Odd d >= 3 has no such defining set and is refused.
     """
+    return _negacyclic_family(l, d, max_subsets)
+
+
+@functools.cache
+def _negacyclic_family(l: int, d: int, max_subsets: int) -> LinearCode:
     from .negacyclic import centered_defining_set, distance_report, negacyclic_code
 
-    key = ("negacyclic", l, d, max_subsets)
-    if key in _family_cache:
-        return _family_cache[key]
     if l % 4 != 1:
         raise ConstructionError(f"l = {l} is not 1 mod 4")
     if d != 1 and not 2 <= d <= l + 1:
@@ -449,9 +439,7 @@ def negacyclic_mds_dual_containing(
     fld = square_field(l)
     n = l * l + 1
     if d == 1:
-        code = LinearCode.full_space(fld, n)
-        _family_cache[key] = code
-        return code
+        return LinearCode.full_space(fld, n)
     if d % 2 != 0:
         raise ConstructionError(
             f"odd distance {d}: centered cosets come in sizes 1 and 2, so the "
@@ -459,8 +447,6 @@ def negacyclic_mds_dual_containing(
         )
     depth = (d - 2) // 2
     nega = negacyclic_code(n, fld, centered_defining_set(l, depth))
-    code = _verify_family_code(
+    return _verify_family_code(
         nega.code, n, n + 1 - d, d, max_subsets, lambda: distance_report(nega).exact
     )
-    _family_cache[key] = code
-    return code

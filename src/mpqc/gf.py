@@ -424,13 +424,11 @@ class Field:
         self.raw = RawField(p, m)
         self.modulus: tuple[int, ...] = self.raw.modulus
         self.generator: int = self.raw.generator
-        self._build_tables()
-        self._tables: FieldTables | None = None
-        self._conj_table: list[int] | None = None
+        self._build_logs()
 
     # -- construction internals --
 
-    def _build_tables(self):
+    def _build_logs(self):
         q, p = self.order, self.p
         exp = [1] * (2 * q)
         log = [-1] * q
@@ -454,7 +452,7 @@ class Field:
         self._zech = zech
         self._neg_shift = (q - 1) // 2 if p != 2 else 0
 
-    @property
+    @functools.cached_property
     def tables(self) -> FieldTables:
         """Operation tables, built on first use.
 
@@ -462,11 +460,6 @@ class Field:
         they hand out row objects that compute each entry from the Zech
         tables.  neg and inv are always plain lists.
         """
-        if self._tables is None:
-            self._tables = self._materialize_tables()
-        return self._tables
-
-    def _materialize_tables(self) -> FieldTables:
         q = self.order
         n1 = q - 1
         codes = list(range(q))
@@ -594,13 +587,11 @@ class Field:
             raise FieldError(f"order {self.order} is not a perfect square")
         return self.p ** (self.m // 2)
 
-    @property
+    @functools.cached_property
     def conj_table(self) -> list[int]:
         """conj_table[a] = a^l, built on first use."""
-        if self._conj_table is None:
-            l = self.subfield_order
-            self._conj_table = [self.pow(x, l) for x in range(self.order)]
-        return self._conj_table
+        l = self.subfield_order
+        return [self.pow(x, l) for x in range(self.order)]
 
     def conj(self, a: int) -> int:
         """a^l, the involution fixing the index-2 subfield GF(l)."""
@@ -610,7 +601,7 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def field(p: int, m: int = 1) -> Field:
     """Shared, cached field instances (fields are immutable)."""
     return Field(p, m)
@@ -653,10 +644,10 @@ class FieldElement:
         return f"{self.field}:{self.code}"
 
     def __eq__(self, other):
+        # no int branch: an element equal to every int congruent mod p could
+        # not hash like all of them
         if isinstance(other, FieldElement):
             return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p
         return NotImplemented
 
     def __hash__(self):

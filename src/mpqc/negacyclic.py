@@ -26,14 +26,15 @@ Every row is then checked against the remainder matrix, whose column j is
 x^j mod g from the forward recurrence, and the same recurrence checks
 x^n = -1 mod g, i.e. g | x^n + 1.  The dimension k must be n - |Z|.
 
-`negacyclic_code` keeps each verified code in a module dict keyed by
-(n, field, defining set), so a chain that reuses a component builds and
-checks it once, and the shared LinearCode keeps its parity check and its
-containment verdicts across every product it enters.
+`negacyclic_code` keeps each verified code per (n, field, defining set)
+through ``functools.cache`` on its builder, so a chain that reuses a
+component builds and checks it once, and the shared LinearCode keeps its
+parity check and its containment verdicts across every product it enters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,13 +173,6 @@ class NegacyclicCode:
         }
 
 
-# built codes by (n, field, defining set); a plain dict, so a tracer wrapping
-# negacyclic_code still sees every call
-_code_cache: dict[tuple, NegacyclicCode] = {}
-# minimal polynomials of the canonical primitive 2n-th roots, by (field, 2n)
-_minpoly_cache: dict[tuple, list[int]] = {}
-
-
 def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     """Build the code with the given defining set and verify its algebra.
 
@@ -193,12 +187,12 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode
         raise NegacyclicError("defining set was built for different (n, q)")
     if math.gcd(2 * n, fld.order) != 1:
         raise NegacyclicError("repeated-root case gcd(2n, q) != 1 rejected")
-    key = (n, fld, defining)
-    if key not in _code_cache:
-        _code_cache[key] = _build_negacyclic(n, fld, defining)
-    return _code_cache[key]
+    return _build_negacyclic(n, fld, defining)
 
 
+# the cache sits on the private builder: the public function stays a plain
+# function, which a tracer that wraps plain functions still sees on every call
+@functools.cache
 def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
     if not defining.residues:
         return NegacyclicCode(LinearCode.full_space(fld, n), defining, (1,))
@@ -266,7 +260,8 @@ def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int
     return coeffs
 
 
-def _root_minpoly(fld: Field, two_n: int) -> list[int]:
+@functools.cache
+def _root_minpoly(fld: Field, two_n: int) -> tuple[int, ...]:
     """Minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen the
     canonical generator of GF(Q = q^e), kept per (field, 2n).
 
@@ -275,22 +270,19 @@ def _root_minpoly(fld: Field, two_n: int) -> list[int]:
     comes back to GF(q) through the smallest-root embedding, whose restrict
     checks Frobenius fixation.
     """
-    key = (fld, two_n)
-    if key not in _minpoly_cache:
-        emb, gamma = primitive_root_of_unity(fld, two_n)
-        ext, e = emb.ext, emb.degree
-        mu = [1]
-        conj = gamma
-        for _ in range(e):
-            mu = poly_mul(ext, mu, [ext.neg(conj), 1])
-            conj = ext.pow(conj, fld.order)
-        if conj != gamma:
-            raise NegacyclicError(f"gamma is not fixed by the {e}-th power of Frobenius")
-        try:
-            _minpoly_cache[key] = [emb.restrict(c) for c in mu]
-        except FieldError as exc:
-            raise NegacyclicError("minimal polynomial escaped the base field") from exc
-    return _minpoly_cache[key]
+    emb, gamma = primitive_root_of_unity(fld, two_n)
+    ext, e = emb.ext, emb.degree
+    mu = [1]
+    conj = gamma
+    for _ in range(e):
+        mu = poly_mul(ext, mu, [ext.neg(conj), 1])
+        conj = ext.pow(conj, fld.order)
+    if conj != gamma:
+        raise NegacyclicError(f"gamma is not fixed by the {e}-th power of Frobenius")
+    try:
+        return tuple(emb.restrict(c) for c in mu)
+    except FieldError as exc:
+        raise NegacyclicError("minimal polynomial escaped the base field") from exc
 
 
 def _k_mul(fld: Field, a: list[int], b: list[int], mu: list[int]) -> list[int]:

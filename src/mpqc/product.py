@@ -23,12 +23,13 @@ through the parity-side assembly that relies on the identity), and
 every dual-containing product construction tests its components and its
 output for Hermitian containment, raising ConsistencyError if the algebra
 and the matrices ever disagree.  Each fact is checked once: codes keep their
-containment verdicts, and `is_nsc` keeps its verdict per matrix value in a
-module dict.
+containment verdicts, and `is_nsc` keeps its verdict per matrix value
+through ``functools.cache`` on its private check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -149,21 +150,17 @@ def is_frr(A: Matrix) -> bool:
     return A.rank() == A.nrows
 
 
-# is_nsc verdicts by matrix value; a plain dict, so a tracer wrapping is_nsc
-# still sees every call
-_nsc_verdicts: dict[Matrix, bool] = {}
-
-
 def is_nsc(A: Matrix) -> bool:
     """Every t x t minor taken from the first t rows is invertible, all t.
 
-    The verdict is kept per matrix value, so the fixed matrices that every
-    build reuses are checked once."""
-    if A not in _nsc_verdicts:
-        _nsc_verdicts[A] = _all_prefix_minors_invertible(A)
-    return _nsc_verdicts[A]
+    The verdict is cached per matrix value (`_all_prefix_minors_invertible`),
+    so the fixed matrices that every build reuses are checked once."""
+    return _all_prefix_minors_invertible(A)
 
 
+# cached here, not on is_nsc, so that is_nsc stays a plain function a tracer
+# can wrap
+@functools.cache
 def _all_prefix_minors_invertible(A: Matrix) -> bool:
     s, m = A.nrows, A.ncols
     if s > m:

@@ -90,7 +90,11 @@ def _hermitian_form(fld, u: Sequence[int], v: Sequence[int]) -> int:
     return acc
 
 
-def random_self_orthogonal_rows(fld, n: int, dim: int, rng: random.Random, tries: int = 400):
+# random draws per added row before random_self_orthogonal_rows stops short
+SELF_ORTHOGONAL_TRIES = 400
+
+
+def random_self_orthogonal_rows(fld, n: int, dim: int, rng: random.Random):
     """Rows spanning a Hermitian self-orthogonal subspace of dimension <= dim."""
     rows: list[list[int]] = []
     while len(rows) < dim:
@@ -100,7 +104,7 @@ def random_self_orthogonal_rows(fld, n: int, dim: int, rng: random.Random, tries
         else:
             basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         found = None
-        for _ in range(tries):
+        for _ in range(SELF_ORTHOGONAL_TRIES):
             v = [0] * n
             for b in basis:
                 c = rng.randrange(fld.order)

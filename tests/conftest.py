@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mpqc import constructions
 from mpqc.gf import field
 
 
@@ -28,3 +29,15 @@ def F49():
 @pytest.fixture()
 def rng():
     return random.Random(0xBEEF)
+
+
+@pytest.fixture()
+def fresh_families():
+    """Empty family caches, so each family is rebuilt under the test and
+    nothing it builds (perhaps under a patch) outlives it."""
+    bodies = (constructions._punctured, constructions._extended, constructions._negacyclic_family)
+    for body in bodies:
+        body.cache_clear()
+    yield
+    for body in bodies:
+        body.cache_clear()

@@ -58,12 +58,6 @@ def _unchecked_spec(points, multipliers, k):
     return spec
 
 
-@pytest.fixture()
-def fresh_families(monkeypatch):
-    """An empty family cache, so each family is rebuilt under the test."""
-    monkeypatch.setattr(constructions, "_family_cache", {})
-
-
 # ---------------------------------------------------------------------------
 # the GRS-built window candidate is the old Vandermonde one
 

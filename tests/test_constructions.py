@@ -277,12 +277,6 @@ def reference_rs_dual_containing(l, d, max_subsets=10**6):
     )
 
 
-@pytest.fixture()
-def fresh_families(monkeypatch):
-    """An empty family cache, so each family is rebuilt under the test."""
-    monkeypatch.setattr(constructions, "_family_cache", {})
-
-
 @pytest.mark.parametrize("l,d", [(3, 3), (5, 5)])
 def test_curve_rung_builds_the_parent_code(l, d, fresh_families):
     assert rs_dual_containing(l, d) == reference_rs_dual_containing(l, d)

@@ -88,6 +88,19 @@ def test_element_wrapper_arithmetic(F9):
         a + field(5, 2).element(1)
 
 
+def test_element_equality_agrees_with_hashing(F9):
+    # equal elements hash alike, and an element equals no int: 1 in GF(9)
+    # cannot hash like both 1 and 4, which are congruent mod 3
+    one = F9.element(1)
+    assert one == F9.element(4) == F9.element([1, 0]) and hash(one) == hash(F9.element(4))
+    assert one != 1 and one != 4
+    assert {1: "x"}.get(one) is None and one not in {1, 4}
+    assert {F9.element(1): "x"}[F9.element([1])] == "x"
+    assert one != field(3, 1).element(1)
+    # arithmetic with ints still embeds them through the prime subfield
+    assert one + 1 == F9.element(2) and 2 * one == F9.element(2)
+
+
 def test_conjugation_fixes_subfield(F9):
     # GF(3) inside GF(9): the codes 0, 1, 2
     for c in range(3):

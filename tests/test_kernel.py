@@ -230,7 +230,7 @@ def test_tables_share_element_objects():
 
 def test_tables_are_lazy_and_capped():
     F = Field(17, 2)
-    assert F._tables is None
+    assert "tables" not in vars(F)
     assert F.tables is F.tables
     assert isinstance(F.tables.add, list)
     big = field(3, 7)

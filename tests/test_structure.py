@@ -4,13 +4,15 @@ and the RREF read off a parity check, and the kept facts (negacyclic
 components, NSC verdicts, subcode verdicts), each against the reference code
 it replaced."""
 
+import inspect
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpqc import negacyclic, product
+from mpqc import constructions, negacyclic, product
+from mpqc.cli import cmd_example
 from mpqc.code import LinearCode
 from mpqc.gf import field, square_field
 from mpqc.matrix import Matrix
@@ -319,6 +321,26 @@ def test_product_dual_builds_its_side_from_the_definition(F25, monkeypatch):
     assert product_dual(codes, A) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(triangular_products(), st.data())
+def test_membership_through_the_parity_check_matches_the_row_space(case, data):
+    codes, A = case
+    got = matrix_product_code(codes, A)  # stored by its parity check
+    G = reference_product(codes, A).gen
+    fld, nm = G.field, G.ncols
+    add, mul = fld.tables.add, fld.tables.mul
+    entry = st.integers(0, fld.order - 1)
+    for _ in range(6):
+        word = [data.draw(entry) for _ in range(nm)]
+        if G.nrows and data.draw(st.booleans()):  # a codeword, perhaps
+            word = [0] * nm
+            for row in G.rows:
+                m = mul[data.draw(entry)]
+                word = [add[x][m[y]] for x, y in zip(word, row)]
+        assert got.contains_word(word) == G.row_space_contains(word)
+    assert got._gen is None
+
+
 # ---------------------------------------------------------------------------
 # parity read off the RREF
 
@@ -353,7 +375,7 @@ def test_negacyclic_memo_returns_the_same_code(F25):
     Z = centered_defining_set(5, 1)
     first = negacyclic_code(26, F25, Z)
     assert negacyclic_code(26, F25, Z) is first
-    negacyclic._code_cache.clear()
+    negacyclic._build_negacyclic.cache_clear()
     again = negacyclic_code(26, F25, Z)
     assert again is not first and again == first
     assert again.code.gen.rows == first.code.gen.rows
@@ -370,7 +392,7 @@ def test_negacyclic_memo_keeps_the_argument_checks(F25):
 def test_nsc_verdict_is_kept_per_matrix(F25, monkeypatch):
     A = Matrix(F25, [[1, 1, 1], [0, 2, 1], [0, 0, 1]])
     B = Matrix(F25, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # the 2 x 2 minor on columns 2, 3 is singular
-    product._nsc_verdicts.clear()
+    product._all_prefix_minors_invertible.cache_clear()
     assert is_nsc(A) and not is_nsc(B)
 
     def refuse(*args):
@@ -380,7 +402,7 @@ def test_nsc_verdict_is_kept_per_matrix(F25, monkeypatch):
         mp.setattr(Matrix, "det_inverse", refuse)
         assert is_nsc(Matrix(F25, [list(r) for r in A.rows]))  # an equal matrix
         assert not is_nsc(B)
-    product._nsc_verdicts.clear()
+    product._all_prefix_minors_invertible.cache_clear()
     assert is_nsc(A) and not is_nsc(B)
 
 
@@ -419,3 +441,36 @@ def test_kept_verdicts_leave_equality_hash_and_dict_alone(case):
         assert hash(fresh) == hash(C)
         assert fresh.to_dict() == C.to_dict()
         assert len({fresh, C}) == 1
+
+
+def test_kept_facts_against_a_hand_count():
+    # example 3.8 at l = 9: 35 admissible triples, each with 3 negacyclic
+    # components of length 82 over GF(81) drawn from the centered defining
+    # sets at depths 0..4, one minimal polynomial, and the one NSC matrix
+    # every chain reuses (70 is_nsc calls)
+    kept = (
+        negacyclic._build_negacyclic,
+        negacyclic._root_minpoly,
+        product._all_prefix_minors_invertible,
+    )
+    for f in kept:
+        f.cache_clear()
+    cmd_example("3.8", 9, strict=False, deep=True)
+    counts = [(f.cache_info().hits, f.cache_info().misses) for f in kept]
+    assert counts == [(100, 5), (4, 1), (69, 1)]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        constructions.rs_dual_containing,
+        constructions.extended_rs_dual_containing,
+        constructions.negacyclic_mds_dual_containing,
+        negacyclic.negacyclic_code,
+        product.is_nsc,
+    ],
+)
+def test_public_functions_with_kept_facts_stay_plain(f):
+    # the caches sit on private helpers; a span tracer that wraps plain
+    # functions would miss a decorated public one
+    assert inspect.isfunction(f)
