@@ -23,7 +23,7 @@ import json
 import sys
 
 from .claims import CHAIN_EXAMPLES, TABLE1
-from .code import DEFAULT_ENUM_BUDGET, DEFAULT_SUBSET_BUDGET, BudgetError
+from .code import DEFAULT_SUBSET_BUDGET, BudgetError
 from .constructions import ConstructionError
 from .gf import FieldError
 from .negacyclic import NegacyclicError
@@ -100,7 +100,7 @@ def _fmt_params(n, k, d, geq=True) -> str:
 # table1
 
 
-def cmd_table1(deep: bool, budget: int, enum_budget: int) -> dict:
+def cmd_table1(deep: bool, budget: int) -> dict:
     audits = table1_formula_audit()
     rows = []
     discrepancies = 0
@@ -122,7 +122,7 @@ def cmd_table1(deep: bool, budget: int, enum_budget: int) -> dict:
             discrepancies += 1
         if l <= 5 or deep:
             try:
-                cb = build_case(l, d, case, max_subsets=budget, enum_budget=enum_budget)
+                cb = build_case(l, d, case, max_subsets=budget)
                 entry["verified"] = _fmt_params(cb.built.n, cb.built.k, cb.built.d_lower)
                 entry["verification"] = "constructed"
                 if cb.built.discrepancy is not None:
@@ -336,7 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table1", help="audit the ten-row comparison table", parents=[common])
     t.add_argument("--deep", action="store_true", help="construct every row, not just small ones")
     t.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET, help="column-subset cap for certificates")
-    t.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET, help="message enumeration cap")
 
     e = sub.add_parser("example", help="audit one chain claim set", parents=[common])
     e.add_argument("--which", choices=["3.8", "3.10"], required=True)
@@ -366,7 +365,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "table1":
-            report = cmd_table1(args.deep, args.budget, args.enum_budget)
+            report = cmd_table1(args.deep, args.budget)
         elif args.command == "example":
             report = cmd_example(args.which, args.l, args.strict, args.deep)
         elif args.command == "build":

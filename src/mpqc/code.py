@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import Field
-from .matrix import Matrix
+from .gf import Field, FieldElement
+from .matrix import Matrix, _eliminate
 
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SUBSET_BUDGET = 10**6
@@ -126,16 +126,13 @@ class LinearCode:
     def params(self) -> tuple[int, int]:
         return (self.n, self.k)
 
-    def to_dict(self, distance: "DistanceReport | None" = None) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "field": self.field.to_dict(),
             "n": self.n,
             "k": self.k,
             "gen": self.gen.to_dict(),
         }
-        if distance is not None:
-            out["d"] = distance.to_dict()
-        return out
 
     @property
     def gen(self) -> Matrix:
@@ -165,9 +162,9 @@ class LinearCode:
     # -- membership and containment --
 
     def contains_word(self, word) -> bool:
-        """Membership for a word given as element codes (the Matrix convention):
-        w is in C iff H w^T = 0."""
-        codes = [x.code if hasattr(x, "code") else x for x in word]
+        """Membership for a word given as element codes (the Matrix convention)
+        or as elements of this code's field: w is in C iff H w^T = 0."""
+        codes = [self.field.element(x).code if isinstance(x, FieldElement) else x for x in word]
         if len(codes) != self.n:
             raise ValueError("word length mismatch")
         if any(not 0 <= x < self.field.order for x in codes):
@@ -295,26 +292,26 @@ class LinearCode:
         """Exact distance for short codes via zero-support ranks.
 
         d = n - max(|S|) over column sets S on which some nonzero codeword
-        vanishes.  The 2^n loop is independent of the field size, so this is
-        the oracle of choice when q^k explodes but n is tiny.
+        vanishes, that is, on which the k generator columns have rank < k.
+        The 2^n loop is independent of the field size, so this is the oracle
+        of choice when q^k explodes but n is tiny.  Each set is ranked by one
+        kernel call on plain row lists.
         """
         if self.k == 0:
             raise ValueError("the zero code has no distance")
-        n = self.n
+        n, k = self.n, self.k
         if n > SUPPORT_SCAN_MAX_N:
             raise BudgetError(f"support enumeration over 2^{n} columns refused")
-        best_zeroes = -1
-        cols = list(range(n))
-        for mask in range(1 << n):
+        fld, rows = self.field, self.gen.rows
+        best_zeroes = 0  # the empty set: every codeword vanishes on it
+        for mask in range(1, (1 << n) - 1):
             size = mask.bit_count()
-            if size <= best_zeroes or size > n - 1:
+            if size <= best_zeroes:
                 continue
-            idx = [c for c in cols if mask >> c & 1]
-            sub = self.gen.submatrix(tuple(range(self.k)), tuple(idx))
-            if sub.rank() < self.k:
+            idx = [c for c in range(n) if mask >> c & 1]
+            pivots, _ = _eliminate(fld, [[row[c] for c in idx] for row in rows], size)
+            if len(pivots) < k:
                 best_zeroes = size
-        if best_zeroes < 0:
-            best_zeroes = 0
         return exact_report(n - best_zeroes, "exhaustive")
 
     def mds_subset_size(self, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> int:
@@ -392,24 +389,3 @@ def _dots_vanish(add, support, rows) -> bool:
         if acc:
             return False
     return True
-
-
-def best_distance_report(
-    code: LinearCode,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> DistanceReport:
-    """Exact distance where a budgeted oracle applies, else certificates.
-
-    The ladder: full message enumeration, then the short-length support scan,
-    then the MDS certificate (which pins d = n - k + 1 when it fires).  A
-    BudgetError propagates only when every rung is out of reach.
-    """
-    q = code.field.order
-    if q**code.k <= enum_budget:
-        return code.min_distance_exhaustive(enum_budget)
-    if code.n <= SUPPORT_SCAN_MAX_N:
-        return code.min_distance_by_supports()
-    if code.is_mds(subset_budget):
-        return exact_report(code.n - code.k + 1, "mds-certificate")
-    raise BudgetError(f"no exact oracle within budget for [{code.n},{code.k}] over GF({q})")

@@ -674,7 +674,10 @@ class FieldElement:
         return FieldElement(self.field, self.field.sub(self.code, b))
 
     def __rsub__(self, other):
-        return -self + other
+        a = self._coerce(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.sub(a, self.code))
 
     def __mul__(self, other):
         b = self._coerce(other)
@@ -691,7 +694,10 @@ class FieldElement:
         return FieldElement(self.field, self.field.div(self.code, b))
 
     def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.code))
+        a = self._coerce(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.div(a, self.code))
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow(self.code, e))

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import DEFAULT_ENUM_BUDGET, DistanceReport, LinearCode, best_distance_report, exact_report
+from .code import DistanceReport, LinearCode, exact_report
 from .gf import Field
 from .matrix import Matrix, _eliminate
 
@@ -184,22 +184,20 @@ def row_prefix_code(A: Matrix, k: int) -> LinearCode:
     return LinearCode.from_generator(A.take_rows(k))
 
 
-def frr_distance_bound(
-    codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix, budget: int = DEFAULT_ENUM_BUDGET
-) -> int:
+def frr_distance_bound(codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix) -> int:
     """min over i of d_i * d(prefix_i); valid whenever A has full row rank.
 
-    Component distances must be exact.  Prefix distances are exact too:
-    each is read off `best_distance_report` for the row-prefix code, with
-    `budget` as its message-enumeration cap (A has few columns, so the
-    support-scan rung always applies when enumeration does not).
+    Component distances must be exact.  Prefix distances are exact too: a
+    prefix code has length m, so `min_distance_by_supports` reads its
+    distance off the 2^m column sets of A.  An A with more than
+    `SUPPORT_SCAN_MAX_N` columns is refused with BudgetError.
     """
     if not is_frr(A):
         raise ValueError("bound requires a full-row-rank matrix")
     if len(dists) != len(codes):
         raise ValueError("one exact distance per component")
     return min(
-        d * best_distance_report(row_prefix_code(A, k + 1), budget).lower
+        d * row_prefix_code(A, k + 1).min_distance_by_supports().lower
         for k, d in enumerate(dists)
     )
 
@@ -357,10 +355,7 @@ def character_product(codes: Sequence[LinearCode]) -> LinearCode:
 
 
 def product_distance_report(
-    codes: Sequence[LinearCode],
-    dists: Sequence[int],
-    A: Matrix,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    codes: Sequence[LinearCode], dists: Sequence[int], A: Matrix
 ) -> DistanceReport:
     """Best certified distance statement for [C_1..C_s]A from exact
     component distances: the NSC equality when it applies, else the NSC
@@ -373,5 +368,5 @@ def product_distance_report(
         if is_upper_triangular(A):
             return exact_report(dstar, "product-bound")
         return DistanceReport(dstar, singleton, "product-bound", "singleton")
-    lower = frr_distance_bound(codes, dists, A, budget)
+    lower = frr_distance_bound(codes, dists, A)
     return DistanceReport(lower, singleton, "product-bound", "singleton")

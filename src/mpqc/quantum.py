@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .claims import TABLE1
-from .code import DEFAULT_ENUM_BUDGET, DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode
+from .code import DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode
 from .constructions import (
     ConstructionError,
     extended_rs_dual_containing,
@@ -222,7 +222,6 @@ def build_character_product(
     dists: Sequence[int],
     kind: str,
     max_subsets: int = DEFAULT_SUBSET_BUDGET,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CaseBuild:
     """Four components of one family (punctured, extended or negacyclic) at
     the given distances, their product under the 4 x 4 character matrix, and
@@ -231,7 +230,7 @@ def build_character_product(
     components = tuple(_FAMILIES[kind](l, dist, max_subsets) for dist in dists)
     classical = character_product(components)
     A = character_matrix(components[0].field, 2)
-    report = product_distance_report(components, dists, A, enum_budget)
+    report = product_distance_report(components, dists, A)
     built = hermitian_construction(classical, report)
     return CaseBuild(built, None, classical, components, dists)
 
@@ -242,7 +241,6 @@ def build_case(
     case: str,
     check_range: bool = True,
     max_subsets: int = DEFAULT_SUBSET_BUDGET,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> CaseBuild:
     """Construct the four components, the quadrupled product, and the
     quantum record; attach a discrepancy record when the formula disagrees.
@@ -256,9 +254,7 @@ def build_case(
         _case_check(l, d, case)
     elif d % 4 != congruence:
         raise ValueError(f"case {case} needs d = {congruence} mod 4, got d = {d}")
-    cb = build_character_product(
-        l, _case_component_distances(d, case), kind, max_subsets, enum_budget
-    )
+    cb = build_character_product(l, _case_component_distances(d, case), kind, max_subsets)
     built = cb.built
 
     formula: QuantumParams | None = None

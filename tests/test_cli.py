@@ -142,6 +142,7 @@ def test_verify_unknown_suite_rejected():
         ["table1", "--budget", "abc"],
         ["example", "--which", "3.8"],  # missing --l
         ["build", "--theorem", "3.5", "--l", "5", "--d", "x"],
+        ["table1", "--enum-budget", "5"],  # no such option
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
-from mpqc.code import BudgetError, DistanceReport, LinearCode, best_distance_report
-from mpqc.gf import FieldError
+from mpqc.code import BudgetError, DistanceReport, LinearCode
+from mpqc.gf import FieldError, field
 from mpqc.matrix import Matrix
 
 
@@ -36,6 +36,16 @@ def test_euclidean_dual_pair(F25):
     D = C.euclidean_dual()
     assert D.params() == (2, 1)
     assert D.contains_word([1, F25.neg(1)])
+
+
+def test_contains_word_checks_the_field_of_elements(F9):
+    C = LinearCode.from_generator(Matrix(F9, [[1, 1]]))
+    with pytest.raises(FieldError, match="different field"):
+        C.contains_word([field(5, 2).element(7)] * 2)
+    # same-field elements answer as their codes
+    w = F9.element([1, 2])
+    assert C.contains_word([w, w]) and C.contains_word([w.code, w.code])
+    assert not C.contains_word([w, F9.element(1)])
 
 
 def test_double_dual_random(F9, rng):
@@ -189,25 +199,12 @@ def test_mds_budget(F25):
         C.is_mds(max_subsets=10)
 
 
-def test_best_distance_report_ladder(F25):
-    rep = best_distance_report(LinearCode.full_space(F25, 2))
-    assert rep.exact and rep.lower == 1 and rep.lower_provenance == "exhaustive"
-    # [26, 23] is out of enumeration reach; the certificate rung answers
-    from mpqc.constructions import negacyclic_mds_dual_containing
-
-    C = negacyclic_mds_dual_containing(5, 4)
-    rep = best_distance_report(C)
-    assert rep.exact and rep.lower == 4 and rep.lower_provenance == "mds-certificate"
-
-
-def test_best_distance_report_scans_supports_up_to_sixteen(F25, rng):
-    # past the enumeration budget, any code the support scan accepts is
-    # answered by it, before the MDS certificate is tried
+def test_support_scan_accepts_up_to_sixteen_columns(F25, rng):
+    # q^k = 625 is in enumeration reach, so the exhaustive report is exact
     C = random_code(F25, 13, 2, rng)
-    rep = best_distance_report(C, enum_budget=10, subset_budget=0)
-    assert rep.exact and rep.lower == C.min_distance_exhaustive().lower
+    assert C.min_distance_by_supports() == C.min_distance_exhaustive()
     with pytest.raises(BudgetError):
-        best_distance_report(random_code(F25, 17, 2, rng), enum_budget=10, subset_budget=0)
+        random_code(F25, 17, 2, rng).min_distance_by_supports()
 
 
 def test_serialization(F9):

@@ -1,15 +1,18 @@
 """Differential tests: the projective exhaustive distance oracle against the
-full message enumeration it replaced, and against the support scan."""
+full message enumeration it replaced, and against the support scan; the
+full-row-rank product bound, whose prefix distances come from the support
+scan, against exhaustive prefix distances."""
 
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpqc.code import BudgetError, LinearCode, exact_report
 from mpqc.gf import field
 from mpqc.matrix import Matrix
+from mpqc.product import character_matrix, frr_distance_bound, is_frr, row_prefix_code
 
 # ---------------------------------------------------------------------------
 # reference implementation, kept verbatim from the full-enumeration version
@@ -144,3 +147,40 @@ def test_budget_is_charged_as_q_to_the_k(pm):
 def test_zero_code_has_no_distance(pm):
     with pytest.raises(ValueError, match="the zero code has no distance"):
         LinearCode.zero_code(field(*pm), 3).min_distance_exhaustive()
+
+
+# ---------------------------------------------------------------------------
+# full-row-rank product bound
+
+
+@st.composite
+def frr_products(draw):
+    """Full-row-rank s x m A (s <= m <= 4; for odd q sometimes the first s rows
+    of the 4 x 4 character table) and s random nonzero components."""
+    fld = field(*draw(st.sampled_from([(2, 2), (3, 2), (5, 2)])))
+    if fld.p != 2 and draw(st.booleans()):
+        A = character_matrix(fld, 2).take_rows(draw(st.integers(1, 4)))
+    else:
+        m = draw(st.integers(1, 4))
+        s = draw(st.integers(1, m))
+        A = Matrix(fld, [_entries(draw, fld, m) for _ in range(s)], ncols=m)
+        assume(is_frr(A))
+    n = draw(st.integers(1, 3))
+    codes = []
+    for _ in range(A.nrows):
+        rows = [_entries(draw, fld, n) for _ in range(draw(st.integers(1, 2)))]
+        C = LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+        codes.append(C if C.k else LinearCode.from_generator(Matrix(fld, [[1] * n])))
+    return codes, A
+
+
+@settings(max_examples=200, deadline=None)
+@given(frr_products())
+def test_frr_bound_matches_exhaustive_prefix_distances(product):
+    codes, A = product
+    dists = [C.min_distance_exhaustive().lower for C in codes]
+    expected = min(
+        d * row_prefix_code(A, i).min_distance_exhaustive().lower
+        for i, d in enumerate(dists, 1)
+    )
+    assert frr_distance_bound(codes, dists, A) == expected

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,15 @@ def test_element_wrapper_arithmetic(F9):
     assert a**0 == F9.element(1)
     with pytest.raises(FieldError):
         a + field(5, 2).element(1)
+
+
+def test_reflected_operators_defer_unknown_operands(F9):
+    e = F9.element([1, 2])
+    assert (2 / e) * e == F9.element(2) and (2 - e) + e == F9.element(2)
+    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for /")):
+        "x" / e
+    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for -")):
+        2.5 - e
 
 
 def test_element_equality_agrees_with_hashing(F9):

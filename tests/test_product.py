@@ -1,6 +1,6 @@
 import pytest
 
-from mpqc.code import LinearCode
+from mpqc.code import BudgetError, LinearCode
 from mpqc.constructions import rs_dual_containing
 from mpqc.matrix import Matrix
 from mpqc.product import (
@@ -108,6 +108,14 @@ def test_frr_bound_identity_matrix(F9, rng):
     codes = [random_nonzero_code(F9, 3, rng) for _ in range(2)]
     dists = [c.min_distance_exhaustive().lower for c in codes]
     assert frr_distance_bound(codes, dists, Matrix.identity(F9, 2)) == min(dists)
+
+
+def test_frr_bound_refuses_more_than_sixteen_columns(F9):
+    # a prefix code of length 17 is past the support scan
+    A = Matrix(F9, [[1] * 17])
+    C = LinearCode.full_space(F9, 2)
+    with pytest.raises(BudgetError):
+        frr_distance_bound([C], [1], A)
 
 
 def test_nsc_bound_example(F25):
