@@ -274,7 +274,7 @@ def cmd_build(args) -> dict:
                 "discrepancy": qp.discrepancy is not None,
             }
         )
-    except (ConstructionError, BudgetError, ValueError) as exc:
+    except (ConstructionError, BudgetError, ValueError, *ENGINE_FAILURES) as exc:
         failures += 1
         rows.append({"construction": args.theorem, "error": str(exc)})
     return {

@@ -4,23 +4,24 @@ A code is stored by either of its two canonical forms and reads the other
 off on first use, with no further elimination: its reduced row-echelon
 generator G, or its right-reduced parity check H = [-P^T | I] (each row's
 last nonzero entry is a 1 that is zero in every other row, rows ordered by
-it).  The RREF G comes with every code built from a spanning set; H comes
-with codes assembled on the dual side (`LinearCode.from_parity`: the matrix
-product codes, through the dual identity).  Both forms are unique, so two
-equal codes compare equal as objects and serialization is reproducible; ==,
-hash and to_dict read G.  Every containment fact is a product with H (w in
-C iff H w^T = 0; C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff
-conj(H) H^T = 0), taken as sparse dot products over the nonzero entries of
-one side's rows that stop at the first nonzero entry (one helper,
-``_dots_vanish``).  A code
-keeps H, its Hermitian verdict and its subcode verdicts (one per other code
-value) in slots that ==, hash and to_dict ignore, so a code shared between
-builds answers each fact once.  Distance facts always travel with a
-provenance tag; nothing here ever reports a distance it did not compute or
-certify.  The exhaustive oracle walks one message per line of scalar
-multiples (leading coefficient 1) and resolves the last generator row's
-coefficient by counting, while its budget is still charged as all q^k
-messages.
+it).  `from_generator` canonicalizes a spanning set of the code into G, and
+`from_parity` one of its dual into H (the RREF of the mirrored columns,
+mirrored back).  Each dual is reduced on its smaller side, so H comes with
+the dual of any code with 2k <= n, and with the matrix product codes,
+through the dual identity.  Both forms are unique, so two equal codes
+compare equal as objects and serialization is reproducible; ==, hash and
+to_dict read G.  Every containment fact is a product with H (w in C iff H
+w^T = 0; C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff conj(H)
+H^T = 0), taken as sparse dot products over the nonzero entries of one
+side's rows that stop at the first nonzero entry (one helper,
+``_dots_vanish``).  A code keeps H, its Hermitian verdict and its subcode
+verdicts (one per other code value) in slots that ==, hash and to_dict
+ignore, so a code shared between builds answers each fact once.  Distance
+facts always travel with a provenance tag; nothing here ever reports a
+distance it did not compute or certify.  The exhaustive oracle walks one
+message per line of scalar multiples (leading coefficient 1) and resolves
+the last generator row's coefficient by counting, while its budget is still
+charged as all q^k messages.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ class LinearCode:
         return cls(rows.field, rows.ncols, R.take_rows(rank))
 
     @classmethod
-    def from_parity(cls, H: Matrix) -> "LinearCode":
-        """The code whose parity check is H, already right-reduced.
+    def from_parity(cls, rows: Matrix) -> "LinearCode":
+        """The code whose dual `rows` spans; dependent and zero rows are fine.
 
-        The caller vouches for the form, as `LinearCode(fld, n, gen)` trusts
-        an RREF generator; `gen` is read off H only if something asks."""
-        return cls(H.field, H.ncols, None, H)
+        The mirror of `from_generator`: the rows are right-reduced and store
+        the code, and `gen` is read off them only if something asks."""
+        return _parity_code(rows.field, [list(r) for r in rows.rows], rows.ncols)
 
     @classmethod
     def full_space(cls, fld: Field, n: int) -> "LinearCode":
@@ -197,6 +198,10 @@ class LinearCode:
     # -- duals --
 
     def euclidean_dual(self) -> "LinearCode":
+        """Reduced on the smaller side, as `is_mds` scans it: G is the dual's
+        parity check when 2k <= n, else H is its generator."""
+        if 2 * self.k <= self.n:
+            return LinearCode.from_parity(self.gen)
         return LinearCode.from_generator(self.parity)
 
     def conjugate_code(self) -> "LinearCode":
@@ -204,7 +209,10 @@ class LinearCode:
         return LinearCode.from_generator(self.gen.conjugate())
 
     def hermitian_dual(self) -> "LinearCode":
-        self.field.subfield_order  # raises unless square; conj of a 0-row H would not
+        """`euclidean_dual`'s smaller-side rule on conj(G) or conj(H)."""
+        self.field.subfield_order  # raises unless square; conj of a 0-row matrix would not
+        if 2 * self.k <= self.n:
+            return LinearCode.from_parity(self.gen.conjugate())
         return LinearCode.from_generator(self.parity.conjugate())
 
     def is_hermitian_dual_containing(self) -> bool:
@@ -373,6 +381,16 @@ class LinearCode:
             return True
 
         return walk(0, [])
+
+
+def _parity_code(fld: Field, rows: list[list[int]], ncols: int) -> LinearCode:
+    """The code whose dual `rows` (lists, reduced in place) span, stored by
+    their right-reduction: the RREF of the mirrored columns, mirrored back."""
+    for r in rows:
+        r.reverse()
+    pivots, _ = _eliminate(fld, rows, ncols)
+    H = Matrix(fld, [r[::-1] for r in reversed(rows[: len(pivots)])], ncols=ncols)
+    return LinearCode(fld, ncols, None, H)
 
 
 def _dots_vanish(add, support, rows) -> bool:

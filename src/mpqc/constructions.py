@@ -6,16 +6,16 @@ explicit matrix check plus an MDS certificate before returning, and raises
 ConstructionError when no candidate passes, so a wrong code can never leak
 out silently.
 
-MDS is certified from structure where the rung knows it: a window code is
-the Euclidean dual of a GRS code, an extended code is a GRS code (GRS codes
-on distinct points with nonzero multipliers are MDS, and so are their
-duals), and a centered negacyclic code has a consecutive-run bound that
-meets Singleton.  The curve-drop rung runs the column-subset DFS
-`LinearCode.is_mds` once, on the small self-orthogonal code whose Hermitian
-dual is the candidate; the dual of an MDS code is MDS, so that verdict is
-the candidate's certificate.  The registry carries none; for it, and
-wherever a certificate does not match, the DFS decides.  The DFS's C(n, t)
-budget refusal still runs first for every candidate.
+Every check runs in `_verify_family_code`.  MDS is certified from
+structure where the rung knows it: window and extended codes are built as
+the Euclidean duals of small GRS codes (GRS codes on distinct points with
+nonzero multipliers are MDS, and so are their duals), and a centered
+negacyclic code has a consecutive-run bound that meets Singleton.  The
+curve-drop and registry candidates carry no certificate, so the
+column-subset DFS `LinearCode.is_mds` decides; for the curve drop it runs
+on the candidate's (d-1)-row parity check, the Hermitian conjugate of the
+small self-orthogonal code's generator.  The DFS's C(n, t) budget refusal
+still runs first for every candidate.
 
 The length l^2 - 1 family is built by a deterministic ladder:
 
@@ -30,9 +30,9 @@ The length l^2 - 1 family is built by a deterministic ladder:
      sum_j mu_j g_j conj(g_j)^T = 0 for per-column norms mu.  Any solution
      with all coordinates nonzero scales into an [n, d-1] code whose
      Hermitian dual is the candidate.  The candidate's Gram test is the
-     self-orthogonality check, and one DFS on the [n, d-1] code certifies
-     MDS.  This reaches d = l at l = 3 and 5, and at l = 7 under a raised
-     subset budget; it finds no candidate at l = 2 or 4.
+     self-orthogonality check, and one DFS on its d-1 parity rows
+     certifies MDS.  This reaches d = l at l = 3 and 5, and at l = 7 under
+     a raised subset budget; it finds no candidate at l = 2 or 4.
   4. A registry of frozen generators for sporadic parameters that no
      parametric family reaches (currently the [8,5,4] code over GF(9),
      found by an exhaustive arc search and reverified here at runtime).
@@ -262,6 +262,14 @@ def _grs_dual_certificate(spec: GrsSpec, grs: LinearCode, code: LinearCode) -> b
     return spec.mds_defect() is None and code.euclidean_dual() == grs
 
 
+def _grs_dual(fld: Field, spec: GrsSpec) -> tuple[LinearCode, Callable[[], bool]]:
+    """The Euclidean dual of grs_code(spec), stored by the GRS code's few
+    rows, and its certificate."""
+    grs = grs_code(fld, spec)
+    code = grs.euclidean_dual()
+    return code, lambda: _grs_dual_certificate(spec, grs, code)
+
+
 def _verify_family_code(
     code: LinearCode,
     n: int,
@@ -276,15 +284,16 @@ def _verify_family_code(
     structural fact supplied by the rung that built the candidate:
 
       cyclic window   its Euclidean dual is grs_code(window spec)
-      extended        it is grs_code(spec); the spec's own checks
+      extended        its Euclidean dual is grs_code(spec), RS_(d-1) on GF(q)
       negacyclic      the consecutive-run bound meets Singleton
-      curve drop      the rung's one DFS on the [n, d-1] code it dualized
+      curve drop      none
       registry        none
 
     When there is none, or it does not match, the column-subset DFS
-    `is_mds` decides instead.  A certificate never rejects a candidate.  The
-    DFS's C(n, t) budget refusal runs ahead of any certificate, so what the
-    DFS would refuse stays refused.
+    `is_mds` decides instead, on the candidate's smaller side: the curve
+    drop's (d-1)-row parity check.  A certificate never rejects a candidate.
+    The DFS's C(n, t) budget refusal runs ahead of any certificate, so what
+    the DFS would refuse stays refused.  This is the only MDS path here.
     """
     if code.params() != (n, k):
         raise ConstructionError(f"built [{code.n},{code.k}], wanted [{n},{k}]")
@@ -328,24 +337,20 @@ def _punctured(l: int, d: int, max_subsets: int) -> LinearCode:
 
     # consecutive defining windows T = {b..b+d-2}, smallest start first.  The
     # candidate ev{x^t : t not in -T} on the n-th roots of unity alpha^j is
-    # the Euclidean dual of ev{x^t : t in T} = GRS_{d-1}(alpha^j, alpha^(jb)),
-    # so it is built from that small GRS code's parity check
+    # the Euclidean dual of ev{x^t : t in T} = GRS_{d-1}(alpha^j, alpha^(jb))
     for b in range(1, n + 1):
         T = [(b + i) % n for i in range(d - 1)]
         if any(((-l * t) % n) in T for t in T):
             continue
-        spec = window_grs_spec(fld, b, d - 1)
-        grs = grs_code(fld, spec)
-        cand = LinearCode.from_generator(grs.parity)
+        cand, certificate = _grs_dual(fld, window_grs_spec(fld, b, d - 1))
         try:
-            return _verify_family_code(
-                cand, n, k, d, max_subsets, lambda: _grs_dual_certificate(spec, grs, cand)
-            )
+            return _verify_family_code(cand, n, k, d, max_subsets, certificate)
         except ConstructionError:
             continue
 
     # norm-solved evaluation codes on curve point subsets: so is [n, d-1] and
-    # the candidate is its Hermitian dual
+    # the candidate is its Hermitian dual, stored by the (d-1)-row conj(G_so);
+    # so is self-orthogonal iff the candidate passes the Gram test
     curve = _rational_curve_points(fld, d - 1)
     budget_blocked: BudgetError | None = None
     for drop in itertools.combinations(range(len(curve)), 2):
@@ -353,21 +358,13 @@ def _punctured(l: int, d: int, max_subsets: int) -> LinearCode:
         so = _norm_scaled_code(fld, l, sub_pts, d - 1)
         if so is None:
             continue
-        # so is self-orthogonal iff cand contains its own Hermitian dual (so);
-        # cand keeps the Gram verdict for _verify_family_code
-        cand = so.hermitian_dual()
-        if not cand.is_hermitian_dual_containing():
-            continue
-        # one DFS, on the smaller code: the dual of an MDS code is MDS, and
-        # both scan the same C(n, d-1) column subsets
         try:
-            mds = so.is_mds(max_subsets)
+            return _verify_family_code(so.hermitian_dual(), n, k, d, max_subsets)
+        except ConstructionError:
+            continue
         except BudgetError as exc:
             budget_blocked = exc
             break
-        if not mds:
-            continue
-        return _verify_family_code(cand, n, k, d, max_subsets, lambda: mds)
     if budget_blocked is not None:
         raise BudgetError(
             f"found an [{n},{d - 1}] self-orthogonal candidate for d = {d} but "
@@ -408,12 +405,11 @@ def _extended(l: int, d: int, max_subsets: int) -> LinearCode:
         return LinearCode.full_space(fld, n)
     if d < 2 or d > l:
         raise ConstructionError(f"designed distance {d} outside 2..{l}")
-    k = n + 1 - d
-    spec = GrsSpec(points=tuple(range(n)), multipliers=(1,) * n, k=k)
-    # the code is grs_code(spec) itself, so the spec's checks certify it
-    return _verify_family_code(
-        grs_code(fld, spec), n, k, d, max_subsets, lambda: spec.mds_defect() is None
-    )
+    # RS_k on every element of GF(q) is the dual of RS_(q-k): sum_a a^e = 0
+    # for 0 <= e < q - 1, and q = 0 in GF(q)
+    spec = GrsSpec(points=tuple(range(n)), multipliers=(1,) * n, k=d - 1)
+    code, certificate = _grs_dual(fld, spec)
+    return _verify_family_code(code, n, n + 1 - d, d, max_subsets, certificate)
 
 
 def negacyclic_mds_dual_containing(

@@ -169,16 +169,6 @@ class Matrix:
         m = self.field.tables.mul[self.field.element(c).code]
         return Matrix(self.field, [[m[x] for x in r] for r in self.rows], ncols=self.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field or other.shape != self.shape:
-            raise ValueError("addition shape/field mismatch")
-        add = self.field.tables.add
-        return Matrix(
-            self.field,
-            [[add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.ncols != other.nrows:
             raise ValueError("product shape/field mismatch")

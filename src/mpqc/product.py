@@ -11,11 +11,11 @@ Every product is assembled on its parity side whenever A, padded to square
 with identity rows and zero components, is nonsingular: the dual identity
 C^perp = [C_1-dual..C_m-dual](A^-1)^T (Blackmore and Norton) stacks one
 block row (b_ij h)_j per row h of each component's parity check, and that
-sum(n - k_i)-row stack is right-reduced by one kernel elimination and stores
-the code (its k x nm generator is read off only if something asks).  A^-1
-comes from the kernel and A A^-1 = I is checked entrywise.  A singular
-padded A (rank-deficient, or padded off its pivots) goes through the kernel
-on the block rows a_ij G_i instead.
+sum(n - k_i)-row stack is right-reduced by `code`'s one right-reduction
+and stores the code (its k x nm generator is read off only if something
+asks).  A^-1 comes from the kernel and A A^-1 = I is checked entrywise.  A
+singular padded A (rank-deficient, or padded off its pivots) goes through
+the kernel on the block rows a_ij G_i instead.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
 both sides (each built from its definition through the kernel, never
@@ -34,9 +34,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .code import DistanceReport, LinearCode, exact_report
+from .code import DistanceReport, LinearCode, _parity_code, exact_report
 from .gf import Field
-from .matrix import Matrix, _eliminate
+from .matrix import Matrix
 
 
 class ConsistencyError(RuntimeError):
@@ -123,27 +123,25 @@ def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> Li
     Each row h of H_i gives the block row (b_ij h)_j.  It is orthogonal to
     each row of block i' of the product's generator: their dot product is
     (B A^T)_{ii'} (h.g) = delta_{ii'} (h.g) = 0, because H_i is read off C_i.
-    The stack is right-reduced by the elimination kernel run on reversed
-    columns (its RREF, mirrored back), and it must keep its full rank
+    The stack is right-reduced as `LinearCode.from_parity` reduces any
+    spanning set of a dual, and it must keep its full rank
     sum(n - k_i) = nm - sum(k_i), so it spans the product's dual.
     """
     fld, n, s = codes[0].field, codes[0].n, len(codes)
-    ncols = n * len(B)
     mul = fld.tables.mul
     unit = Matrix.identity(fld, n) if s < len(B) else None
     zeros = [0] * n
     rows = []
     for i, brow in enumerate(B):
         for h in (codes[i].parity if i < s else unit).rows:
-            h = h[::-1]
             row = []
-            for b in reversed(brow):
+            for b in brow:
                 row += h if b == 1 else [mul[b][y] for y in h] if b else zeros
             rows.append(row)
-    pivots, _ = _eliminate(fld, rows, ncols)
-    if len(pivots) < len(rows):
+    product = _parity_code(fld, rows, n * len(B))
+    if product.n - product.k < len(rows):
         raise ConsistencyError("the dual identity's parity check lost rank on this instance")
-    return LinearCode.from_parity(Matrix(fld, [r[::-1] for r in reversed(rows)], ncols=ncols))
+    return product
 
 
 def is_frr(A: Matrix) -> bool:

@@ -160,13 +160,13 @@ _FAMILIES = {
 }
 
 
-def _case_check(l: int, d: int, case: str):
+def _case_check(l: int, d: int, case: str, check_range: bool = True):
     if case not in _CASE_TABLE:
         raise ValueError(f"unknown case {case!r}; expected i..vi")
     kind, _, congruence, dmax = _CASE_TABLE[case]
     if d % 4 != congruence:
         raise ValueError(f"case {case} needs d = {congruence} mod 4, got d = {d}")
-    if not 4 <= d <= dmax(l):
+    if check_range and not 4 <= d <= dmax(l):
         raise ValueError(f"case {case} needs 4 <= d <= {dmax(l)}, got d = {d}")
 
 
@@ -249,11 +249,8 @@ def build_case(
     audited; the formula value is still computed for comparison.
     """
     split_prime_power(l)
-    kind, kf, congruence, dmax = _CASE_TABLE[case]
-    if check_range:
-        _case_check(l, d, case)
-    elif d % 4 != congruence:
-        raise ValueError(f"case {case} needs d = {congruence} mod 4, got d = {d}")
+    _case_check(l, d, case, check_range)
+    kind, kf, _, dmax = _CASE_TABLE[case]
     cb = build_character_product(l, _case_component_distances(d, case), kind, max_subsets)
     built = cb.built
 

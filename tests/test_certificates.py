@@ -2,11 +2,16 @@
 column-subset DFS and the dense Vandermonde candidate they replaced."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import mpqc
 from mpqc import constructions
 from mpqc.cli import main
 from mpqc.code import BudgetError, LinearCode
@@ -70,7 +75,16 @@ def test_window_candidate_matches_vandermonde_for_every_tried_window(l, fresh_fa
         tried.append((b, k + 1))
         return window_grs_spec(fld, b, k)
 
+    cands = []  # the rung's own candidates, one per tried window
+    real_dual = constructions._grs_dual
+
+    def recording_dual(fld, spec):
+        cand, certificate = real_dual(fld, spec)
+        cands.append(cand)
+        return cand, certificate
+
     monkeypatch.setattr(constructions, "window_grs_spec", recording)
+    monkeypatch.setattr(constructions, "_grs_dual", recording_dual)
     # the curve-drop rung and the registry are not under test here
     monkeypatch.setattr(constructions, "_rational_curve_points", lambda fld, r: [])
     monkeypatch.setattr(constructions, "_SPORADIC_PUNCTURED", {})
@@ -80,10 +94,13 @@ def test_window_candidate_matches_vandermonde_for_every_tried_window(l, fresh_fa
         except (ConstructionError, BudgetError):
             pass
     assert tried, "no window was tried"
+    assert len(cands) == len(tried)
     n = l * l - 1
-    for b, d in tried:
+    for (b, d), cand in zip(tried, cands):
         T = [(b + i) % n for i in range(d - 1)]
-        assert window_candidate(l, b, d)[2] == old_cyclic_candidate(l, T), (l, d, b)
+        old = old_cyclic_candidate(l, T)
+        assert window_candidate(l, b, d)[2] == old, (l, d, b)
+        assert cand == old, (l, d, b)
 
 
 @pytest.mark.parametrize("l", [3, 5])
@@ -94,6 +111,44 @@ def test_window_candidate_matches_vandermonde_for_every_start(l):
         for b in range(1, n + 1):
             T = [(b + i) % n for i in range(d - 1)]
             assert window_candidate(l, b, d)[2] == old_cyclic_candidate(l, T), (l, d, b)
+
+
+# ---------------------------------------------------------------------------
+# the extended code, built as the dual of GRS_(d-1), is the old full GRS code
+
+
+def reference_extended(l, d, max_subsets=10**6):
+    # kept verbatim from the parent's extended rung, less its cache
+    fld = square_field(l)
+    n = l * l
+    if d == 1:
+        return LinearCode.full_space(fld, n)
+    if d < 2 or d > l:
+        raise ConstructionError(f"designed distance {d} outside 2..{l}")
+    k = n + 1 - d
+    spec = GrsSpec(points=tuple(range(n)), multipliers=(1,) * n, k=k)
+    # the code is grs_code(spec) itself, so the spec's checks certify it
+    return _verify_family_code(
+        grs_code(fld, spec), n, k, d, max_subsets, lambda: spec.mds_defect() is None
+    )
+
+
+def test_extended_code_is_the_old_full_grs_code(fresh_families):
+    outcomes = {"built": 0, "refused": 0}
+    for l in (2, 3, 4, 5, 7, 8, 9):
+        for d in range(2, l + 1):
+            try:
+                want = reference_extended(l, d)
+            except (ConstructionError, BudgetError) as exc:
+                with pytest.raises(type(exc)) as ours:
+                    extended_rs_dual_containing(l, d)
+                assert str(ours.value) == str(exc), (l, d)
+                outcomes["refused"] += 1
+            else:
+                got = extended_rs_dual_containing(l, d)
+                assert got == want and got.parity == want.parity, (l, d)
+                outcomes["built"] += 1
+    assert outcomes == {"built": 21, "refused": 10}
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +285,42 @@ def test_l37_window_code_is_refused_not_hung():
     with pytest.raises(BudgetError, match=r"^C\(1368,3\) column subsets exceed budget 1000000$"):
         rs_dual_containing(37, 4)
 
+
+RS37_GUARD = """
+import json
+import mpqc.matrix as matrix
+
+wide = []  # row counts of matrices as wide as the code with more rows than its GRS dual
+matrix_init = matrix.Matrix.__init__
+
+def counting_matrix_init(self, *args, **kwargs):
+    matrix_init(self, *args, **kwargs)
+    if self.ncols == 1368 and self.nrows > 3:
+        wide.append(self.nrows)
+
+matrix.Matrix.__init__ = counting_matrix_init
+from mpqc.code import BudgetError
+from mpqc.constructions import rs_dual_containing
+
+try:
+    rs_dual_containing(37, 4)
+    refusal = None
+except BudgetError as exc:
+    refusal = str(exc)
+print(json.dumps({"wide": wide, "refusal": refusal}))
+"""
+
+
+def test_l37_window_code_is_built_from_its_grs_side():
+    # the [1368,1365] candidate is stored by the 3 rows of its GRS dual and
+    # never written as its generator; a fresh interpreter, so every cache is
+    # cold
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", RS37_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["refusal"] == "C(1368,3) column subsets exceed budget 1000000"
+    assert doc["wide"] == []

@@ -189,22 +189,35 @@ def test_verify_reports_injected_failure(monkeypatch):
     assert "rank lied" in doc["rows"][0]["details"]
 
 
-@pytest.mark.parametrize("command", [["table1"], ["example", "--which", "3.8", "--l", "5"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table1"],
+        ["example", "--which", "3.8", "--l", "5"],
+        ["build", "--theorem", "main2", "--l", "5", "--deltas", "0,1,2"],
+    ],
+)
 def test_engine_failures_are_counted_and_bugs_propagate(monkeypatch, command):
     from mpqc import cli
     from mpqc.negacyclic import NegacyclicError
-
-    def failing(*args, **kwargs):
-        raise NegacyclicError("root pattern mismatch at exponent 1")
+    from mpqc.product import ConsistencyError
 
     def buggy(*args, **kwargs):
         raise TypeError("a bug, not a verification failure")
 
-    for name in ("build_case", "build_chain"):
-        monkeypatch.setattr(cli, name, failing)
-    code, out = run_cli(command)
-    assert code == 1
-    assert "internal failures: 0" not in out
+    # a ValueError subclass and a RuntimeError one: both are engine failures
+    for exc in (
+        NegacyclicError("root pattern mismatch at exponent 1"),
+        ConsistencyError("chain product lost dual containment"),
+    ):
+        def failing(*args, exc=exc, **kwargs):
+            raise exc
+
+        for name in ("build_case", "build_chain"):
+            monkeypatch.setattr(cli, name, failing)
+        code, out = run_cli(command)
+        assert code == 1
+        assert "internal failures: 0" not in out
     for name in ("build_case", "build_chain"):
         monkeypatch.setattr(cli, name, buggy)
     with pytest.raises(TypeError):

@@ -324,8 +324,9 @@ def test_curve_drop_runs_one_dfs_and_one_dual(l, d, fresh_families, monkeypatch)
     C = rs_dual_containing(l, d)
     n = l * l - 1
     assert C.params() == (n, n - (d - 1))
-    # the first drop that solves is accepted; the DFS runs on the small code
-    assert calls == {"is_mds": [(n, d - 1)], "hermitian_dual": [(n, d - 1)], "drops": 1}
+    # the first drop that solves is accepted; the DFS runs on the candidate,
+    # whose smaller side is its (d-1)-row parity check
+    assert calls == {"is_mds": [(n, n - d + 1)], "hermitian_dual": [(n, d - 1)], "drops": 1}
 
 
 @pytest.mark.parametrize("l,d", [(2, 2), (4, 4)])

@@ -129,6 +129,38 @@ def codes_in(draw, fld, n):
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
 
 
+def _spanning_rows(draw, fld, n):
+    """0-6 rows of length n, random, zero, or combinations of earlier rows."""
+    add, mul = fld.tables.add, fld.tables.mul
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "random":
+            rows += _random_rows(draw, fld, n, 1)
+            continue
+        row = [0] * n
+        for r in rows if kind == "dependent" else ():
+            m = mul[draw(st.integers(0, fld.order - 1))]
+            row = [add[x][m[y]] for x, y in zip(row, r)]
+        rows.append(row)
+    return Matrix(fld, rows, ncols=n)
+
+
+@st.composite
+def spanning_sets(draw):
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    return _spanning_rows(draw, fld, draw(st.integers(1, 8)))
+
+
+@st.composite
+def codes_stored_either_way(draw):
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return draw(codes_in(fld, n))
+    return LinearCode.from_parity(_spanning_rows(draw, fld, n))
+
+
 @st.composite
 def codes(draw):
     fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
@@ -176,6 +208,45 @@ def test_sparse_subcode_matches_the_matmul_verdict(pair):
 def test_duals_match_reference(C):
     assert C.euclidean_dual() == reference_euclidean_dual(C)
     assert C.hermitian_dual() == reference_hermitian_dual(C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets())
+def test_from_parity_canonicalizes_any_spanning_set_of_the_dual(M):
+    C = LinearCode.from_parity(M)
+    H = C.parity
+    want = LinearCode.from_generator(M.nullspace())
+    assert C == want and H.rows == want.parity.rows
+    assert H.nrows == M.rank() == C.n - C.k
+    # right-reduced: each row's last nonzero entry is a 1 that is zero in
+    # every other row, and those trailing pivots strictly increase
+    assert all(any(row) for row in H.rows)
+    pivots = [max(j for j, x in enumerate(row) if x) for row in H.rows]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in H.rows] == [int(r == i) for r in range(H.nrows)]
+
+
+def test_duals_are_reduced_on_the_smaller_side():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes_stored_either_way())
+    def check(C):
+        small = 2 * C.k <= C.n
+        seen.add((small, C._gen is None))
+        for dual, reference in (
+            (C.euclidean_dual(), reference_euclidean_dual),
+            (C.hermitian_dual(), reference_hermitian_dual),
+        ):
+            # a dual reduced from G is stored by its parity check
+            assert (dual._gen is None) == small
+            want = reference(C)
+            assert dual == want and dual.parity.rows == want.parity.rows
+
+    check()
+    assert {small for small, _ in seen} == {True, False}
+    assert {by_parity for _, by_parity in seen} == {True, False}
 
 
 @settings(max_examples=300, deadline=None)

@@ -114,6 +114,16 @@ def test_build_range_refusal():
         build_case(5, 3, "ii")
 
 
+@pytest.mark.parametrize("check_range", [True, False])
+def test_build_unknown_case_is_refused_like_the_formula(check_range):
+    with pytest.raises(ValueError) as formula:
+        formula_params(5, 4, "vii")
+    with pytest.raises(ValueError) as built:
+        build_case(5, 4, "vii", check_range=check_range)
+    assert type(built.value) is ValueError
+    assert str(built.value) == str(formula.value) == "unknown case 'vii'; expected i..vi"
+
+
 def test_build_out_of_range_audit_shows_mismatch():
     # audited below the stated range: the formula arithmetic and the
     # actual construction disagree by four dimensions

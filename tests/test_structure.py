@@ -210,7 +210,7 @@ def test_from_parity_round_trips(case):
     codes, A = case
     for C in (*codes, reference_product(codes, A)):
         back = LinearCode.from_parity(C.parity)
-        assert back.k == C.k and back.parity is C.parity
+        assert back.k == C.k and back.parity == C.parity
         assert back.gen.rows == C.gen.rows
         assert back == C and hash(back) == hash(C)
 
