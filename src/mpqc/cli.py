@@ -318,6 +318,17 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _budget(text: str) -> int:
+    """A non-negative integer; any other text is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the code for unusable input; argparse's is 2,
     which here means "verified, with discrepancies"."""
@@ -335,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table1", help="audit the ten-row comparison table", parents=[common])
     t.add_argument("--deep", action="store_true", help="construct every row, not just small ones")
-    t.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET, help="column-subset cap for certificates")
+    t.add_argument("--budget", type=_budget, default=DEFAULT_SUBSET_BUDGET, help="column-subset cap for certificates")
 
     e = sub.add_parser("example", help="audit one chain claim set", parents=[common])
     e.add_argument("--which", choices=["3.8", "3.10"], required=True)
@@ -352,7 +363,7 @@ def make_parser() -> argparse.ArgumentParser:
     bd.add_argument("--family", choices=["full", "half"], default="full", help="chain family for main1")
     bd.add_argument("--strict", action="store_true")
     bd.add_argument("--skip-range-check", action="store_true", help="audit out-of-range inputs")
-    bd.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    bd.add_argument("--budget", type=_budget, default=DEFAULT_SUBSET_BUDGET)
 
     v = sub.add_parser("verify", help="run property batteries", parents=[common])
     v.add_argument("--suite", choices=["fields", "duals", "mpc", "negacyclic", "quantum", "all"], default="all")

@@ -12,16 +12,19 @@ through the dual identity.  Both forms are unique, so two equal codes
 compare equal as objects and serialization is reproducible; ==, hash and
 to_dict read G.  Every containment fact is a product with H (w in C iff H
 w^T = 0; C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff conj(H)
-H^T = 0), taken as sparse dot products over the nonzero entries of one
-side's rows that stop at the first nonzero entry (one helper,
-``_dots_vanish``).  A code keeps H, its Hermitian verdict and its subcode
-verdicts (one per other code value) in slots that ==, hash and to_dict
-ignore, so a code shared between builds answers each fact once.  Distance
-facts always travel with a provenance tag; nothing here ever reports a
-distance it did not compute or certify.  The exhaustive oracle walks one
-message per line of scalar multiples (leading coefficient 1) and resolves
-the last generator row's coefficient by counting, while its budget is still
-charged as all q^k messages.
+H^T = 0; C's Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the
+cross-Gram a matrix product code's block verdict reads), taken as sparse
+dot products over the nonzero entries of one side's rows that stop at the
+first nonzero entry (one helper, ``_dots_vanish``).  A code keeps H, its
+Hermitian verdict, its subcode verdicts and its cross-Gram verdicts (one
+per other code value; the cross-Grams are keyed by the other code's H, so
+they never make a code stored by H build G) in slots that ==, hash and
+to_dict ignore, so a code shared between builds answers each fact once.
+Distance facts always travel with a provenance tag; nothing here ever
+reports a distance it did not compute or certify.  The exhaustive oracle
+walks one message per line of scalar multiples (leading coefficient 1) and
+resolves the last generator row's coefficient by counting, while its
+budget is still charged as all q^k messages.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 
 class LinearCode:
-    __slots__ = ("field", "n", "k", "_gen", "_parity", "_hermitian_dual_containing", "_subcode_of")
+    __slots__ = (
+        "field", "n", "k", "_gen", "_parity", "_hermitian_dual_containing", "_subcode_of",
+        "_hermitian_dual_subcode_of",
+    )
 
     def __init__(self, fld: Field, n: int, gen: Matrix | None, parity: Matrix | None = None):
         object.__setattr__(self, "field", fld)
@@ -84,6 +90,7 @@ class LinearCode:
         object.__setattr__(self, "_parity", parity)
         object.__setattr__(self, "_hermitian_dual_containing", None)
         object.__setattr__(self, "_subcode_of", {})
+        object.__setattr__(self, "_hermitian_dual_subcode_of", {})
 
     def __setattr__(self, *a):
         raise AttributeError("LinearCode is immutable")
@@ -229,12 +236,39 @@ class LinearCode:
             object.__setattr__(self, "_hermitian_dual_containing", verdict)
         return self._hermitian_dual_containing
 
-    def _hermitian_gram_vanishes(self) -> bool:
+    def hermitian_dual_is_subcode_of(self, other: "LinearCode") -> bool:
+        """conj(H_self) H_other^T = 0, run once per (self, other value) pair.
+
+        The rows of conj(H_self) span self's Hermitian dual, so this is
+        whether that dual lies in other; the verdict is symmetric in the two
+        codes.  It is the cross-Gram block of a matrix product code's parity
+        check (see `product`).  The verdict is kept per other code and keyed
+        by its H, which is as canonical as G, so the lookup never reads G.
+        """
+        if self.field != other.field or self.n != other.n:
+            raise ValueError("codes live in different spaces")
+        H = other.parity
+        verdict = self._hermitian_dual_subcode_of.get(H)
+        if verdict is None:
+            verdict = self._hermitian_gram_vanishes(H.rows)
+            self._hermitian_dual_subcode_of[H] = verdict
+        return verdict
+
+    def _hermitian_gram_vanishes(self, rows=None) -> bool:
+        """conj(H) M^T = 0 for M given by `rows`, by default H itself.
+
+        Each row of conj(H) is dotted over its nonzero entries.  With M = H
+        the Gram matrix is Hermitian, so only its upper triangle is scanned.
+        """
         add, mul = self.field.tables.add, self.field.tables.mul
         conj = self.field.conj_table
         H = self.parity.rows
         return all(
-            _dots_vanish(add, [(t, mul[conj[x]]) for t, x in enumerate(row) if x], H[i:])
+            _dots_vanish(
+                add,
+                [(t, mul[conj[x]]) for t, x in enumerate(row) if x],
+                H[i:] if rows is None else rows,
+            )
             for i, row in enumerate(H)
         )
 

@@ -34,8 +34,10 @@ def _eliminate(fld: Field, rows: list[list[int]], ncols: int) -> tuple[list[int]
     for c in range(ncols):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, nr):
+            if rows[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
@@ -61,7 +63,7 @@ def _eliminate(fld: Field, rows: list[list[int]], ncols: int) -> tuple[list[int]
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_hash")
 
     def __init__(self, fld: Field, rows: Iterable[Sequence[int]], ncols: int | None = None):
         grid = tuple(tuple(r) for r in rows)
@@ -83,6 +85,7 @@ class Matrix:
         object.__setattr__(self, "nrows", len(grid))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", grid)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -112,7 +115,10 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        # computed once: value-keyed verdicts look the same matrix up often
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.ncols, self.rows)))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)

@@ -22,8 +22,16 @@ both sides (each built from its definition through the kernel, never
 through the parity-side assembly that relies on the identity), and
 every dual-containing product construction tests its components and its
 output for Hermitian containment, raising ConsistencyError if the algebra
-and the matrices ever disagree.  Each fact is checked once: codes keep their
-containment verdicts, and `is_nsc` keeps its verdict per matrix value
+and the matrices ever disagree.  The output is tested block by block: with
+W = conj(B) B^T for B = (A^-1)^T, the product contains its Hermitian dual
+iff conj(H_i') H_i^T = 0 for every i' <= i with W_i'i != 0.  The diagonal
+blocks are the components' own verdicts; each off-diagonal block W selects
+is a cross-Gram over two components' parity checks, so no product is
+Gram-tested on its nm columns.  W is diagonal for every matrix
+`dual_containing_product` accepts (the character tables among them), and
+the chain matrix selects the cross blocks (1, 2) and (1, 3).  Each fact
+is checked once: codes keep their containment verdicts (the cross-Grams
+per component pair), and `is_nsc` keeps its verdict per matrix value
 through ``functools.cache`` on its private check.
 """
 
@@ -289,14 +297,58 @@ def dual_containing_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCod
 
 
 def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> LinearCode:
-    """Components dual-containing, then the product, then the product re-checked."""
+    """Components dual-containing, then the product, then the product
+    re-checked block by block.
+
+    A is square and nonsingular under both callers' conditions (an NSC
+    matrix, or one whose conjugate Gram is invertible diagonal).  A is
+    inverted once: B = (A^-1)^T builds the product (`_parity_product`) and
+    decides its Hermitian verdict (`_block_gram_vanishes`), which the
+    product keeps, so `quantum.hermitian_construction` reads it without a
+    Gram test on the product's nm columns.
+    """
     for i, c in enumerate(codes):
         if not c.is_hermitian_dual_containing():
             raise ValueError(f"component {i} is not Hermitian dual-containing")
-    product = matrix_product_code(codes, A)
-    if not product.is_hermitian_dual_containing():
+    _check_product(codes, A)
+    B = _checked_inverse_transpose(A)
+    if B is None:
+        raise ConsistencyError("A is singular despite the product conditions")
+    product = _parity_product(codes, B)
+    if not _block_gram_vanishes(codes, B):
         raise ConsistencyError(lost)
+    object.__setattr__(product, "_hermitian_dual_containing", True)  # the verdict just decided
     return product
+
+
+def _block_gram_vanishes(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> bool:
+    """Whether [C_1..C_m]A contains its Hermitian dual, from component facts.
+
+    B = (A^-1)^T for a square nonsingular A.  The product's parity check
+    stacks a block row (b_ij h)_j per row h of each H_i, so the Gram entry
+    between a row h' of block i' and a row h of block i is
+    W_i'i conj(h').h, where W = conj(B) B^T.  The Gram matrix vanishes iff
+    conj(H_i') H_i^T = 0 wherever W_i'i != 0, and W is Hermitian, so the
+    pairs i' <= i suffice.  A diagonal block is the component's own
+    verdict; each off-diagonal block W selects is one cross-Gram
+    (`LinearCode.hermitian_dual_is_subcode_of`), kept per component pair.
+    """
+    fld = codes[0].field
+    add, mul = fld.tables.add, fld.tables.mul
+    conj = fld.conj_table
+    for i, brow in enumerate(B):
+        for i2 in range(i + 1):  # i' <= i
+            w = 0
+            for x, y in zip(B[i2], brow):
+                w = add[w][mul[conj[x]][y]]
+            if not w:
+                continue
+            if i2 == i:
+                if not codes[i].is_hermitian_dual_containing():
+                    return False
+            elif not codes[i2].hermitian_dual_is_subcode_of(codes[i]):
+                return False
+    return True
 
 
 def nested_chain_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:

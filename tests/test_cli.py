@@ -154,6 +154,36 @@ def test_usage_errors_exit_one(argv, capsys):
     assert err.startswith("usage: mpqc") and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--deep", "--budget", "-1"],
+        ["build", "--theorem", "3.1", "--l", "3", "--d", "1,2,3,3", "--budget", "-5"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(argv, capsys):
+    # refused while parsing: nothing is built, so no row reads "formula-only"
+    # and no build counts an internal failure
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: mpqc {argv[0]}")
+    [message] = [line for line in err.splitlines() if "error:" in line]
+    assert message == f"mpqc {argv[0]}: error: argument --budget: must be a non-negative integer, got {argv[-1]}"
+
+
+def test_zero_budget_stays_legal():
+    code, out = run_cli(["table1", "--budget", "0"])
+    assert code == 0
+    assert "budget=0" in out
+    code, out = run_cli(["build", "--theorem", "3.1", "--l", "3", "--d", "1,2,3,3", "--budget", "0", "--format", "json"])
+    doc = json.loads(out)
+    assert code == doc["status"]["exit_code"]  # parsed and run: the refusal is the budget's
+    assert doc["rows"][0]["error"] == "C(8,1) column subsets exceed budget 0"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--help"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpqc.code import BudgetError, LinearCode
 from mpqc.gf import field
 from mpqc.matrix import Matrix
-from mpqc.verify import random_dual_containing_code
+from mpqc.verify import random_dual_containing_chain, random_dual_containing_code
 
 # ---------------------------------------------------------------------------
 # reference implementations, kept verbatim from the rank-based versions
@@ -281,6 +281,72 @@ def test_both_gram_verdicts_occur(pm):
         assert verdict == reference_gram_is_zero(C)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@st.composite
+def cross_gram_pairs(draw):
+    """Two codes in one space, each stored by G or by H; about a third of
+    the pairs are nested dual-containing codes, where the cross-Gram
+    vanishes."""
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    n = draw(st.integers(1, 6))
+    if draw(st.integers(0, 2)) == 0:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pair = random_dual_containing_chain(fld, n, 2, rng)
+    else:
+        pair = [draw(codes_in(fld, n)), draw(codes_in(fld, n))]
+    # re-stored by H alone, so a lookup that read G would have to build it
+    return [LinearCode.from_parity(c.parity) if draw(st.booleans()) else c for c in pair]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross_gram_pairs())
+def test_cross_gram_matches_reference(pair):
+    a, b = pair
+    stored = [c._gen is None for c in pair]
+    verdicts = [a.hermitian_dual_is_subcode_of(b), b.hermitian_dual_is_subcode_of(a)]
+    assert stored == [c._gen is None for c in pair]  # the reference below reads G
+    expected = reference_is_subcode_of(reference_hermitian_dual(a), b)
+    assert verdicts == [expected, expected]  # symmetric in the two codes
+    assert a.hermitian_dual_is_subcode_of(a) == a.is_hermitian_dual_containing()
+
+
+@pytest.mark.parametrize("pm", SQUARE_FIELDS)
+def test_both_cross_gram_verdicts_occur(pm):
+    fld = field(*pm)
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a, b = (random_dual_containing_code(fld, n, rng.randint(0, n // 2), rng) for _ in range(2))
+        verdict = a.hermitian_dual_is_subcode_of(b)
+        assert verdict == reference_is_subcode_of(reference_hermitian_dual(a), b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_cross_gram_verdict_is_kept_per_other_code(F9, monkeypatch):
+    rng = random.Random(4)
+    a, b = (random_dual_containing_code(F9, 6, 2, rng) for _ in range(2))
+    other = LinearCode.full_space(F9, 6)
+    verdict = a.hermitian_dual_is_subcode_of(b)
+    assert a.hermitian_dual_is_subcode_of(other)
+
+    def refuse(*args):
+        raise AssertionError("cross-Gram re-derived")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(LinearCode, "_hermitian_gram_vanishes", refuse)
+        assert a.hermitian_dual_is_subcode_of(b) == verdict
+        assert a.hermitian_dual_is_subcode_of(LinearCode.from_parity(b.parity)) == verdict  # an equal code
+        assert a.hermitian_dual_is_subcode_of(other)
+    with pytest.raises(ValueError, match="different spaces"):
+        a.hermitian_dual_is_subcode_of(LinearCode.full_space(F9, 5))
+    # the full space's H has no rows: every dual lies in it, not only the
+    # duals of dual-containing codes
+    zero = LinearCode.zero_code(F9, 6)
+    assert zero.hermitian_dual_is_subcode_of(other) and other.hermitian_dual_is_subcode_of(zero)
+    assert not zero.hermitian_dual_is_subcode_of(zero)
 
 
 @settings(max_examples=200, deadline=None)

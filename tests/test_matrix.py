@@ -143,6 +143,24 @@ def test_column_count_must_match_the_rows(F9):
         Matrix(F9, [[1, 2], [1]], ncols=2)
 
 
+def test_equal_matrices_built_separately_hash_equal(F9, F25, rng):
+    for fld in (F9, F25):
+        for nr, nc in ((0, 3), (1, 1), (3, 4), (5, 2)):
+            M = random_matrix(fld, nr, nc, rng)
+            twin = Matrix(fld, [list(r) for r in M.rows], ncols=nc)  # built separately
+            assert twin is not M and twin == M
+            assert hash(twin) == hash(M) == hash(M)  # the kept hash answers again the same
+            assert {M: "verdict"}[twin] == "verdict"
+            R = M.rref()[0]
+            assert (hash(R) == hash(R.rref()[0])) and R == R.rref()[0]
+    # equality still reads the values: a changed entry, field or width tells apart
+    M = Matrix(F9, [[1, 2], [0, 4]])
+    hash(M)
+    assert M != Matrix(F9, [[1, 2], [0, 5]])
+    assert M != Matrix(F25, [[1, 2], [0, 4]])
+    assert Matrix.zeros(F9, 0, 2) != Matrix.zeros(F9, 0, 3)
+
+
 def test_serialization(F9):
     M = Matrix(F9, [[0, 4]])
     d = M.to_dict()

@@ -20,14 +20,27 @@ from mpqc.negacyclic import centered_defining_set, negacyclic_code
 from mpqc.product import (
     ConsistencyError,
     character_matrix,
+    dual_containing_product,
     is_nsc,
     is_upper_triangular,
     matrix_product_code,
     nested_chain_product,
     product_dual,
 )
-from mpqc.quantum import _chain_defining_sets, _chain_matrix, admissible_triples
-from mpqc.verify import random_dual_containing_chain, random_dual_containing_code
+from mpqc.quantum import (
+    _chain_defining_sets,
+    _chain_matrix,
+    admissible_triples,
+    build_case,
+    build_chain,
+)
+from mpqc.verify import (
+    random_code,
+    random_diagonal_condition_matrix,
+    random_dual_containing_chain,
+    random_dual_containing_code,
+    random_nonsingular,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations, kept verbatim from the elimination-based versions
@@ -474,3 +487,184 @@ def test_public_functions_with_kept_facts_stay_plain(f):
     # the caches sit on private helpers; a span tracer that wraps plain
     # functions would miss a decorated public one
     assert inspect.isfunction(f)
+
+
+# ---------------------------------------------------------------------------
+# Hermitian containment of a product from its component blocks
+
+
+def hermitian_gram(B, fld):
+    """W = conj(B) B^T for B given by its rows."""
+    M = Matrix(fld, B, ncols=len(B))
+    return (M.conjugate() @ M.transpose()).rows
+
+
+def hermitian_orthogonal_matrix(fld, s, rng):
+    """A nonsingular s x s matrix with pairwise Hermitian-orthogonal rows, so
+    its W is diagonal; B B^T, W without conj, is not in general."""
+    add, mul, neg, inv = fld.tables
+    conj = fld.conj_table
+
+    def form(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add[acc][mul[x][conj[y]]]
+        return acc
+
+    while True:
+        rows = []
+        for _ in range(s):
+            r = [rng.randrange(fld.order) for _ in range(s)]
+            for q in rows:  # r - (<r, q> / <q, q>) q is orthogonal to q
+                c = mul[neg[form(r, q)]][inv[form(q, q)]]
+                r = [add[x][mul[c][y]] for x, y in zip(r, q)]
+            if not form(r, r):
+                break  # isotropic (or zero): start over
+            rows.append(r)
+        if len(rows) == s:
+            return Matrix(fld, rows, ncols=s)
+
+
+def random_components(fld, n, s, kind, rng):
+    """Nested chains of dual-containing codes (every cross-Gram vanishes),
+    dual-containing codes drawn apart (cross-Grams that need not), or such
+    codes mixed with arbitrary ones (own Grams that need not)."""
+    if kind == "chain":
+        codes = random_dual_containing_chain(fld, n, s, rng)
+        return codes[::-1] if rng.random() < 0.5 else codes
+    return [
+        random_dual_containing_code(fld, n, rng.randint(0, n // 2), rng)
+        if kind == "apart" or rng.random() < 0.5
+        else random_code(fld, n, rng.randint(0, n), rng)
+        for _ in range(s)
+    ]
+
+
+@st.composite
+def block_gram_cases(draw):
+    """Components and a square nonsingular A: random (W is rarely
+    diagonal), upper triangular, or with Hermitian-orthogonal rows (W is
+    diagonal)."""
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+    s, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    codes = random_components(fld, n, s, draw(st.sampled_from(["chain", "apart", "mixed"])), rng)
+    shape = draw(st.sampled_from(["random", "triangular", "orthogonal"]))
+    if shape == "random":
+        A = random_nonsingular(fld, s, rng)
+    elif shape == "triangular":
+        q = fld.order
+        rows = [[0] * i + [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(s - i - 1)] for i in range(s)]
+        A = Matrix(fld, rows, ncols=s)
+    else:
+        A = hermitian_orthogonal_matrix(fld, s, rng)
+    return codes, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_gram_cases())
+def test_block_gram_verdict_matches_the_dense_gram_test(case):
+    codes, A = case
+    dense = matrix_product_code(codes, A).is_hermitian_dual_containing()
+    assert product._block_gram_vanishes(codes, product._checked_inverse_transpose(A)) == dense
+    if all(c.is_hermitian_dual_containing() for c in codes):
+        # the checked build keeps the verdict on the product it returns
+        if dense:
+            got = product._checked_product(codes, A, "lost")
+            assert got._hermitian_dual_containing is True and got._gen is None
+            assert got == reference_product(codes, A)
+        else:
+            with pytest.raises(ConsistencyError, match="^lost$"):
+                product._checked_product(codes, A, "lost")
+
+
+@pytest.mark.parametrize("pm", SQUARE_FIELDS)
+def test_both_block_verdicts_occur_under_non_diagonal_w(pm):
+    fld = field(*pm)
+    rng = random.Random(17)
+    verdicts = set()
+    for t in range(120):
+        s, n = rng.randint(2, 4), rng.randint(1, 5)
+        codes = random_components(fld, n, s, ("chain", "apart", "mixed")[t % 3], rng)
+        A = random_nonsingular(fld, s, rng)
+        B = product._checked_inverse_transpose(A)
+        verdict = product._block_gram_vanishes(codes, B)
+        assert verdict == matrix_product_code(codes, A).is_hermitian_dual_containing()
+        W = hermitian_gram(B, fld)
+        if any(W[i][j] for i in range(s) for j in range(i)):
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _spy_on_gram_tests(monkeypatch):
+    """(code, rows) per Gram scan: rows None for a code's own Gram, else the
+    parity rows of the other code of a cross-Gram."""
+    seen = []
+    gram = LinearCode._hermitian_gram_vanishes
+
+    def spy(self, rows=None):
+        seen.append((self, rows))
+        return gram(self, rows)
+
+    monkeypatch.setattr(LinearCode, "_hermitian_gram_vanishes", spy)
+    return seen
+
+
+def _dual_containing_products():
+    rng = random.Random(21)
+    fld = field(5, 2)
+    out = []
+    for _ in range(12):
+        A = random_diagonal_condition_matrix(fld, rng)
+        codes = [random_dual_containing_code(fld, 4, rng.randint(0, 2), rng) for _ in range(A.nrows)]
+        out.append(dual_containing_product(codes, A))
+    return 4, out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (82, [build_chain(9, t).classical for t in admissible_triples(9, "full", False)]),
+        lambda: (290, [build_chain(17, (1, 2, 3)).classical]),
+        lambda: (24, [build_case(5, 4, "i").classical]),
+        _dual_containing_products,
+    ],
+    ids=["chain-l9", "chain-l17", "character-l5", "dual-containing-product"],
+)
+def test_no_product_is_gram_tested(build, monkeypatch, fresh_families):
+    # fresh components, so their own Gram tests run under the spy too
+    negacyclic._build_negacyclic.cache_clear()
+    seen = _spy_on_gram_tests(monkeypatch)
+    n, products = build()
+    assert seen and max(code.n for code, _ in seen) == n
+    for P in products:
+        assert P.n > n and P._hermitian_dual_containing is True
+        assert P._gen is None  # nor is any product expanded to its generator
+
+
+def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
+    # example 3.8 at l = 9: over GF(81), B = (A^-1)^T of the chain matrix
+    # gives W = conj(B) B^T below, so each of the 35 builds selects the
+    # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 lookups over
+    # the 15 depth pairs d1 <= d2 from depths 0..4, each evaluated once, on
+    # the earlier component against the later one's parity check
+    fld = square_field(9)
+    assert hermitian_gram(product._checked_inverse_transpose(_chain_matrix(fld)), fld) == (
+        (1, 1, 1),
+        (1, 2, 0),
+        (1, 0, 0),
+    )
+    negacyclic._build_negacyclic.cache_clear()
+    seen = _spy_on_gram_tests(monkeypatch)
+    cmd_example("3.8", 9, strict=False, deep=True)
+    codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in range(5)}
+    depth = {id(c): d for d, c in codes.items()}
+    depth_of_parity = {id(c.parity.rows): d for d, c in codes.items()}
+    own = [depth[id(c)] for c, rows in seen if rows is None]
+    cross = [(depth[id(c)], depth_of_parity[id(rows)]) for c, rows in seen if rows is not None]
+    triples = admissible_triples(9, "full", strict=False)
+    assert len(triples) == 35
+    pairs = {(t[0], t[j]) for t in triples for j in (1, 2)}
+    assert len(pairs) == 15
+    assert sorted(cross) == sorted(pairs)
+    assert sorted(own) == [0, 1, 2, 3, 4]
