@@ -1,100 +1,8 @@
-"""Exact-arithmetic construction and verification of matrix product quantum codes."""
+"""Exact-arithmetic construction and verification of matrix product quantum codes.
 
-from .code import BudgetError, DistanceReport, LinearCode
-from .constructions import (
-    ConstructionError,
-    GrsSpec,
-    extended_rs_dual_containing,
-    grs_code,
-    negacyclic_mds_dual_containing,
-    rs_dual_containing,
-)
-from .gf import Field, FieldElement, FieldError, field, primitive_root_of_unity, square_field
-from .matrix import Matrix
-from .negacyclic import (
-    CyclotomicCoset,
-    DefiningSet,
-    NegacyclicCode,
-    bch_bound,
-    centered_defining_set,
-    cyclotomic_coset,
-    half_length_defining_set,
-    negacyclic_code,
-)
-from .product import (
-    ConsistencyError,
-    GramCheck,
-    character_matrix,
-    character_product,
-    dual_containing_product,
-    frr_distance_bound,
-    hermitian_gram_check,
-    is_frr,
-    is_nsc,
-    matrix_product_code,
-    nested_chain_product,
-    nsc_distance_bound,
-    product_dual,
-    row_prefix_code,
-)
-from .quantum import (
-    QuantumParams,
-    SingletonViolation,
-    build_case,
-    build_chain,
-    formula_params,
-    hermitian_construction,
-    singleton_check,
-    table1_formula_audit,
-)
+Each name is imported from the module that defines it (``mpqc.gf``,
+``mpqc.matrix``, ``mpqc.code``, ``mpqc.product``, ...); the package root
+holds only the version.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetError",
-    "ConsistencyError",
-    "ConstructionError",
-    "CyclotomicCoset",
-    "DefiningSet",
-    "DistanceReport",
-    "Field",
-    "FieldElement",
-    "FieldError",
-    "GramCheck",
-    "GrsSpec",
-    "LinearCode",
-    "Matrix",
-    "NegacyclicCode",
-    "QuantumParams",
-    "SingletonViolation",
-    "bch_bound",
-    "build_case",
-    "build_chain",
-    "centered_defining_set",
-    "character_matrix",
-    "character_product",
-    "cyclotomic_coset",
-    "dual_containing_product",
-    "extended_rs_dual_containing",
-    "field",
-    "formula_params",
-    "frr_distance_bound",
-    "grs_code",
-    "half_length_defining_set",
-    "hermitian_construction",
-    "hermitian_gram_check",
-    "is_frr",
-    "is_nsc",
-    "matrix_product_code",
-    "negacyclic_code",
-    "negacyclic_mds_dual_containing",
-    "nested_chain_product",
-    "nsc_distance_bound",
-    "primitive_root_of_unity",
-    "product_dual",
-    "rs_dual_containing",
-    "row_prefix_code",
-    "singleton_check",
-    "square_field",
-    "table1_formula_audit",
-]

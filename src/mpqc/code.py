@@ -9,17 +9,17 @@ it).  `from_generator` canonicalizes a spanning set of the code into G, and
 mirrored back).  Each dual is reduced on its smaller side, so H comes with
 the dual of any code with 2k <= n, and with the matrix product codes,
 through the dual identity.  Both forms are unique, so two equal codes
-compare equal as objects and serialization is reproducible; ==, hash and
-to_dict read G.  Every containment fact is a product with H (w in C iff H
-w^T = 0; C in D iff H_D G_C^T = 0; C contains its Hermitian dual iff conj(H)
-H^T = 0; C's Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the
-cross-Gram a matrix product code's block verdict reads), taken as sparse
-dot products over the nonzero entries of one side's rows that stop at the
-first nonzero entry (one helper, ``_dots_vanish``).  A code keeps H, its
-Hermitian verdict, its subcode verdicts and its cross-Gram verdicts (one
-per other code value; the cross-Grams are keyed by the other code's H, so
-they never make a code stored by H build G) in slots that ==, hash and
-to_dict ignore, so a code shared between builds answers each fact once.
+compare equal as objects; == and hash read G.  Every containment fact is a
+product with H (w in C iff H w^T = 0; C in D iff H_D G_C^T = 0; C contains
+its Hermitian dual iff conj(H) H^T = 0; C's Hermitian dual lies in D iff
+conj(H_C) H_D^T = 0, the cross-Gram a matrix product code's block verdict
+reads), taken as sparse dot products over the nonzero entries of one side's
+rows that stop at the first nonzero entry (one helper, ``_dots_vanish``).
+A code keeps H, its Hermitian verdict, its subcode verdicts and its
+cross-Gram verdicts (one per other code value; the cross-Grams are keyed by
+the other code's H, so they never make a code stored by H build G) in slots
+that == and hash ignore, so a code shared between builds answers each fact
+once.
 Distance facts always travel with a provenance tag; nothing here ever
 reports a distance it did not compute or certify.  The exhaustive oracle
 walks one message per line of scalar multiples (leading coefficient 1) and
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gf import Field, FieldElement
+from .gf import Field
 from .matrix import Matrix, _eliminate
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -134,14 +135,6 @@ class LinearCode:
     def params(self) -> tuple[int, int]:
         return (self.n, self.k)
 
-    def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "n": self.n,
-            "k": self.k,
-            "gen": self.gen.to_dict(),
-        }
-
     @property
     def gen(self) -> Matrix:
         """k rows in RREF spanning the code (I_n for the full space).
@@ -169,16 +162,14 @@ class LinearCode:
 
     # -- membership and containment --
 
-    def contains_word(self, word) -> bool:
-        """Membership for a word given as element codes (the Matrix convention)
-        or as elements of this code's field: w is in C iff H w^T = 0."""
-        codes = [self.field.element(x).code if isinstance(x, FieldElement) else x for x in word]
-        if len(codes) != self.n:
+    def contains_word(self, word: Sequence[int]) -> bool:
+        """Membership for a word of element codes: w is in C iff H w^T = 0."""
+        if len(word) != self.n:
             raise ValueError("word length mismatch")
-        if any(not 0 <= x < self.field.order for x in codes):
+        if any(not 0 <= x < self.field.order for x in word):
             raise ValueError("word entries are not element codes")
         add, mul = self.field.tables.add, self.field.tables.mul
-        return _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(codes) if x], self.parity.rows)
+        return _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(word) if x], self.parity.rows)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         """H_other G_self^T = 0, run once per (self, other value) pair.

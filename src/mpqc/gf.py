@@ -502,23 +502,10 @@ class Field:
 
     # -- element codecs --
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_decode_coeffs(a, self.p, self.m))
-
     def from_coeffs(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.m and any(c % self.p for c in coeffs[self.m :]):
             raise FieldError("coefficient vector longer than extension degree")
         return _encode_coeffs(list(coeffs[: self.m]) + [0] * (self.m - len(coeffs)), self.p)
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            # integers embed through the prime subfield
-            return FieldElement(self, value % self.p)
-        return FieldElement(self, self.from_coeffs(value))
 
     # -- arithmetic on codes --
 
@@ -597,9 +584,6 @@ class Field:
         """a^l, the involution fixing the index-2 subfield GF(l)."""
         return self.conj_table[a]
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
 
 @functools.cache
 def field(p: int, m: int = 1) -> Field:
@@ -611,102 +595,6 @@ def square_field(l: int) -> Field:
     """GF(l^2) for a prime power l, the home of the Hermitian inner product."""
     p, a = split_prime_power(l)
     return field(p, 2 * a)
-
-
-class FieldElement:
-    """A field element bound to its field; cheap immutable wrapper."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, fld: Field, code: int):
-        if not 0 <= code < fld.order:
-            raise FieldError(f"code {code} out of range for {fld}")
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("operands from different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{self.field}:{self.code}"
-
-    def __eq__(self, other):
-        # no int branch: an element equal to every int congruent mod p could
-        # not hash like all of them
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.m, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, b))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, b))
-
-    def __rsub__(self, other):
-        a = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(a, self.code))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, b))
-
-    def __rtruediv__(self, other):
-        a = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(a, self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def conj(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.conj(self.code))
 
 
 class SubfieldEmbedding:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement
+from .gf import Field
 
 
 def _eliminate(fld: Field, rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -124,14 +124,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
 
-    def to_dict(self) -> dict:
-        f = self.field
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "entries": [[list(f.coeffs(x)) for x in r] for r in self.rows],
-        }
-
     # -- shape surgery --
 
     def transpose(self) -> "Matrix":
@@ -171,8 +163,11 @@ class Matrix:
         conj = self.field.conj_table
         return Matrix(self.field, [[conj[x] for x in r] for r in self.rows], ncols=self.ncols)
 
-    def scale(self, c) -> "Matrix":
-        m = self.field.tables.mul[self.field.element(c).code]
+    def scale(self, c: int) -> "Matrix":
+        """Every entry times the element code c."""
+        if not 0 <= c < self.field.order:
+            raise ValueError(f"{c} is not an element code of {self.field}")
+        m = self.field.tables.mul[c]
         return Matrix(self.field, [[m[x] for x in r] for r in self.rows], ncols=self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -190,9 +185,6 @@ class Matrix:
                     acc = [add[x][m[y]] for x, y in zip(acc, brow)]
             out.append(acc)
         return Matrix(f, out, ncols=other.ncols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
 
     # -- elimination --
 
@@ -260,8 +252,9 @@ class Matrix:
             basis.append(v)
         return Matrix(self.field, basis, ncols=self.ncols)
 
-    def det_inverse(self) -> tuple[FieldElement, "Matrix | None"]:
-        """Determinant and inverse; inverse is None exactly when singular."""
+    def det_inverse(self) -> tuple[int, "Matrix | None"]:
+        """Determinant (an element code) and inverse; the inverse is None
+        exactly when the determinant is 0."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         f = self.field
@@ -269,10 +262,10 @@ class Matrix:
         aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
         pivots, det = _eliminate(f, aug, n)
         if len(pivots) < n:
-            return FieldElement(f, 0), None
-        return FieldElement(f, det), Matrix(f, [r[n:] for r in aug], ncols=n)
+            return 0, None
+        return det, Matrix(f, [r[n:] for r in aug], ncols=n)
 
-    def det(self) -> FieldElement:
+    def det(self) -> int:
         return self.det_inverse()[0]
 
     def row_space_contains(self, vector: Sequence[int]) -> bool:

@@ -98,9 +98,6 @@ class DefiningSet:
     def __len__(self):
         return len(self.residues)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "q": self.q, "residues": list(self.residues)}
-
 
 def defining_set_from_residues(n: int, q: int, seeds) -> DefiningSet:
     two_n = 2 * n
@@ -164,13 +161,6 @@ class NegacyclicCode:
     def is_dual_containing(self) -> bool:
         """The explicit matrix check, independent of any coset argument."""
         return self.code.is_hermitian_dual_containing()
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code.to_dict(),
-            "defining_set": self.defining.to_dict(),
-            "genpoly": list(self.genpoly),
-        }
 
 
 def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:

@@ -174,7 +174,7 @@ def _all_prefix_minors_invertible(A: Matrix) -> bool:
     for t in range(1, s + 1):
         rows = tuple(range(t))
         for cols in itertools.combinations(range(m), t):
-            if A.submatrix(rows, cols).det().code == 0:
+            if A.submatrix(rows, cols).det() == 0:
                 return False
     return True
 
@@ -231,7 +231,7 @@ def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     """
     if A.nrows != A.ncols:
         raise ValueError("the dual identity needs a square matrix")
-    det, ainv = A.det_inverse()
+    _, ainv = A.det_inverse()
     if ainv is None:
         raise ValueError("the dual identity needs a nonsingular matrix")
     _check_product(codes, A)
@@ -250,13 +250,6 @@ class GramCheck:
     scalar_condition: bool
     scalar: int | None  # code of a with conj-inverse-transpose = a * A
 
-    def to_dict(self) -> dict:
-        return {
-            "diagonal_condition": self.diagonal_condition,
-            "scalar_condition": self.scalar_condition,
-            "scalar": self.scalar,
-        }
-
 
 def hermitian_gram_check(A: Matrix) -> GramCheck:
     """Tests conj(A) A^T diagonal-invertible, and conj-inverse-transpose = a*A.
@@ -272,7 +265,7 @@ def hermitian_gram_check(A: Matrix) -> GramCheck:
     diagonal = all(
         (gram.rows[i][j] == 0) == (i != j) for i in range(s) for j in range(s)
     )
-    det, inv_conj = A.conjugate().det_inverse()
+    _, inv_conj = A.conjugate().det_inverse()
     scalar_ok, scalar = False, None
     if inv_conj is not None:
         target = inv_conj.transpose()

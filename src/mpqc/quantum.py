@@ -107,9 +107,6 @@ class SingletonReport:
     is_mds: bool
     approximate: bool  # defect was computed from a lower bound only
 
-    def to_dict(self) -> dict:
-        return {"defect": self.defect, "is_mds": self.is_mds, "approximate": self.approximate}
-
 
 def singleton_check(qp: QuantumParams) -> SingletonReport:
     """Defect n - k + 2 - 2d; MDS means zero defect at an exact distance."""
@@ -283,7 +280,7 @@ _CHAIN_MATRIX_ROWS = [[1, 1, 1], [0, 2, 1], [0, 0, 1]]
 
 
 def _chain_matrix(fld) -> Matrix:
-    return Matrix(fld, [[fld.element(x).code for x in row] for row in _CHAIN_MATRIX_ROWS])
+    return Matrix(fld, [[x % fld.p for x in row] for row in _CHAIN_MATRIX_ROWS])
 
 
 def _chain_deltas_ok(deltas: Sequence[int], l: int, family: str, strict: bool) -> str | None:

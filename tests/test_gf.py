@@ -1,12 +1,9 @@
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqc.gf import (
     Field,
-    FieldElement,
     FieldError,
     RawField,
     SubfieldEmbedding,
@@ -76,40 +73,6 @@ def test_zero_inverse_rejected(F9):
         F9.inv(0)
     with pytest.raises(FieldError):
         F9.div(1, 0)
-
-
-def test_element_wrapper_arithmetic(F9):
-    a = F9.element([1, 2])
-    b = F9.element([2, 1])
-    assert (a + b).coeffs == (0, 0)
-    assert (a * b * (a * b).inv()).code == 1
-    assert a - a == F9.element(0)
-    assert (a / b) * b == a
-    assert a**0 == F9.element(1)
-    with pytest.raises(FieldError):
-        a + field(5, 2).element(1)
-
-
-def test_reflected_operators_defer_unknown_operands(F9):
-    e = F9.element([1, 2])
-    assert (2 / e) * e == F9.element(2) and (2 - e) + e == F9.element(2)
-    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for /")):
-        "x" / e
-    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for -")):
-        2.5 - e
-
-
-def test_element_equality_agrees_with_hashing(F9):
-    # equal elements hash alike, and an element equals no int: 1 in GF(9)
-    # cannot hash like both 1 and 4, which are congruent mod 3
-    one = F9.element(1)
-    assert one == F9.element(4) == F9.element([1, 0]) and hash(one) == hash(F9.element(4))
-    assert one != 1 and one != 4
-    assert {1: "x"}.get(one) is None and one not in {1, 4}
-    assert {F9.element(1): "x"}[F9.element([1])] == "x"
-    assert one != field(3, 1).element(1)
-    # arithmetic with ints still embeds them through the prime subfield
-    assert one + 1 == F9.element(2) and 2 * one == F9.element(2)
 
 
 def test_conjugation_fixes_subfield(F9):
@@ -231,9 +194,8 @@ def test_characteristic_two_field():
 
 def test_element_serialization_roundtrip(F25):
     for code in range(25):
-        e = FieldElement(F25, code)
-        assert F25.from_coeffs(list(e.coeffs)) == code
-    assert F25.to_dict() == {"p": 5, "m": 2, "modulus": [2, 0, 1]}
+        assert F25.from_coeffs(_decode_coeffs(code, F25.p, F25.m)) == code
+    assert F25.modulus == (2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +323,7 @@ def test_embedding_tables_match_the_horner_loops(base, ext):
         rp.append(ext.mul(rp[-1], root))
     for a in range(base.order):
         acc = 0
-        for c, r in zip(base.coeffs(a), rp):
+        for c, r in zip(_decode_coeffs(a, base.p, base.m), rp):
             acc = ext.add(acc, ext.mul(c, r))
         img[a] = acc
     assert emb._img == img

@@ -212,16 +212,6 @@ def test_structural_distance_report(F25, F49):
     assert distance_report(nc).exact
 
 
-def test_serialization(F25):
-    Z = centered_defining_set(5, 1)
-    d = Z.to_dict()
-    assert d == {"n": 26, "q": 25, "residues": [11, 13, 15]}
-    nc = negacyclic_code(26, F25, Z)
-    out = nc.to_dict()
-    assert out["defining_set"]["residues"] == [11, 13, 15]
-    assert out["code"]["k"] == 23
-
-
 # ---------------------------------------------------------------------------
 # components from their generator polynomial: differentials and guards
 

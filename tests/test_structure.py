@@ -4,8 +4,10 @@ and the RREF read off a parity check, and the kept facts (negacyclic
 components, NSC verdicts, subcode verdicts), each against the reference code
 it replaced."""
 
+import ast
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -178,7 +180,7 @@ def other_products(draw):
             rows[-1] = [fld.tables.mul[c][x] for x in rows[0]]
         A = Matrix(fld, rows, ncols=m)
         if kind == "square":
-            assume(A.det().code and not is_upper_triangular(A))
+            assume(A.det() and not is_upper_triangular(A))
     n = draw(st.integers(1, 4))
     return [draw(component(fld, n)) for _ in range(A.nrows)], A
 
@@ -210,7 +212,7 @@ def test_every_matrix_matches_kernel(case):
     want = reference_product(codes, A)
     # the padded A is nonsingular exactly when its leading s x s block is,
     # and only then is the product stored by its parity check
-    padded_nonsingular = A.submatrix(range(s), range(s)).det().code != 0
+    padded_nonsingular = A.submatrix(range(s), range(s)).det() != 0
     assert (got._gen is None) == padded_nonsingular
     assert got.k == want.k
     assert got.gen.rows == want.gen.rows
@@ -365,7 +367,7 @@ def test_parity_read_off_matches_nullspace(pm, n, data):
     H = C.parity
     assert H.rows == reference_nullspace(C.gen).rows
     assert H.rows == C.gen.nullspace().rows
-    assert (C.gen @ H.transpose()).is_zero()
+    assert all(x == 0 for r in (C.gen @ H.transpose()).rows for x in r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -452,7 +454,7 @@ def test_kept_verdicts_leave_equality_hash_and_dict_alone(case):
         C.is_subcode_of(LinearCode.full_space(C.field, C.n))
         assert fresh == C and C == fresh
         assert hash(fresh) == hash(C)
-        assert fresh.to_dict() == C.to_dict()
+        assert fresh.gen == C.gen
         assert len({fresh, C}) == 1
 
 
@@ -487,6 +489,28 @@ def test_public_functions_with_kept_facts_stay_plain(f):
     # the caches sit on private helpers; a span tracer that wraps plain
     # functions would miss a decorated public one
     assert inspect.isfunction(f)
+
+
+def test_every_public_definition_is_read_by_the_package_or_the_bench():
+    # a public def or class that no module of the package and no bench
+    # script names is surface that nothing reads; the bench tracer looks
+    # methods up by name, so identifier strings count as reads
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "mpqc").glob("*.py"))
+    read, defined = set(), []
+    for path in package + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    read.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path in package:
+                if not node.name.startswith("_"):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+    assert [d for d in defined if d[1] not in read] == []
 
 
 # ---------------------------------------------------------------------------
