@@ -9,17 +9,32 @@ it).  `from_generator` canonicalizes a spanning set of the code into G, and
 mirrored back).  Each dual is reduced on its smaller side, so H comes with
 the dual of any code with 2k <= n, and with the matrix product codes,
 through the dual identity.  Both forms are unique, so two equal codes
-compare equal as objects; == and hash read G.  Every containment fact is a
-product with H (w in C iff H w^T = 0; C in D iff H_D G_C^T = 0; C contains
-its Hermitian dual iff conj(H) H^T = 0; C's Hermitian dual lies in D iff
-conj(H_C) H_D^T = 0, the cross-Gram a matrix product code's block verdict
-reads), taken as sparse dot products over the nonzero entries of one side's
-rows that stop at the first nonzero entry (one helper, ``_dots_vanish``).
+compare equal as objects; == and hash read G.
+A code may also be stored by neither form, with k and one builder that
+returns an equal code stored by G or H; the builder runs on the first read
+of `gen` or `parity` (and so on the first == or hash).  Negacyclic codes
+defer their systematic G this way and dual-containing matrix product codes
+their parity-side assembly (see `negacyclic` and `product`).
+Every containment fact is a product with H (w in C iff H w^T = 0; C in D iff
+H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0; C's
+Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the cross-Gram a matrix
+product code's block verdict reads), taken as sparse dot products over the
+nonzero entries of one side's rows that stop at the first nonzero entry
+(one helper, ``_dots_vanish``).  A negacyclic code <g> of
+GF(q)[x]/(x^n + 1) also carries g and conj(h*), the generator of its
+Hermitian dual (h = (x^n + 1)/g, h* its reciprocal).  Between two such
+codes each fact is one exact division, since <a> lies in <b> iff b | a for
+divisors of x^n + 1: C_a in C_b iff g_b | g_a; C contains its Hermitian dual
+iff g | conj(h*); C_a's Hermitian dual lies in C_b iff g_b | conj(h_a*).
+Every other code (the GRS families, character products, random codes)
+takes the matrix scans, which are also the divisions' reference in the
+tests.
 A code keeps H, its Hermitian verdict, its subcode verdicts and its
-cross-Gram verdicts (one per other code value; the cross-Grams are keyed by
-the other code's H, so they never make a code stored by H build G) in slots
-that == and hash ignore, so a code shared between builds answers each fact
-once.
+cross-Gram verdicts (one per other code value, in slots that == and hash
+ignore), so a code shared between builds answers each fact once.  The pair
+verdicts are keyed by the other code's g when both carry one, else by the
+other code (subcode) or its H (cross-Gram), so no lookup makes a code
+build a matrix it does not hold.
 Distance facts always travel with a provenance tag; nothing here ever
 reports a distance it did not compute or certify.  The exhaustive oracle
 walks one message per line of scalar multiples (leading coefficient 1) and
@@ -33,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf import Field
+from .gf import Field, poly_divmod
 from .matrix import Matrix, _eliminate
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -79,16 +94,37 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 class LinearCode:
     __slots__ = (
-        "field", "n", "k", "_gen", "_parity", "_hermitian_dual_containing", "_subcode_of",
-        "_hermitian_dual_subcode_of",
+        "field", "n", "k", "_gen", "_parity", "_build", "_genpoly", "_hermitian_dual_genpoly",
+        "_hermitian_dual_containing", "_subcode_of", "_hermitian_dual_subcode_of",
     )
 
-    def __init__(self, fld: Field, n: int, gen: Matrix | None, parity: Matrix | None = None):
+    def __init__(
+        self,
+        fld: Field,
+        n: int,
+        gen: Matrix | None,
+        parity: Matrix | None = None,
+        *,
+        k: int | None = None,
+        build=None,
+        genpoly: tuple[int, ...] | None = None,
+        hermitian_dual_genpoly: tuple[int, ...] | None = None,
+    ):
+        """Stored by G or by H; or by neither, when `k` is given and `build`
+        returns an equal code stored by G or H on the first read of `gen` or
+        `parity`.  A negacyclic code <g> of GF(q)[x]/(x^n + 1) also carries
+        `genpoly` g and `hermitian_dual_genpoly` conj(h*), h = (x^n + 1)/g
+        (None over a field without conjugation)."""
+        if k is None:
+            k = gen.nrows if parity is None else n - parity.nrows
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", gen.nrows if parity is None else n - parity.nrows)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "_gen", gen)
         object.__setattr__(self, "_parity", parity)
+        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_genpoly", genpoly)
+        object.__setattr__(self, "_hermitian_dual_genpoly", hermitian_dual_genpoly)
         object.__setattr__(self, "_hermitian_dual_containing", None)
         object.__setattr__(self, "_subcode_of", {})
         object.__setattr__(self, "_hermitian_dual_subcode_of", {})
@@ -144,6 +180,8 @@ class LinearCode:
         elimination.
         """
         if self._gen is None:
+            self._run_build()
+        if self._gen is None:
             G = self._parity.rref_nullspace(self._parity.trailing_columns())
             object.__setattr__(self, "_gen", G)
         return self._gen
@@ -156,9 +194,19 @@ class LinearCode:
         pivots (each row's first nonzero entry) without another elimination.
         """
         if self._parity is None:
+            self._run_build()
+        if self._parity is None:
             H = self.gen.rref_nullspace(self.gen.leading_columns())
             object.__setattr__(self, "_parity", H)
         return self._parity
+
+    def _run_build(self) -> None:
+        """Adopt the stored form of the code a deferred builder returns, once."""
+        if self._build is not None:
+            built = self._build()
+            object.__setattr__(self, "_gen", built._gen)
+            object.__setattr__(self, "_parity", built._parity)
+            object.__setattr__(self, "_build", None)
 
     # -- membership and containment --
 
@@ -176,21 +224,27 @@ class LinearCode:
 
         Each entry is a dot product over the nonzero entries of one of
         self's rows (few for a systematic generator), and the scan stops at
-        the first nonzero entry.
+        the first nonzero entry.  Between two negacyclic codes it is g_other
+        | g_self instead, kept by g_other, and neither code builds a matrix.
         """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         if self.k > other.k:
             return False
-        verdict = self._subcode_of.get(other)
+        by_poly = self._genpoly is not None and other._genpoly is not None
+        key = other._genpoly if by_poly else other
+        verdict = self._subcode_of.get(key)
         if verdict is None:
-            add, mul = self.field.tables.add, self.field.tables.mul
-            H = other.parity.rows
-            verdict = all(
-                _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(row) if x], H)
-                for row in self.gen.rows
-            )
-            self._subcode_of[other] = verdict
+            if by_poly:  # <a> in <b> iff b | a, for divisors a, b of x^n + 1
+                verdict = not poly_divmod(self.field, self._genpoly, other._genpoly)[1]
+            else:
+                add, mul = self.field.tables.add, self.field.tables.mul
+                H = other.parity.rows
+                verdict = all(
+                    _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(row) if x], H)
+                    for row in self.gen.rows
+                )
+            self._subcode_of[key] = verdict
         return verdict
 
     # -- duals --
@@ -219,11 +273,15 @@ class LinearCode:
         The Gram matrix is Hermitian (entry (j, i) is the conjugate of entry
         (i, j)), so only the entries i <= j are evaluated, each as a dot
         product over the nonzero entries of row i, and the scan stops at the
-        first nonzero entry.
+        first nonzero entry.  A negacyclic code divides instead: g | conj(h*).
         """
         if self._hermitian_dual_containing is None:
             self.field.subfield_order  # raises unless the order is a square
-            verdict = 2 * self.k >= self.n and self._hermitian_gram_vanishes()
+            verdict = 2 * self.k >= self.n and (
+                self._hermitian_gram_vanishes()
+                if self._genpoly is None
+                else self._hermitian_dual_divisible_by()
+            )
             object.__setattr__(self, "_hermitian_dual_containing", verdict)
         return self._hermitian_dual_containing
 
@@ -235,15 +293,30 @@ class LinearCode:
         codes.  It is the cross-Gram block of a matrix product code's parity
         check (see `product`).  The verdict is kept per other code and keyed
         by its H, which is as canonical as G, so the lookup never reads G.
+        Between two negacyclic codes it is g_other | conj(h_self*), kept by
+        g_other, and neither code builds a matrix.
         """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
-        H = other.parity
-        verdict = self._hermitian_dual_subcode_of.get(H)
+        self.field.subfield_order  # raises unless the order is a square
+        by_poly = self._genpoly is not None and other._genpoly is not None
+        key = other._genpoly if by_poly else other.parity
+        verdict = self._hermitian_dual_subcode_of.get(key)
         if verdict is None:
-            verdict = self._hermitian_gram_vanishes(H.rows)
-            self._hermitian_dual_subcode_of[H] = verdict
+            if by_poly:
+                verdict = self._hermitian_dual_divisible_by(other._genpoly)
+            else:
+                verdict = self._hermitian_gram_vanishes(key.rows)
+            self._hermitian_dual_subcode_of[key] = verdict
         return verdict
+
+    def _hermitian_dual_divisible_by(self, g: tuple[int, ...] | None = None) -> bool:
+        """g | conj(h*) for g a divisor of x^n + 1, by default self's own g:
+        whether the Hermitian dual <conj(h*)> of negacyclic self lies in <g>.
+        The mirror of `_hermitian_gram_vanishes` for codes that carry g."""
+        if g is None:
+            g = self._genpoly
+        return not poly_divmod(self.field, self._hermitian_dual_genpoly, g)[1]
 
     def _hermitian_gram_vanishes(self, rows=None) -> bool:
         """conj(H) M^T = 0 for M given by `rows`, by default H itself.

@@ -128,21 +128,23 @@ def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
 
 
 def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder), both trimmed, on the field's tables: each step
+    adds f * (-b_i) to the leading window of a, for f = lead(a) / lead(b)."""
     b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = poly_trim(list(a))
+    add, mul, neg, inv = fld.tables
     db = len(b) - 1
-    inv_lead = fld.inv(b[-1])
+    by_inv_lead = mul[inv[b[-1]]]
+    minus_b = [(i, mul[neg[bi]]) for i, bi in enumerate(b) if bi]
     q = [0] * max(len(a) - db, 0)
-    sub, mul = fld.sub, fld.mul
     while a and len(a) - 1 >= db:
         shift = len(a) - 1 - db
-        f = mul(a[-1], inv_lead)
+        f = by_inv_lead[a[-1]]
         q[shift] = f
-        for i, bi in enumerate(b):
-            if bi:
-                a[shift + i] = sub(a[shift + i], mul(f, bi))
+        for i, m in minus_b:
+            a[shift + i] = add[a[shift + i]][m[f]]
         poly_trim(a)
     return q, a
 

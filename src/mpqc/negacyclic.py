@@ -18,18 +18,24 @@ multiplied out there, each of its coefficients must have no t-component
 asserted rather than assumed), and g(t^j) must vanish for exactly the odd
 j in Z.
 
-The generator matrix is written down in reduced row-echelon form, with no
-elimination: with r = deg g and k = n - r, row i is
+The code is held by g, with k = n - deg g, which must be n - |Z|.  The
+exact division of x^n + 1 by g checks g | x^n + 1 and yields
+h = (x^n + 1)/g; the code also carries conj(h*), h* the reciprocal of h,
+which generates its Hermitian dual.  Its containment facts are then
+polynomial divisions (see `code`), and no matrix is written for them.
+
+The generator matrix is written only when something reads it, in reduced
+row-echelon form, with no elimination: with r = deg g, row i is
 x^i - x^k (x^(i-k) mod g), stepped out by the x^-1 recurrence, so the
 pivots are 0..k-1 (any k consecutive positions are an information set).
 Every row is then checked against the remainder matrix, whose column j is
 x^j mod g from the forward recurrence, and the same recurrence checks
-x^n = -1 mod g, i.e. g | x^n + 1.  The dimension k must be n - |Z|.
+x^n = -1 mod g once more.
 
 `negacyclic_code` keeps each verified code per (n, field, defining set)
 through ``functools.cache`` on its builder, so a chain that reuses a
 component builds and checks it once, and the shared LinearCode keeps its
-parity check and its containment verdicts across every product it enters.
+containment verdicts across every product it enters.
 """
 
 from __future__ import annotations
@@ -159,7 +165,7 @@ class NegacyclicCode:
         return self.code.k
 
     def is_dual_containing(self) -> bool:
-        """The explicit matrix check, independent of any coset argument."""
+        """The exact division g | conj(h*), independent of any coset argument."""
         return self.code.is_hermitian_dual_containing()
 
 
@@ -168,10 +174,11 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode
 
     Checks performed: the generator polynomial has every coefficient in
     GF(q), divides x^n + 1 exactly, and vanishes at gamma^j for exactly the
-    j in the defining set among odd residues; every generator row is a
-    multiple of it, and the code has dimension n - |Z|.  Any failure is an
-    internal consistency error.  The checks run once per distinct code: a
-    repeated call returns the same object, with the facts it has kept.
+    j in the defining set among odd residues, and the code has dimension
+    n - |Z|; when the generator matrix is first read, every row is checked
+    to be a multiple of it.  Any failure is an internal consistency error.
+    The checks run once per distinct code: a repeated call returns the same
+    object, with the facts it has kept.
     """
     if defining.n != n or defining.q != fld.order:
         raise NegacyclicError("defining set was built for different (n, q)")
@@ -184,14 +191,33 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode
 # function, which a tracer that wraps plain functions still sees on every call
 @functools.cache
 def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
-    if not defining.residues:
-        return NegacyclicCode(LinearCode.full_space(fld, n), defining, (1,))
-    coeffs = _generator_polynomial(n, fld, defining)
+    coeffs = _generator_polynomial(n, fld, defining) if defining.residues else [1]
+    if len(coeffs) - 1 != len(defining):
+        raise NegacyclicError("dimension disagrees with the defining set size")
+    h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], coeffs)
+    if rem:
+        raise NegacyclicError("generator polynomial does not divide x^n + 1")
+    # the Hermitian dual of <g> is <conj(h*)>, h* the reciprocal of h
+    dual = tuple(fld.conj_table[x] for x in reversed(h)) if fld.has_square_order else None
+    code = LinearCode(
+        fld,
+        n,
+        None,
+        k=n - len(coeffs) + 1,
+        build=functools.partial(_systematic_code, n, fld, coeffs),
+        genpoly=tuple(coeffs),
+        hermitian_dual_genpoly=dual,
+    )
+    return NegacyclicCode(code, defining, tuple(coeffs))
+
+
+def _systematic_code(n: int, fld: Field, coeffs: list[int]) -> LinearCode:
+    """<g> stored by its systematic RREF, each row checked to be 0 mod g:
+    row i = x^i - x^k (x^(i-k) mod g), pivots 0..k-1."""
     r = len(coeffs) - 1
     k = n - r
-    if k != n - len(defining):
-        raise NegacyclicError("dimension disagrees with the defining set size")
-    # systematic RREF: row i = x^i - x^k (x^(i-k) mod g), pivots 0..k-1
+    if not r:
+        return LinearCode.full_space(fld, n)
     neg = fld.tables.neg
     tails = []
     s = [1] + [0] * (r - 1)
@@ -200,8 +226,7 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCo
         tails.append([neg[x] for x in s])
     rows = [[0] * i + [1] + [0] * (k - 1 - i) + tails[k - 1 - i] for i in range(k)]
     _check_remainders(fld, n, coeffs, rows)
-    code = LinearCode(fld, n, Matrix(fld, rows, ncols=n))
-    return NegacyclicCode(code, defining, tuple(coeffs))
+    return LinearCode(fld, n, Matrix(fld, rows, ncols=n))
 
 
 def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int]:

@@ -15,7 +15,11 @@ sum(n - k_i)-row stack is right-reduced by `code`'s one right-reduction
 and stores the code (its k x nm generator is read off only if something
 asks).  A^-1 comes from the kernel and A A^-1 = I is checked entrywise.  A
 singular padded A (rank-deficient, or padded off its pivots) goes through
-the kernel on the block rows a_ij G_i instead.
+the kernel on the block rows a_ij G_i instead.  A dual-containing product
+(`_checked_product`) defers even the stack: it holds k = sum(k_i) and its
+block verdict, and the stack is assembled, with its rank check, when its
+generator or parity check is first read.  Its rank needs no elimination to
+be known: each H_i is right-reduced and A A^-1 = I was checked.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
 both sides (each built from its definition through the kernel, never
@@ -26,7 +30,8 @@ and the matrices ever disagree.  The output is tested block by block: with
 W = conj(B) B^T for B = (A^-1)^T, the product contains its Hermitian dual
 iff conj(H_i') H_i^T = 0 for every i' <= i with W_i'i != 0.  The diagonal
 blocks are the components' own verdicts; each off-diagonal block W selects
-is a cross-Gram over two components' parity checks, so no product is
+is a cross verdict over two components (a Gram over their parity checks,
+or one polynomial division for negacyclic components), so no product is
 Gram-tested on its nm columns.  W is diagonal for every matrix
 `dual_containing_product` accepts (the character tables among them), and
 the chain matrix selects the cross blocks (1, 2) and (1, 3).  Each fact
@@ -295,10 +300,11 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
 
     A is square and nonsingular under both callers' conditions (an NSC
     matrix, or one whose conjugate Gram is invertible diagonal).  A is
-    inverted once: B = (A^-1)^T builds the product (`_parity_product`) and
-    decides its Hermitian verdict (`_block_gram_vanishes`), which the
-    product keeps, so `quantum.hermitian_construction` reads it without a
-    Gram test on the product's nm columns.
+    inverted once: B = (A^-1)^T decides the Hermitian verdict
+    (`_block_gram_vanishes`), which the product keeps, so
+    `quantum.hermitian_construction` reads it without a Gram test on the
+    product's nm columns.  The product holds k = sum(k_i); B assembles it
+    (`_parity_product`) only when its G or H is first read.
     """
     for i, c in enumerate(codes):
         if not c.is_hermitian_dual_containing():
@@ -307,9 +313,16 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
     B = _checked_inverse_transpose(A)
     if B is None:
         raise ConsistencyError("A is singular despite the product conditions")
-    product = _parity_product(codes, B)
     if not _block_gram_vanishes(codes, B):
         raise ConsistencyError(lost)
+    codes = tuple(codes)
+    product = LinearCode(
+        codes[0].field,
+        codes[0].n * len(B),
+        None,
+        k=sum(c.k for c in codes),
+        build=functools.partial(_parity_product, codes, B),
+    )
     object.__setattr__(product, "_hermitian_dual_containing", True)  # the verdict just decided
     return product
 
@@ -323,7 +336,7 @@ def _block_gram_vanishes(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) 
     W_i'i conj(h').h, where W = conj(B) B^T.  The Gram matrix vanishes iff
     conj(H_i') H_i^T = 0 wherever W_i'i != 0, and W is Hermitian, so the
     pairs i' <= i suffice.  A diagonal block is the component's own
-    verdict; each off-diagonal block W selects is one cross-Gram
+    verdict; each off-diagonal block W selects is one cross verdict
     (`LinearCode.hermitian_dual_is_subcode_of`), kept per component pair.
     """
     fld = codes[0].field

@@ -15,6 +15,7 @@ from mpqc.gf import (
     prime_factors,
     poly_divmod,
     poly_eval,
+    poly_mul,
     primitive_root_of_unity,
     smallest_irreducible,
     square_field,
@@ -285,6 +286,69 @@ def test_poly_divmod_matches_the_integer_copy(case):
     a_before, b_before = list(a), list(b)
     assert poly_divmod(field(p), a, b) == reference_poly_divmod(a, b, p)
     assert (a, b) == (a_before, b_before)  # neither operand is modified
+
+
+def reference_method_poly_divmod(fld, a, b):
+    # kept verbatim from the method-call division the table loop replaced
+    b = reference_poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = reference_poly_trim(list(a))
+    db = len(b) - 1
+    inv_lead = fld.inv(b[-1])
+    q = [0] * max(len(a) - db, 0)
+    sub, mul = fld.sub, fld.mul
+    while a and len(a) - 1 >= db:
+        shift = len(a) - 1 - db
+        f = mul(a[-1], inv_lead)
+        q[shift] = f
+        for i, bi in enumerate(b):
+            if bi:
+                a[shift + i] = sub(a[shift + i], mul(f, bi))
+        reference_poly_trim(a)
+    return q, a
+
+
+# GF(37^2) is above TABLE_ORDER_CAP, so its tables are Zech row objects
+_DIVISION_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (7, 2), (3, 4), (37, 2)]
+
+
+@st.composite
+def _field_poly_pair(draw):
+    fld = field(*draw(st.sampled_from(_DIVISION_FIELDS)))
+    entry = st.integers(0, fld.order - 1)
+    a = draw(st.lists(entry, max_size=12))
+    b = draw(st.lists(entry, max_size=6)) + [draw(st.integers(1, fld.order - 1))]
+    if draw(st.booleans()):  # an exact multiple of b, so both outcomes occur
+        a = poly_mul(fld, draw(st.lists(entry, max_size=6)), b)
+    return fld, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_poly_pair())
+def test_table_division_matches_the_method_calls(case):
+    fld, a, b = case
+    a_before, b_before = list(a), list(b)
+    assert poly_divmod(fld, a, b) == reference_method_poly_divmod(fld, a, b)
+    assert (a, b) == (a_before, b_before)  # neither operand is modified
+
+
+def test_both_division_outcomes_occur():
+    seen = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_field_poly_pair())
+    def check(case):
+        fld, a, b = case
+        seen.add(not poly_divmod(fld, a, b)[1])
+
+    check()
+    assert seen == {True, False}
+
+
+def test_division_by_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(field(3, 2), [1, 2], [0, 0])
 
 
 @settings(max_examples=300, deadline=None)

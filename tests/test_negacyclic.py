@@ -8,9 +8,11 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpqc
-from mpqc import gf
+from mpqc import gf, negacyclic
 from mpqc.cli import main
 from mpqc.code import LinearCode
 from mpqc.gf import (
@@ -419,3 +421,128 @@ def test_extension_cap_refusal_is_up_front():
         code = main(["build", "--theorem", "main2", "--l", "37", "--deltas", "1,2,3"])
     assert code == 1
     assert "extension order 1369^2 exceeds cap 1048576" in buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# containment facts by polynomial division, against the matrix scans
+
+# (l, n): both chain lengths at each l, over GF(l^2)
+_VERDICT_SPACES = [(l, n) for l in (3, 5, 7, 9) for n in (l * l + 1, (l * l + 1) // 2)]
+
+
+@st.composite
+def negacyclic_pairs(draw):
+    """Two coset-closed negacyclic codes of one length over GF(l^2); in about
+    a third of the pairs the second defining set holds the first."""
+    l, n = draw(st.sampled_from(_VERDICT_SPACES))
+    fld = square_field(l)
+    odd = list(range(1, 2 * n, 2))
+    seeds = st.lists(st.sampled_from(odd), max_size=4)
+    first = draw(seeds)
+    second = draw(seeds)
+    if draw(st.integers(0, 2)) == 0:
+        second = first + second
+    return tuple(
+        negacyclic_code(n, fld, defining_set_from_residues(n, fld.order, s)).code
+        for s in (first, second)
+    )
+
+
+def _matrix_copy(C):
+    """The same code with no generator polynomial, so every verdict scans
+    the matrices."""
+    return LinearCode(C.field, C.n, C.gen)
+
+
+def test_polynomial_verdicts_match_the_matrix_scans():
+    outcomes = {"subcode": set(), "own": set(), "cross": set()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(negacyclic_pairs())
+    def check(pair):
+        a, b = pair
+        ma, mb = _matrix_copy(a), _matrix_copy(b)
+        sub = a.is_subcode_of(b)
+        assert sub == ma.is_subcode_of(mb)
+        assert b.is_subcode_of(a) == mb.is_subcode_of(ma)
+        own = a.is_hermitian_dual_containing()
+        assert own == ma.is_hermitian_dual_containing()
+        cross = a.hermitian_dual_is_subcode_of(b)
+        assert cross == ma.hermitian_dual_is_subcode_of(mb)
+        assert b.hermitian_dual_is_subcode_of(a) == cross  # symmetric in the two codes
+        outcomes["subcode"].add(sub)
+        outcomes["own"].add(own)
+        outcomes["cross"].add(cross)
+
+    check()
+    assert outcomes == {"subcode": {True, False}, "own": {True, False}, "cross": {True, False}}
+
+
+def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
+    fld = square_field(9)
+    negacyclic._build_negacyclic.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict built a matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in (1, 2, 3))
+    assert c3.is_subcode_of(c2) and c2.is_subcode_of(c1) and not c1.is_subcode_of(c2)
+    assert all(c.is_hermitian_dual_containing() for c in (c1, c2, c3))
+    assert c1.hermitian_dual_is_subcode_of(c3) and c3.hermitian_dual_is_subcode_of(c1)
+    assert all(c._gen is None and c._parity is None for c in (c1, c2, c3))
+    # keyed by the other code's g, so no kept verdict holds a code
+    assert list(c3._subcode_of) == [c2._genpoly]
+    assert list(c1._hermitian_dual_subcode_of) == [c3._genpoly]
+    negacyclic._build_negacyclic.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# components stored by g, written as matrices on demand
+
+
+@pytest.mark.parametrize("l", [5, 7, 9])
+def test_deferred_component_gen_is_the_systematic_rref(l):
+    fld = square_field(l)
+    negacyclic._build_negacyclic.cache_clear()
+    for n, Z in _family_sets(l):
+        C = negacyclic_code(n, fld, Z).code
+        assert C._gen is None and C._parity is None and C.k == n - len(Z)
+        G = C.gen
+        assert C._build is None
+        assert G.rows == reference_code(fld, n, C._genpoly).gen.rows
+        assert G.leading_columns() == list(range(C.k))  # systematic: pivots 0..k-1
+    negacyclic._build_negacyclic.cache_clear()
+
+
+WIDTH_GUARD = """
+import json
+import mpqc.matrix as matrix
+
+widest = [0]
+matrix_init = matrix.Matrix.__init__
+
+def counting_matrix_init(self, *args, **kwargs):
+    matrix_init(self, *args, **kwargs)
+    widest[0] = max(widest[0], self.ncols)
+
+matrix.Matrix.__init__ = counting_matrix_init
+from mpqc.quantum import build_chain
+
+cb = build_chain(17, (1, 2, 3))
+print(json.dumps({"widest": widest[0], "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower]}))
+"""
+
+
+def test_chain_build_writes_no_matrix_as_wide_as_a_component():
+    # components, chain checks and the product's verdict all come from
+    # generator polynomials; a fresh interpreter, so every cache is cold
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", WIDTH_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["params"] == [870, 840, 8]
+    assert doc["widest"] < 290

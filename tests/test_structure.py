@@ -621,16 +621,23 @@ def test_both_block_verdicts_occur_under_non_diagonal_w(pm):
 
 
 def _spy_on_gram_tests(monkeypatch):
-    """(code, rows) per Gram scan: rows None for a code's own Gram, else the
-    parity rows of the other code of a cross-Gram."""
+    """(code, other) per Hermitian verdict, by Gram scan or by polynomial
+    division: other None for a code's own verdict, else the other code's
+    parity rows (a cross-Gram) or its generator polynomial (a division)."""
     seen = []
     gram = LinearCode._hermitian_gram_vanishes
+    divisible = LinearCode._hermitian_dual_divisible_by
 
     def spy(self, rows=None):
         seen.append((self, rows))
         return gram(self, rows)
 
+    def poly_spy(self, g=None):
+        seen.append((self, g))
+        return divisible(self, g)
+
     monkeypatch.setattr(LinearCode, "_hermitian_gram_vanishes", spy)
+    monkeypatch.setattr(LinearCode, "_hermitian_dual_divisible_by", poly_spy)
     return seen
 
 
@@ -671,7 +678,7 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     # gives W = conj(B) B^T below, so each of the 35 builds selects the
     # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 lookups over
     # the 15 depth pairs d1 <= d2 from depths 0..4, each evaluated once, on
-    # the earlier component against the later one's parity check
+    # the earlier component against the later one's generator polynomial
     fld = square_field(9)
     assert hermitian_gram(product._checked_inverse_transpose(_chain_matrix(fld)), fld) == (
         (1, 1, 1),
@@ -683,12 +690,63 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     cmd_example("3.8", 9, strict=False, deep=True)
     codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in range(5)}
     depth = {id(c): d for d, c in codes.items()}
-    depth_of_parity = {id(c.parity.rows): d for d, c in codes.items()}
-    own = [depth[id(c)] for c, rows in seen if rows is None]
-    cross = [(depth[id(c)], depth_of_parity[id(rows)]) for c, rows in seen if rows is not None]
+    depth_of_genpoly = {c._genpoly: d for d, c in codes.items()}
+    own = [depth[id(c)] for c, g in seen if g is None]
+    cross = [(depth[id(c)], depth_of_genpoly[g]) for c, g in seen if g is not None]
     triples = admissible_triples(9, "full", strict=False)
     assert len(triples) == 35
     pairs = {(t[0], t[j]) for t in triples for j in (1, 2)}
     assert len(pairs) == 15
     assert sorted(cross) == sorted(pairs)
     assert sorted(own) == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# products assembled on demand
+
+
+@st.composite
+def deferred_product_cases(draw):
+    """Components whose every block verdict holds under any nonsingular A:
+    a nested chain of dual-containing codes, stored by matrices or, at
+    n = 26 over GF(25), by their generator polynomials."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
+        codes = random_dual_containing_chain(fld, draw(st.integers(1, 5)), s, rng)
+    else:
+        fld = field(5, 2)
+        depths = draw(st.lists(st.integers(0, 2), min_size=s, max_size=s))
+        codes = [negacyclic_code(26, fld, centered_defining_set(5, d)).code for d in sorted(depths)]
+    return codes, random_nonsingular(fld, s, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deferred_product_cases(), st.sampled_from(["==", "hash", "gen", "parity"]))
+def test_deferred_product_equals_the_eager_assembly(case, first_read):
+    codes, A = case
+    got = product._checked_product(codes, A, "lost")
+    assert got._gen is None and got._parity is None and got._hermitian_dual_containing
+    eager = product._parity_product(codes, product._checked_inverse_transpose(A))
+    assert got.k == eager.k == sum(c.k for c in codes)
+    reads = {
+        "==": lambda: got == eager and eager == got,
+        "hash": lambda: hash(got) == hash(eager),
+        "gen": lambda: got.gen == eager.gen,
+        "parity": lambda: got.parity == eager.parity,
+    }
+    assert reads.pop(first_read)()  # the read that assembles the product
+    assert got._build is None
+    assert all(read() for read in reads.values())
+
+
+def test_a_component_parity_corrupted_before_assembly_is_caught(F25):
+    codes = random_dual_containing_chain(F25, 6, 3, random.Random(2))
+    got = product._checked_product(codes, _chain_matrix(F25), "lost")
+    C = max(codes, key=lambda c: c.n - c.k)
+    H = C.parity
+    assert H.nrows >= 2
+    object.__setattr__(C, "_parity", Matrix(F25, [H.rows[0]] * H.nrows, ncols=C.n))
+    with pytest.raises(ConsistencyError, match="lost rank"):
+        got.parity
