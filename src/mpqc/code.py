@@ -29,12 +29,12 @@ iff g | conj(h*); C_a's Hermitian dual lies in C_b iff g_b | conj(h_a*).
 Every other code (the GRS families, character products, random codes)
 takes the matrix scans, which are also the divisions' reference in the
 tests.
-A code keeps H, its Hermitian verdict, its subcode verdicts and its
-cross-Gram verdicts (one per other code value, in slots that == and hash
-ignore), so a code shared between builds answers each fact once.  The pair
-verdicts are keyed by the other code's g when both carry one, else by the
-other code (subcode) or its H (cross-Gram), so no lookup makes a code
-build a matrix it does not hold.
+A code keeps H and its own Hermitian verdict (in slots that == and hash
+ignore), but no verdict about another code, so it holds no reference to
+one.  The divisions are kept instead, by ``functools.cache`` on
+``_divides``, keyed by the field and the two coefficient tuples: a
+component shared between chain builds divides each pair once.  A matrix
+scan between two codes runs again on every call.
 Distance facts always travel with a provenance tag; nothing here ever
 reports a distance it did not compute or certify.  The exhaustive oracle
 walks one message per line of scalar multiples (leading coefficient 1) and
@@ -44,6 +44,7 @@ budget is still charged as all q^k messages.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -95,7 +96,7 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 class LinearCode:
     __slots__ = (
         "field", "n", "k", "_gen", "_parity", "_build", "_genpoly", "_hermitian_dual_genpoly",
-        "_hermitian_dual_containing", "_subcode_of", "_hermitian_dual_subcode_of",
+        "_hermitian_dual_containing",
     )
 
     def __init__(
@@ -126,8 +127,6 @@ class LinearCode:
         object.__setattr__(self, "_genpoly", genpoly)
         object.__setattr__(self, "_hermitian_dual_genpoly", hermitian_dual_genpoly)
         object.__setattr__(self, "_hermitian_dual_containing", None)
-        object.__setattr__(self, "_subcode_of", {})
-        object.__setattr__(self, "_hermitian_dual_subcode_of", {})
 
     def __setattr__(self, *a):
         raise AttributeError("LinearCode is immutable")
@@ -220,32 +219,25 @@ class LinearCode:
         return _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(word) if x], self.parity.rows)
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
-        """H_other G_self^T = 0, run once per (self, other value) pair.
+        """H_other G_self^T = 0.
 
         Each entry is a dot product over the nonzero entries of one of
         self's rows (few for a systematic generator), and the scan stops at
-        the first nonzero entry.  Between two negacyclic codes it is g_other
-        | g_self instead, kept by g_other, and neither code builds a matrix.
+        the first nonzero entry.  Between two negacyclic codes it is the
+        division g_other | g_self instead, and neither code builds a matrix.
         """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         if self.k > other.k:
             return False
-        by_poly = self._genpoly is not None and other._genpoly is not None
-        key = other._genpoly if by_poly else other
-        verdict = self._subcode_of.get(key)
-        if verdict is None:
-            if by_poly:  # <a> in <b> iff b | a, for divisors a, b of x^n + 1
-                verdict = not poly_divmod(self.field, self._genpoly, other._genpoly)[1]
-            else:
-                add, mul = self.field.tables.add, self.field.tables.mul
-                H = other.parity.rows
-                verdict = all(
-                    _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(row) if x], H)
-                    for row in self.gen.rows
-                )
-            self._subcode_of[key] = verdict
-        return verdict
+        if self._genpoly is not None and other._genpoly is not None:
+            return _divides(self.field, self._genpoly, other._genpoly)
+        add, mul = self.field.tables.add, self.field.tables.mul
+        H = other.parity.rows
+        return all(
+            _dots_vanish(add, [(t, mul[x]) for t, x in enumerate(row) if x], H)
+            for row in self.gen.rows
+        )
 
     # -- duals --
 
@@ -280,43 +272,26 @@ class LinearCode:
             verdict = 2 * self.k >= self.n and (
                 self._hermitian_gram_vanishes()
                 if self._genpoly is None
-                else self._hermitian_dual_divisible_by()
+                else _divides(self.field, self._hermitian_dual_genpoly, self._genpoly)
             )
             object.__setattr__(self, "_hermitian_dual_containing", verdict)
         return self._hermitian_dual_containing
 
     def hermitian_dual_is_subcode_of(self, other: "LinearCode") -> bool:
-        """conj(H_self) H_other^T = 0, run once per (self, other value) pair.
+        """conj(H_self) H_other^T = 0.
 
         The rows of conj(H_self) span self's Hermitian dual, so this is
         whether that dual lies in other; the verdict is symmetric in the two
         codes.  It is the cross-Gram block of a matrix product code's parity
-        check (see `product`).  The verdict is kept per other code and keyed
-        by its H, which is as canonical as G, so the lookup never reads G.
-        Between two negacyclic codes it is g_other | conj(h_self*), kept by
-        g_other, and neither code builds a matrix.
+        check (see `product`).  Between two negacyclic codes it is the
+        division g_other | conj(h_self*), and neither code builds a matrix.
         """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         self.field.subfield_order  # raises unless the order is a square
-        by_poly = self._genpoly is not None and other._genpoly is not None
-        key = other._genpoly if by_poly else other.parity
-        verdict = self._hermitian_dual_subcode_of.get(key)
-        if verdict is None:
-            if by_poly:
-                verdict = self._hermitian_dual_divisible_by(other._genpoly)
-            else:
-                verdict = self._hermitian_gram_vanishes(key.rows)
-            self._hermitian_dual_subcode_of[key] = verdict
-        return verdict
-
-    def _hermitian_dual_divisible_by(self, g: tuple[int, ...] | None = None) -> bool:
-        """g | conj(h*) for g a divisor of x^n + 1, by default self's own g:
-        whether the Hermitian dual <conj(h*)> of negacyclic self lies in <g>.
-        The mirror of `_hermitian_gram_vanishes` for codes that carry g."""
-        if g is None:
-            g = self._genpoly
-        return not poly_divmod(self.field, self._hermitian_dual_genpoly, g)[1]
+        if self._genpoly is not None and other._genpoly is not None:
+            return _divides(self.field, self._hermitian_dual_genpoly, other._genpoly)
+        return self._hermitian_gram_vanishes(other.parity.rows)
 
     def _hermitian_gram_vanishes(self, rows=None) -> bool:
         """conj(H) M^T = 0 for M given by `rows`, by default H itself.
@@ -479,6 +454,13 @@ class LinearCode:
             return True
 
         return walk(0, [])
+
+
+@functools.cache
+def _divides(fld: Field, dividend: tuple[int, ...], divisor: tuple[int, ...]) -> bool:
+    """Whether divisor | dividend over fld: the one division behind every
+    containment fact between two negacyclic codes."""
+    return not poly_divmod(fld, dividend, divisor)[1]
 
 
 def _parity_code(fld: Field, rows: list[list[int]], ncols: int) -> LinearCode:

@@ -115,7 +115,8 @@ class Matrix:
         )
 
     def __hash__(self):
-        # computed once: value-keyed verdicts look the same matrix up often
+        # computed once: `is_nsc`'s cache and code hashing look the same
+        # matrix up often
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.field, self.ncols, self.rows)))
         return self._hash

@@ -35,9 +35,9 @@ or one polynomial division for negacyclic components), so no product is
 Gram-tested on its nm columns.  W is diagonal for every matrix
 `dual_containing_product` accepts (the character tables among them), and
 the chain matrix selects the cross blocks (1, 2) and (1, 3).  Each fact
-is checked once: codes keep their containment verdicts (the cross-Grams
-per component pair), and `is_nsc` keeps its verdict per matrix value
-through ``functools.cache`` on its private check.
+is checked once: a code keeps its own verdict, the divisions are cached
+by their polynomials (see `code`), and `is_nsc` keeps its verdict per
+matrix value through ``functools.cache`` on its private check.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def _block_gram_vanishes(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) 
     conj(H_i') H_i^T = 0 wherever W_i'i != 0, and W is Hermitian, so the
     pairs i' <= i suffice.  A diagonal block is the component's own
     verdict; each off-diagonal block W selects is one cross verdict
-    (`LinearCode.hermitian_dual_is_subcode_of`), kept per component pair.
+    (`LinearCode.hermitian_dual_is_subcode_of`).
     """
     fld = codes[0].field
     add, mul = fld.tables.add, fld.tables.mul

@@ -97,6 +97,13 @@ def test_subcode_relations(F9, rng):
     assert C.is_subcode_of(full)
     with pytest.raises(ValueError):
         C.is_subcode_of(LinearCode.full_space(F9, 5))
+    with pytest.raises(ValueError, match="different spaces"):
+        C.hermitian_dual_is_subcode_of(LinearCode.full_space(F9, 5))
+    # the full space's H has no rows: every dual lies in it, not only the
+    # duals of dual-containing codes
+    assert C.hermitian_dual_is_subcode_of(full)
+    assert zero.hermitian_dual_is_subcode_of(full) and full.hermitian_dual_is_subcode_of(zero)
+    assert not zero.hermitian_dual_is_subcode_of(zero)
 
 
 def test_dual_containing_examples(F9):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpqc
+from mpqc import code as code_module
 from mpqc import gf, negacyclic
 from mpqc.cli import main
 from mpqc.code import LinearCode
@@ -125,6 +126,18 @@ def test_genpoly_divides_xn_plus_1(F25):
     q, r = poly_divmod(F25, xn1, list(nc.genpoly))
     assert r == []
     assert len(nc.genpoly) - 1 == len(Z)
+
+
+def test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused(F25, monkeypatch):
+    # the one coset of size 1 at n = 26 over GF(25) is {13}; x + 1 has the
+    # right degree for it but does not divide x^26 + 1 (its root -1 gives 2)
+    Z = defining_set_from_residues(26, 25, [13])
+    assert Z.residues == (13,)
+    negacyclic._build_negacyclic.cache_clear()
+    monkeypatch.setattr(negacyclic, "_generator_polynomial", lambda n, fld, defining: [1, 1])
+    with pytest.raises(NegacyclicError, match="^generator polynomial does not divide x\\^n \\+ 1$"):
+        negacyclic_code(26, F25, Z)
+    negacyclic._build_negacyclic.cache_clear()
 
 
 def test_shift_closure_random_codewords(F25, rng):
@@ -486,14 +499,33 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
         raise AssertionError("a verdict built a matrix")
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
+    divides = code_module._divides
+    divides.cache_clear()
+    keys = []
+
+    def spy(*key):
+        keys.append(key)
+        return divides(*key)
+
+    monkeypatch.setattr(code_module, "_divides", spy)
     c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in (1, 2, 3))
     assert c3.is_subcode_of(c2) and c2.is_subcode_of(c1) and not c1.is_subcode_of(c2)
     assert all(c.is_hermitian_dual_containing() for c in (c1, c2, c3))
     assert c1.hermitian_dual_is_subcode_of(c3) and c3.hermitian_dual_is_subcode_of(c1)
     assert all(c._gen is None and c._parity is None for c in (c1, c2, c3))
-    # keyed by the other code's g, so no kept verdict holds a code
-    assert list(c3._subcode_of) == [c2._genpoly]
-    assert list(c1._hermitian_dual_subcode_of) == [c3._genpoly]
+    # each verdict is one division, kept by the field and the two coefficient
+    # tuples, so no kept verdict holds a code or a matrix (c1 is larger than
+    # c2, so that subcode verdict needs no division)
+    assert keys == [
+        (fld, c3._genpoly, c2._genpoly),
+        (fld, c2._genpoly, c1._genpoly),
+        *((fld, c._hermitian_dual_genpoly, c._genpoly) for c in (c1, c2, c3)),
+        (fld, c1._hermitian_dual_genpoly, c3._genpoly),
+        (fld, c3._hermitian_dual_genpoly, c1._genpoly),
+    ]
+    assert divides.cache_info().misses == 7 and divides.cache_info().hits == 0
+    assert c3.is_subcode_of(c2) and c1.hermitian_dual_is_subcode_of(c3)
+    assert divides.cache_info().misses == 7 and divides.cache_info().hits == 2
     negacyclic._build_negacyclic.cache_clear()
 
 

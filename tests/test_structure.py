@@ -1,22 +1,25 @@
 """Differential tests for the structured chain build: the parity-side
 assembly of a matrix product code, the parity check read off an RREF
 and the RREF read off a parity check, and the kept facts (negacyclic
-components, NSC verdicts, subcode verdicts), each against the reference code
+components, NSC verdicts, polynomial divisions), each against the reference code
 it replaced."""
 
 import ast
+import gc
 import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpqc import code as code_module
 from mpqc import constructions, negacyclic, product
 from mpqc.cli import cmd_example
 from mpqc.code import LinearCode
-from mpqc.gf import field, square_field
+from mpqc.gf import Field, field, square_field
 from mpqc.matrix import Matrix
 from mpqc.negacyclic import centered_defining_set, negacyclic_code
 from mpqc.product import (
@@ -421,25 +424,27 @@ def test_nsc_verdict_is_kept_per_matrix(F25, monkeypatch):
     assert is_nsc(A) and not is_nsc(B)
 
 
-def test_subcode_verdict_is_kept_per_other_code(F9, monkeypatch):
-    small = LinearCode.from_generator(Matrix(F9, [[1, 1, 0, 0]]))
-    big = LinearCode.from_generator(Matrix(F9, [[1, 1, 0, 0], [0, 0, 1, 0]]))
-    other = LinearCode.from_generator(Matrix(F9, [[1, 0, 0, 0], [0, 0, 1, 0]]))
-    assert small.is_subcode_of(big)
-    assert not small.is_subcode_of(other)
+def _within_two_levels(obj):
+    first = gc.get_referents(obj)
+    return first + gc.get_referents(*first)
 
-    def refuse(*args):
-        raise AssertionError("subcode verdict re-derived")
 
-    with monkeypatch.context() as mp:
-        mp.setattr(Matrix, "__matmul__", refuse)
-        assert not small.is_subcode_of(other)
-        assert small.is_subcode_of(LinearCode.from_generator(big.gen))  # an equal code
-    assert small.is_subcode_of(big) and not small.is_subcode_of(other)
-    # the other order too, so a verdict keyed by self alone is caught either way
-    fresh = LinearCode.from_generator(small.gen)
-    assert not fresh.is_subcode_of(other)
-    assert fresh.is_subcode_of(big)
+@pytest.mark.parametrize("stored", ["matrices", "generator-polynomials"])
+def test_no_verdict_leaves_one_code_referencing_another(stored, F25):
+    if stored == "matrices":
+        rng = random.Random(4)
+        pair = [random_dual_containing_code(F25, 6, 2, rng) for _ in range(2)]
+    else:
+        negacyclic._build_negacyclic.cache_clear()
+        pair = [negacyclic_code(26, F25, centered_defining_set(5, d)).code for d in (1, 2)]
+    for a, b in (pair, pair[::-1]):
+        a.is_subcode_of(b)
+        a.hermitian_dual_is_subcode_of(b)
+        a.is_hermitian_dual_containing()
+    for a, b in (pair, pair[::-1]):
+        held = _within_two_levels(a)
+        assert not any(x is b or x is b.parity for x in held)
+    negacyclic._build_negacyclic.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -462,17 +467,19 @@ def test_kept_facts_against_a_hand_count():
     # example 3.8 at l = 9: 35 admissible triples, each with 3 negacyclic
     # components of length 82 over GF(81) drawn from the centered defining
     # sets at depths 0..4, one minimal polynomial, and the one NSC matrix
-    # every chain reuses (70 is_nsc calls)
+    # every chain reuses (70 is_nsc calls); the chain checks and the block
+    # verdicts are divisions of the components' polynomials
     kept = (
         negacyclic._build_negacyclic,
         negacyclic._root_minpoly,
         product._all_prefix_minors_invertible,
+        code_module._divides,
     )
     for f in kept:
         f.cache_clear()
     cmd_example("3.8", 9, strict=False, deep=True)
     counts = [(f.cache_info().hits, f.cache_info().misses) for f in kept]
-    assert counts == [(100, 5), (4, 1), (69, 1)]
+    assert counts == [(100, 5), (4, 1), (69, 1), (135, 30)]
 
 
 @pytest.mark.parametrize(
@@ -623,21 +630,30 @@ def test_both_block_verdicts_occur_under_non_diagonal_w(pm):
 def _spy_on_gram_tests(monkeypatch):
     """(code, other) per Hermitian verdict, by Gram scan or by polynomial
     division: other None for a code's own verdict, else the other code's
-    parity rows (a cross-Gram) or its generator polynomial (a division)."""
+    parity rows (a cross-Gram) or its generator polynomial (a division).
+    Every call of the division helper is seen, cache hits too, and is
+    charged to the code whose verdict made it; its key must hold only the
+    field and coefficient tuples."""
     seen = []
     gram = LinearCode._hermitian_gram_vanishes
-    divisible = LinearCode._hermitian_dual_divisible_by
+    divides = code_module._divides
 
     def spy(self, rows=None):
         seen.append((self, rows))
         return gram(self, rows)
 
-    def poly_spy(self, g=None):
-        seen.append((self, g))
-        return divisible(self, g)
+    def poly_spy(fld, dividend, divisor):
+        assert type(fld) is Field
+        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in (dividend, divisor))
+        caller = sys._getframe(1)
+        verdict = caller.f_code.co_name
+        if verdict != "is_subcode_of":
+            own = verdict == "is_hermitian_dual_containing"
+            seen.append((caller.f_locals["self"], None if own else divisor))
+        return divides(fld, dividend, divisor)
 
     monkeypatch.setattr(LinearCode, "_hermitian_gram_vanishes", spy)
-    monkeypatch.setattr(LinearCode, "_hermitian_dual_divisible_by", poly_spy)
+    monkeypatch.setattr(code_module, "_divides", poly_spy)
     return seen
 
 
@@ -676,9 +692,10 @@ def test_no_product_is_gram_tested(build, monkeypatch, fresh_families):
 def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     # example 3.8 at l = 9: over GF(81), B = (A^-1)^T of the chain matrix
     # gives W = conj(B) B^T below, so each of the 35 builds selects the
-    # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 lookups over
-    # the 15 depth pairs d1 <= d2 from depths 0..4, each evaluated once, on
-    # the earlier component against the later one's generator polynomial
+    # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 divisions over
+    # the 15 depth pairs d1 <= d2 from depths 0..4, each of the earlier
+    # component's dual by the later one's generator polynomial; each
+    # component's own verdict is divided once
     fld = square_field(9)
     assert hermitian_gram(product._checked_inverse_transpose(_chain_matrix(fld)), fld) == (
         (1, 1, 1),
@@ -697,7 +714,7 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     assert len(triples) == 35
     pairs = {(t[0], t[j]) for t in triples for j in (1, 2)}
     assert len(pairs) == 15
-    assert sorted(cross) == sorted(pairs)
+    assert len(cross) == 70 and set(cross) == pairs
     assert sorted(own) == [0, 1, 2, 3, 4]
 
 
