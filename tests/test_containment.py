@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpqc import code as code_module
+from mpqc import negacyclic
 from mpqc.code import BudgetError, LinearCode
 from mpqc.gf import field
 from mpqc.matrix import Matrix
+from mpqc.negacyclic import centered_defining_set, negacyclic_code
 from mpqc.verify import random_dual_containing_chain, random_dual_containing_code
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,32 @@ def test_both_cross_gram_verdicts_occur(pm):
         assert verdict == reference_is_subcode_of(reference_hermitian_dual(a), b)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_cross_gram_verdict_is_kept_per_other_code(F25, monkeypatch):
+    # between negacyclic codes the cross verdict is kept by the division
+    # cache, keyed by the other code's generator polynomial, not by the code:
+    # an equal code built afresh reads the same kept verdict
+    a, b = (negacyclic_code(26, F25, centered_defining_set(5, d)).code for d in (1, 2))
+    other = LinearCode.full_space(F25, 26)
+    verdict = a.hermitian_dual_is_subcode_of(b)
+    assert verdict == a._hermitian_gram_vanishes(b.parity.rows)
+    assert a.hermitian_dual_is_subcode_of(other)
+
+    def refuse(*args):
+        raise AssertionError("cross-Gram re-derived")
+
+    negacyclic._build_negacyclic.cache_clear()
+    fresh = negacyclic_code(26, F25, centered_defining_set(5, 2)).code
+    assert fresh is not b and fresh == b
+    with monkeypatch.context() as mp:
+        mp.setattr(code_module, "poly_divmod", refuse)
+        assert a.hermitian_dual_is_subcode_of(b) == verdict
+        assert a.hermitian_dual_is_subcode_of(fresh) == verdict
+    # a matrix-scan verdict is kept by no one: it is derived again, and agrees
+    assert a.hermitian_dual_is_subcode_of(LinearCode.from_parity(b.parity)) == verdict
+    with pytest.raises(ValueError, match="different spaces"):
+        a.hermitian_dual_is_subcode_of(LinearCode.full_space(F25, 25))
 
 
 @settings(max_examples=200, deadline=None)
