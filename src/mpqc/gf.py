@@ -5,15 +5,18 @@ a code are the coefficients of the element in the polynomial basis, constant
 term first.  Each field carries exp/log tables over a canonical generator of
 the multiplicative group plus a Zech logarithm table, so that addition,
 multiplication and inversion are all O(1) table lookups.  The exp table is
-stepped out by the table-free multiply of ``RawField`` (below), one product
-with the generator per element.  Fields, and the extensions that
-``primitive_root_of_unity`` reaches, are refused above DEFAULT_ORDER_CAP.
+stepped out by the packed multiply of ``RawField`` (below), one int product
+and fold per element; log and Zech are read off it by a sort and two maps.
+Fields, and the extensions that ``primitive_root_of_unity`` reaches, are
+refused above DEFAULT_ORDER_CAP.
 
 ``Field.tables`` gives ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
-``inv[a]``, built on first use.  Up to order TABLE_ORDER_CAP add and mul are
-nested lists; above it their rows are objects that read each entry through
-the Zech path.  Bulk loops such as the elimination kernel in ``matrix.py``
-index them directly instead of calling a method per entry.
+``inv[a]``, built on first use with no Python loop per entry: mul, neg and
+inv pick windows of exp through one itemgetter over log, and add rows are
+concatenated from base-p digit blocks.  Up to order TABLE_ORDER_CAP add and
+mul are nested lists; above it their rows are objects that read each entry
+through the Zech path.  Bulk loops such as the elimination kernel in
+``matrix.py`` index them directly instead of calling a method per entry.
 
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
@@ -22,29 +25,33 @@ digit) is chosen.  The generator is pinned the same way: the smallest code
 g >= 2 of multiplicative order p^m - 1.  Two processes therefore always
 agree on every element code and every table.
 
-``RawField`` is the one table-free implementation of GF(p^m): schoolbook
-multiply and reduce, a GF(p)-linear Frobenius map, the norm-first generator
-search (N(g) must be a primitive root of GF(p), which settles every prime
-of p^m - 1 that divides p - 1 with m - 1 Frobenius maps; only the other
-primes need full powers) and the smallest-root rule that pins
+``RawField`` is the one table-free implementation of GF(p^m), one shared
+instance per (p, m) (``raw_field``): Kronecker-packed multiply and reduce,
+a GF(p)-linear Frobenius map, the norm-first generator search (the norm
+N(g) = Res(modulus, g) must be a primitive root of GF(p), which settles
+every prime of p^m - 1 that divides p - 1 with one resultant; only the
+other primes need full powers) and the smallest-root rule that pins
 ``SubfieldEmbedding``.  A Field bootstraps its tables from one, and
 ``primitive_root_of_unity`` returns its extension as one, so the negacyclic
 builder works in GF(l^4) without tabulating it.
 
 The package's one set of polynomial helpers over a Field (``poly_mul``,
-``poly_divmod``, ``poly_eval``) lives here too.
+``poly_divmod``, ``poly_eval``) lives here too, beside the resultant over
+GF(p).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
 # largest order whose add/mul tables are materialized: two q x q tables of
 # shared int references, about 8 bytes per entry (1.3 MB at q = 289, 16 MB
-# and about 0.25 s to build at q = 1024, repaid within a few eliminations)
+# and about 0.06 s to build at q = 1024, repaid within a few eliminations)
 TABLE_ORDER_CAP = 1024
 
 
@@ -189,6 +196,33 @@ def _encode_coeffs(coeffs: Sequence[int], p: int) -> int:
     return code
 
 
+def _resultant(f: Sequence[int], g: Sequence[int], p: int) -> int:
+    """Res(f, g) over GF(p), coefficient lists of residues, constant term
+    first.  For a monic f it is the product of g over the roots of f, so
+    with f a field's modulus it is the norm N(g) = g^((Q-1)/(p-1)).
+
+    Euclid's steps, each Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r) for r = f mod g, end at Res(f, c) = c^(deg f).
+    """
+    res = 1
+    g = poly_trim([c % p for c in g])
+    while len(g) > 1:
+        r = list(f)
+        by_lead = pow(g[-1], p - 2, p)
+        while len(r) >= len(g):
+            c = r[-1] * by_lead % p
+            shift = len(r) - len(g)
+            for i, gi in enumerate(g):
+                r[shift + i] = (r[shift + i] - c * gi) % p
+            poly_trim(r)
+        if not r:
+            return 0
+        df, dg = len(f) - 1, len(g) - 1
+        res = res * (-1) ** (df * dg) * pow(g[-1], df - len(r) + 1, p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p if g else 0
+
+
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Canonical monic irreducible of degree m over GF(p).
 
@@ -213,15 +247,22 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 class RawField:
     """GF(p^m) arithmetic on element codes with no tables.
 
-    A product is a schoolbook multiply reduced through the precomputed
-    residues of x^m .. x^(2m-2); the Frobenius map a -> a^p is applied as the
-    GF(p)-linear map given by the images of the basis monomials.  Each Field
-    bootstraps its tables from one of these, and ``primitive_root_of_unity``
-    builds its extension as one.
+    Inside, an element is packed: its base-p coefficients are the slots of
+    one int, slot i at bit W*i (Kronecker packing), with W wide enough that
+    no slot of an unreduced product, fold or short sum spills into the next.
+    A product is one int multiply, a fold of the high slots m..2m-2 through
+    the packed residues of x^m..x^(2m-2), and one reduction of every slot
+    mod p at once: the quotients are read off (slots * magic) >> k, so no
+    slot is visited.  A packed element reads back as its code by one
+    remainder, since 2^W = p modulo 2^W - p.  The Frobenius map a -> a^p is
+    the GF(p)-linear map given by the packed images of the basis monomials.
+    Each Field steps its exp table in this form, and
+    ``primitive_root_of_unity`` builds its extension as one of these.
 
     The canonical generator is the smallest code g >= 2 of multiplicative
     order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
-    product of g's m conjugates, is a primitive root of GF(p) exactly when
+    product of g's m conjugates, is the resultant of the modulus and g's
+    digits, and it is a primitive root of GF(p) exactly when
     g^((Q-1)/r) != 1 for every prime r | p - 1, so only the primes of Q - 1
     that do not divide p - 1 need full powers.  The test is the same as
     checking every prime of Q - 1, so is the generator it finds.
@@ -232,80 +273,79 @@ class RawField:
         self.m = m
         self.order = p**m
         self.modulus: tuple[int, ...] = smallest_irreducible(p, m)
-        self._xpow = self._reduction_table()
-        # Frobenius images of 1, x, ..., x^(m-1) as coefficient vectors
-        self._frob = [_decode_coeffs(self.pow(p**i, p), p, m) for i in range(m)]
+        # the largest slot ever reduced: a fold of a product, or a short sum
+        top = (m + 1) * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+        # floor(s * magic / 2^k) = floor(s / p) for every s <= top
+        self._k = (top * p).bit_length()
+        self._magic = -(-(1 << self._k) // p)
+        w = max((top * self._magic).bit_length(), (self.order + p).bit_length())
+        self._shifts = [w * i for i in range(m)]
+        self._slot = (1 << w) - 1
+        self._low = (1 << w * m) - 1
+        self._quotients = sum(((1 << w - self._k) - 1) << s for s in self._shifts)
+        self._to_code = (1 << w) - p
+        # packed residues of x^m .. x^(2m-2), each one x times the last
+        red = sum((-c % p) << s for c, s in zip(self.modulus, self._shifts))
+        self._fold = []
+        for k in range(m, 2 * m - 1):
+            self._fold.append((w * k, red))
+            red = self._reduce(((red << w) & self._low) + (red >> w * (m - 1)) * self._fold[0][1])
+        # Frobenius images of 1, x, ..., x^(m-1)
+        self._frob = [self._pow(1 << s, p) for s in self._shifts]
 
     def __repr__(self):
         return f"table-free GF({self.p}^{self.m})"
 
-    def _reduction_table(self) -> list[list[int]]:
-        # coefficient vectors of x^m .. x^(2m-2) reduced mod the modulus
-        p, m = self.p, self.m
-        mod = list(self.modulus)
-        table = []
-        cur = [(-c) % p for c in mod[:m]]  # x^m = -(mod - x^m)
-        table.append(list(cur))
-        for _ in range(m - 2):
-            cur = [0] + cur
-            if len(cur) > m:
-                lead = cur.pop()
-                cur = [(ci + lead * ri) % p for ci, ri in zip(cur, table[0])]
-            table.append(list(cur))
-        return table
+    # -- packed form --
+
+    def _pack(self, a: int) -> int:
+        v = 0
+        for s in self._shifts:
+            a, c = divmod(a, self.p)
+            v |= c << s
+        return v
+
+    def _reduce(self, v: int) -> int:
+        return v - (v * self._magic >> self._k & self._quotients) * self.p
+
+    def _mul(self, u: int, v: int) -> int:
+        w = u * v
+        r = w & self._low
+        for s, red in self._fold:
+            r += (w >> s & self._slot) * red
+        # _reduce, inlined on the hot path
+        return r - (r * self._magic >> self._k & self._quotients) * self.p
+
+    def _pow(self, v: int, e: int) -> int:
+        if not e:
+            return 1
+        r = v
+        for bit in bin(e)[3:]:
+            r = self._mul(r, r)
+            if bit == "1":
+                r = self._mul(r, v)
+        return r
+
+    def _frobenius(self, v: int) -> int:
+        return self._reduce(sum((v >> s & self._slot) * f for s, f in zip(self._shifts, self._frob)))
+
+    # -- element codes --
 
     def add(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        av, bv = _decode_coeffs(a, p, m), _decode_coeffs(b, p, m)
-        return _encode_coeffs([x + y for x, y in zip(av, bv)], p)
+        return self._reduce(self._pack(a) + self._pack(b)) % self._to_code
 
     def neg(self, a: int) -> int:
-        return _encode_coeffs([-x for x in _decode_coeffs(a, self.p, self.m)], self.p)
+        return self._reduce(self._pack(a) * (self.p - 1)) % self._to_code
 
     def mul(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return a * b % p
-        av = _decode_coeffs(a, p, m)
-        bv = _decode_coeffs(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(av):
-            if ai:
-                for j, bj in enumerate(bv):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        acc = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = self._xpow[k - m]
-                acc = [(x + c * r) % p for x, r in zip(acc, red)]
-        return _encode_coeffs(acc, p)
+        return self._mul(self._pack(a), self._pack(b)) % self._to_code
 
     def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self._pow(self._pack(a), e) % self._to_code
 
     def frobenius(self, a: int) -> int:
         """a^p, one pass of the linear map."""
-        p = self.p
-        acc = [0] * self.m
-        for ai, image in zip(_decode_coeffs(a, p, self.m), self._frob):
-            if ai:
-                acc = [x + ai * y for x, y in zip(acc, image)]
-        return _encode_coeffs(acc, p)
-
-    def norm(self, a: int) -> int:
-        """a * a^p * ... * a^(p^(m-1)), an element of GF(p)."""
-        acc = c = a
-        for _ in range(self.m - 1):
-            c = self.frobenius(c)
-            acc = self.mul(acc, c)
-        return acc
+        return self._frobenius(self._pack(a)) % self._to_code
 
     @functools.cached_property
     def generator(self) -> int:
@@ -315,11 +355,12 @@ class RawField:
         base_checks = [(p - 1) // r for r in prime_factors(p - 1)]
         full_checks = [(q - 1) // r for r in prime_factors(q - 1) if (p - 1) % r]
         for g in range(2, q):
-            # norms are prime-field codes, so the residue test is integer pow
-            nm = self.norm(g)
-            if all(pow(nm, e, p) != 1 for e in base_checks) and all(
-                self.pow(g, e) != 1 for e in full_checks
-            ):
+            # the norm is a prime-field code, so the residue test is integer pow
+            nm = _resultant(self.modulus, _decode_coeffs(g, p, self.m), p)
+            if any(pow(nm, e, p) == 1 for e in base_checks):
+                continue
+            v = self._pack(g)
+            if all(self._pow(v, e) != 1 for e in full_checks):
                 return g
         raise FieldError("no generator found")  # unreachable for true fields
 
@@ -335,16 +376,28 @@ class RawField:
         sub_order = self.p**d - 1
         if (self.order - 1) % sub_order:
             raise FieldError(f"GF({self.p}^{d}) is not a subfield of GF({self.p}^{self.m})")
-        w = self.pow(self.generator, (self.order - 1) // sub_order)
+        w = self._pow(self._pack(self.generator), (self.order - 1) // sub_order)
         x = 1
         for _ in range(sub_order):
-            if poly_eval(self, f, x) == 0:
+            # f(x) = sum f_j x^j, its coefficients prime-field codes
+            acc, xj = 0, 1
+            for c in f[:-1]:
+                acc += c * xj
+                xj = self._mul(xj, x)
+            if not self._reduce(acc + xj):
                 roots = [x]
                 for _ in range(d - 1):
-                    roots.append(self.frobenius(roots[-1]))
-                return min(roots)
-            x = self.mul(x, w)
+                    roots.append(self._frobenius(roots[-1]))
+                return min(r % self._to_code for r in roots)
+            x = self._mul(x, w)
         raise FieldError("polynomial has no root in the field")  # f was not irreducible
+
+
+@functools.cache
+def raw_field(p: int, m: int) -> RawField:
+    """The one shared RawField per (p, m): Field.raw and the extensions of
+    ``primitive_root_of_unity`` both come from here."""
+    return RawField(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +457,24 @@ class _ZechTable(dict):
         return r
 
 
+def _digit_sum_rows(codes: list[int], p: int, m: int) -> list[list[int]]:
+    """rows[a][b] = codes[a + b], the sum taken digit by digit mod p.
+
+    Built one digit at a time, most significant last.  With P = p^i codes
+    done, the row of a' < P in the p-times larger group is the old row read
+    through each block codes[sP : sP + P], s = 0..p-1; adding t P to a'
+    rotates that row by t blocks.
+    """
+    rows = [codes[:1]]
+    size = 1
+    for _ in range(m):
+        blocks = [codes[s * size : (s + 1) * size].__getitem__ for s in range(p)]
+        first = [list(itertools.chain.from_iterable(map(b, row) for b in blocks)) for row in rows]
+        rows = [row[t * size :] + row[: t * size] for t in range(p) for row in first]
+        size *= p
+    return rows
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -423,7 +494,7 @@ class Field:
         self.order = order
         # the table-free arithmetic pins the modulus and the generator and
         # steps out the exp table below
-        self.raw = RawField(p, m)
+        self.raw = raw_field(p, m)
         self.modulus: tuple[int, ...] = self.raw.modulus
         self.generator: int = self.raw.generator
         self._build_logs()
@@ -431,60 +502,55 @@ class Field:
     # -- construction internals --
 
     def _build_logs(self):
-        q, p = self.order, self.p
-        exp = [1] * (2 * q)
-        log = [-1] * q
-        g, raw_mul = self.generator, self.raw.mul
+        q, p, raw = self.order, self.p, self.raw
+        n1 = q - 1
+        exp = [1] * n1
+        g, mul, to_code = raw._pack(self.generator), raw._mul, raw._to_code
         v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = raw_mul(v, g)
-        for i in range(q - 1, 2 * q):
-            exp[i] = exp[i - (q - 1)]
-        # zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0
-        zech = [-1] * (q - 1)
-        for k in range(q - 1):
-            e = exp[k]
-            c0 = e % p
-            s = e - c0 + (c0 + 1) % p
-            zech[k] = log[s] if s else -1
+        for i in range(n1):
+            exp[i] = v % to_code
+            v = mul(v, g)
+        exp *= 2
+        exp += exp[:2]  # 2q entries, exp[i] = g^(i mod (q-1))
+        # log[exp[i]] = i: the exp codes are 1..q-1, each once
+        log = [-1] + sorted(range(n1), key=exp.__getitem__)
+        # zech[k] = log(1 + g^k), or -1 (log[0]) when 1 + g^k = 0; adding 1
+        # steps the lowest base-p digit
+        plus_one = list(range(1, q + 1))
+        plus_one[p - 1 :: p] = range(0, q, p)
         self._exp = exp
         self._log = log
-        self._zech = zech
-        self._neg_shift = (q - 1) // 2 if p != 2 else 0
+        self._zech = list(map(log.__getitem__, map(plus_one.__getitem__, exp[:n1])))
+        self._neg_shift = n1 // 2 if p != 2 else 0
 
     @functools.cached_property
     def tables(self) -> FieldTables:
-        """Operation tables, built on first use.
+        """Operation tables, built on first use, with no Python loop per entry.
 
         Up to TABLE_ORDER_CAP, add and mul are q x q nested lists; above it
         they hand out row objects that compute each entry from the Zech
-        tables.  neg and inv are always plain lists.
+        tables.  neg and inv are always plain lists.  mul row a, and neg and
+        inv, pick a window of exp through one itemgetter over log, whose
+        log[0] = -1 reads the zero appended to the window; add rows are
+        concatenated from base-p digit blocks (``_digit_sum_rows``).
         """
         q = self.order
         n1 = q - 1
         codes = list(range(q))
         # every entry references one of these q int objects
-        exp = [codes[x] for x in self._exp]
-        log, zech = self._log, self._zech
-        neg = [0] + [exp[log[a] + self._neg_shift] for a in range(1, q)]
-        inv = [None] + [exp[n1 - log[a]] for a in range(1, q)]
+        exp = list(map(codes.__getitem__, self._exp))
+        log = self._log
+        by_log = operator.itemgetter(*log)
+        shift = self._neg_shift
+        neg = list(by_log(exp[shift : shift + n1] + [0]))
+        inv = list(by_log(exp[n1:0:-1] + [None]))
         if q > TABLE_ORDER_CAP:
             # row 0: 0 + b = b, and 0 * b = 0 (q zero bytes)
             add = _ZechTable(self, _ZechAddRow, range(q))
             mul = _ZechTable(self, _ZechMulRow, bytes(q))
             return FieldTables(add, mul, neg, inv)
-        logs = log[1:]
-        add = [codes]
-        mul = [[0] * q]
-        for a in range(1, q):
-            la = log[a]
-            # a + b = g^la (1 + g^(lb - la)); negative offsets wrap in zech
-            row = [exp[la + z] if z >= 0 else 0 for z in [zech[lb - la] for lb in logs]]
-            add.append([codes[a]] + row)
-            mul.append([0] + [exp[la + lb] for lb in logs])
-        return FieldTables(add, mul, neg, inv)
+        mul = [[0] * q] + [list(by_log(exp[la : la + n1] + [0])) for la in log[1:]]
+        return FieldTables(_digit_sum_rows(codes, self.p, self.m), mul, neg, inv)
 
     # -- identity-ish --
 
@@ -616,30 +682,28 @@ class SubfieldEmbedding:
         self.base = base
         self.ext = ext
         self.degree = ext.m // base.m
-        root = self._modulus_root()
+        raw = ext if isinstance(ext, RawField) else ext.raw
+        root = self._modulus_root(raw)
         self._root = root
-        # a = sum c_i x^i maps to sum c_i root^i: span the image digit-wise,
-        # one base digit at a time (code c + p^i d gets image(c) + d root^i)
-        p, m = ext.p, ext.m
-        images = [[0] * m]
-        power = 1
+        # a = sum c_i x^i maps to sum c_i root^i: span the packed images
+        # one base digit at a time (code c + p^i d gets image(c) + d root^i),
+        # then reduce each once
+        images, power, packed_root = [0], 1, raw._pack(root)
         for _ in range(base.m):
-            pv = _decode_coeffs(power, p, m)
-            images = [[x + d * y for x, y in zip(v, pv)] for d in range(p) for v in images]
-            power = ext.mul(power, root)
-        img = [_encode_coeffs(v, p) for v in images]
+            images = [v + d * power for d in range(base.p) for v in images]
+            power = raw._mul(power, packed_root)
+        img = [raw._reduce(v) % raw._to_code for v in images]
         self._img = img
-        self._pre = {v: a for a, v in enumerate(img)}
+        self._pre = dict(zip(img, range(base.order)))
         if len(self._pre) != base.order:
             raise FieldError("embedding is not injective")  # would mean a broken modulus
 
-    def _modulus_root(self) -> int:
-        base, ext = self.base, self.ext
+    def _modulus_root(self, raw: RawField) -> int:
+        base = self.base
         if base.m == 1:
             return 0  # degenerate modulus "x"; constants embed as themselves
-        if base.m == ext.m:
+        if base.m == self.ext.m:
             return base.from_coeffs([0, 1])
-        raw = ext if isinstance(ext, RawField) else ext.raw
         # the modulus coefficients are prime-subfield constants, which share codes
         return raw.smallest_root(base.modulus)
 
@@ -688,7 +752,7 @@ def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int
     e = multiplicative_order(q, n)
     if q**e > DEFAULT_ORDER_CAP:
         raise FieldError(f"extension order {q}^{e} exceeds cap {DEFAULT_ORDER_CAP}")
-    ext = RawField(base.p, base.m * e)
+    ext = raw_field(base.p, base.m * e)
     emb = SubfieldEmbedding(base, ext)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)
     return emb, gamma

@@ -12,7 +12,8 @@ minimal polynomial mu over GF(q) (degree e) are formed in the table-free
 extension that ``gf.primitive_root_of_unity`` returns, and mu's
 coefficients come back to GF(q) through the Frobenius-checked smallest-root
 embedding.  Everything after that runs in K = GF(q)[t]/(mu) on GF(q)'s
-tables, with t standing for gamma, by one route for every e: g is
+tables, with t standing for gamma, and the powers t^j, j < 2n, are stepped
+out once with mu and kept with it.  By one route for every e, g is
 multiplied out there, each of its coefficients must have no t-component
 (coset closure of Z is what makes them land in GF(q), and the landing is
 asserted rather than assumed), and g(t^j) must vanish for exactly the odd
@@ -236,15 +237,8 @@ def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int
     in Z.
     """
     add, mul, neg, _ = fld.tables
-    mu = _root_minpoly(fld, 2 * n)
-    # K = GF(q)[t]/(mu) is GF(q^e) with gamma = t; its elements are length-e
-    # coefficient lists, and power[j] = t^j for 0 <= j < 2n
+    mu, power = _root_powers(fld, 2 * n)
     e = len(mu) - 1
-    power = [[1] + [0] * (e - 1)]
-    for _ in range(2 * n - 1):
-        power.append(_times_x_mod(fld, power[-1], mu))
-    if _times_x_mod(fld, power[-1], mu) != power[0]:
-        raise NegacyclicError(f"t is not a {2 * n}-th root of unity modulo its minimal polynomial")
 
     # g = prod (x - t^j) over K, constant term first
     g = [power[0]]
@@ -274,14 +268,17 @@ def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int
 
 
 @functools.cache
-def _root_minpoly(fld: Field, two_n: int) -> tuple[int, ...]:
-    """Minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen the
-    canonical generator of GF(Q = q^e), kept per (field, 2n).
+def _root_powers(fld: Field, two_n: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """mu, the minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen
+    the canonical generator of GF(Q = q^e), and the table t^j for
+    0 <= j < 2n in K = GF(q)[t]/(mu), where t is gamma; kept per (field, 2n),
+    so every code of length n reads the same table.
 
     ``primitive_root_of_unity`` gives gamma in a table-free GF(Q);
     mu = prod_{i<e} (x - gamma^(q^i)) is formed there, and each coefficient
     comes back to GF(q) through the smallest-root embedding, whose restrict
-    checks Frobenius fixation.
+    checks Frobenius fixation.  The elements of K are length-e coefficient
+    lists; t^(2n) = 1 is checked.
     """
     emb, gamma = primitive_root_of_unity(fld, two_n)
     ext, e = emb.ext, emb.degree
@@ -293,9 +290,15 @@ def _root_minpoly(fld: Field, two_n: int) -> tuple[int, ...]:
     if conj != gamma:
         raise NegacyclicError(f"gamma is not fixed by the {e}-th power of Frobenius")
     try:
-        return tuple(emb.restrict(c) for c in mu)
+        mu = tuple(emb.restrict(c) for c in mu)
     except FieldError as exc:
         raise NegacyclicError("minimal polynomial escaped the base field") from exc
+    power = [[1] + [0] * (e - 1)]
+    for _ in range(two_n - 1):
+        power.append(_times_x_mod(fld, power[-1], mu))
+    if _times_x_mod(fld, power[-1], mu) != power[0]:
+        raise NegacyclicError(f"t is not a {two_n}-th root of unity modulo its minimal polynomial")
+    return mu, power
 
 
 def _k_mul(fld: Field, a: list[int], b: list[int], mu: list[int]) -> list[int]:

@@ -9,6 +9,7 @@ from mpqc.gf import (
     SubfieldEmbedding,
     _decode_coeffs,
     _encode_coeffs,
+    _resultant,
     field,
     is_prime,
     multiplicative_order,
@@ -17,6 +18,7 @@ from mpqc.gf import (
     poly_eval,
     poly_mul,
     primitive_root_of_unity,
+    raw_field,
     smallest_irreducible,
     square_field,
 )
@@ -394,15 +396,32 @@ def test_embedding_tables_match_the_horner_loops(base, ext):
 
 
 # ---------------------------------------------------------------------------
-# the norm-first generator search
+# the packed arithmetic against the schoolbook multiply it replaced
 
 
-class ReferenceGeneratorSearch:
-    """The search Field ran before the norm test, kept verbatim: every prime
-    of q - 1 by a full square-and-multiply power."""
+class SchoolbookField:
+    """The table-free multiply RawField ran before packing, kept verbatim:
+    decode both codes to digit lists, multiply schoolbook, reduce through
+    the residues of x^m .. x^(2m-2), encode."""
 
-    def __init__(self, raw: RawField):
-        self.p, self.m, self.order, self._xpow = raw.p, raw.m, raw.order, raw._xpow
+    def __init__(self, p: int, m: int, modulus):
+        self.p, self.m, self.order, self.modulus = p, m, p**m, tuple(modulus)
+        self._xpow = self._reduction_table()
+
+    def _reduction_table(self) -> list[list[int]]:
+        # coefficient vectors of x^m .. x^(2m-2) reduced mod the modulus
+        p, m = self.p, self.m
+        mod = list(self.modulus)
+        table = []
+        cur = [(-c) % p for c in mod[:m]]  # x^m = -(mod - x^m)
+        table.append(list(cur))
+        for _ in range(m - 2):
+            cur = [0] + cur
+            if len(cur) > m:
+                lead = cur.pop()
+                cur = [(ci + lead * ri) % p for ci, ri in zip(cur, table[0])]
+            table.append(list(cur))
+        return table
 
     def _mul_codes_raw(self, a: int, b: int) -> int:
         # table-free multiply, used only while bootstrapping the tables
@@ -433,6 +452,18 @@ class ReferenceGeneratorSearch:
             e >>= 1
         return r
 
+
+# ---------------------------------------------------------------------------
+# the norm-first generator search
+
+
+class ReferenceGeneratorSearch(SchoolbookField):
+    """The search Field ran before the norm test, kept verbatim: every prime
+    of q - 1 by a full square-and-multiply power."""
+
+    def __init__(self, raw: RawField):
+        super().__init__(raw.p, raw.m, raw.modulus)
+
     def _find_generator(self) -> int:
         q = self.order
         if q == 2:
@@ -462,12 +493,48 @@ def test_norm_first_generator_matches_the_full_power_search():
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 4), (5, 2), (3, 3), (17, 4), (7, 6)])
 def test_raw_frobenius_and_norm(pm):
+    # the norm is the resultant of the modulus and a's digits, zero included
     raw = RawField(*pm)
+    ref = SchoolbookField(raw.p, raw.m, raw.modulus)
     p, q = raw.p, raw.order
     for a in list(range(min(q, 60))) + [q - 1]:
-        assert raw.frobenius(a) == raw.pow(a, p)
-        nm = raw.norm(a)
-        assert nm < p and nm == raw.pow(a, (q - 1) // (p - 1))
+        assert raw.frobenius(a) == raw.pow(a, p) == ref._pow_raw(a, p)
+        nm = _resultant(raw.modulus, _decode_coeffs(a, p, raw.m), p)
+        assert nm < p and nm == ref._pow_raw(a, (q - 1) // (p - 1))
+
+
+_PACKED_FIELDS = [(2, 1), (2, 9), (3, 8), (5, 4), (7, 6), (17, 4), (61, 4)]
+
+
+@pytest.mark.parametrize("pm", _PACKED_FIELDS)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_arithmetic_matches_the_schoolbook_multiply(pm, data):
+    raw = raw_field(*pm)
+    ref = SchoolbookField(raw.p, raw.m, raw.modulus)
+    p, m, q = raw.p, raw.m, raw.order
+    # the extreme codes and the monomials x^i, then arbitrary ones
+    special = st.sampled_from([0, 1, p - 1, q - 1] + [p**i for i in range(m)])
+    element = st.one_of(special, st.integers(0, q - 1))
+    a, b = data.draw(element), data.draw(element)
+    e = data.draw(st.integers(0, 2 * q))
+    assert raw.mul(a, b) == ref._mul_codes_raw(a, b)
+    assert raw.pow(a, e) == ref._pow_raw(a, e)
+    assert raw.frobenius(a) == ref._pow_raw(a, p)
+    digits = lambda c: _decode_coeffs(c, p, m)
+    assert digits(raw.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+    assert raw.add(a, raw.neg(a)) == 0
+
+
+def test_one_raw_field_per_order_is_shared():
+    assert field(17, 2).raw is raw_field(17, 2)
+    emb, _ = primitive_root_of_unity(field(17, 2), 2 * 290)
+    assert emb.ext is raw_field(17, 4)
+
+
+@pytest.mark.parametrize("pm", [(3, 8), (2, 9)])
+def test_smallest_irreducible_matches_the_integer_search_at_higher_degree(pm):
+    assert smallest_irreducible(*pm) == reference_smallest_irreducible(*pm)
 
 
 @pytest.mark.parametrize("base,ext", [((3, 2), (3, 4)), ((5, 2), (5, 4)), ((2, 2), (2, 6)), ((7, 2), (7, 4))])

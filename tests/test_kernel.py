@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mpqc.gf import TABLE_ORDER_CAP, Field, field
 from mpqc.matrix import Matrix
+from test_gf import SchoolbookField
 
 # ---------------------------------------------------------------------------
 # reference implementations, kept verbatim from the per-call Zech versions
@@ -90,16 +91,18 @@ def reference_det_inverse(self):
 
 
 def reference_exp_log_zech(F):
-    """The exp/log/Zech bootstrap that stepped g^i by a raw polynomial multiply."""
+    """The exp/log/Zech bootstrap that stepped g^i by a raw polynomial
+    multiply, here the schoolbook one, not the packed code it checks."""
     q = F.order
     exp = [1] * (2 * q)
     log = [-1] * q
     g = F.generator
+    raw_mul = SchoolbookField(F.p, F.m, F.modulus)._mul_codes_raw
     v = 1
     for i in range(q - 1):
         exp[i] = v
         log[v] = i
-        v = F.raw.mul(v, g)
+        v = raw_mul(v, g)
     for i in range(q - 1, 2 * q):
         exp[i] = exp[i - (q - 1)]
     p = F.p
@@ -205,17 +208,20 @@ def test_range_check_reports_first_bad_entry(F9):
 # field tables
 
 
-@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (3, 4)])
+# GF(2^10) is tabulated at the cap
+@pytest.mark.parametrize(
+    "pm", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (3, 4), (3, 3), (13, 2), (17, 2), (2, 10)]
+)
 def test_tables_match_zech_arithmetic(pm):
     F = field(*pm)
     add, mul, neg, inv = F.tables
-    q = F.order
-    for a in range(q):
-        assert neg[a] == F.neg(a)
-        assert inv[a] == (F.inv(a) if a else None)
-        for b in range(q):
-            assert add[a][b] == F.add(a, b)
-            assert mul[a][b] == F.mul(a, b)
+    codes = range(F.order)
+    assert neg == [F.neg(a) for a in codes]
+    assert inv == [None] + [F.inv(a) for a in codes[1:]]
+    for a in codes:  # whole rows at once
+        assert add[a] == [F.add(a, b) for b in codes], a
+        assert mul[a] == [F.mul(a, b) for b in codes], a
+    assert len({id(x) for row in add + mul for x in row}) == F.order
 
 
 def test_tables_share_element_objects():

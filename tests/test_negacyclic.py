@@ -394,6 +394,50 @@ def test_chain_components_need_no_extension_field_and_no_elimination():
     assert doc["wide"] == []  # the [870,855] product is never written as its generator
 
 
+SETUP_GUARD = """
+import json
+import mpqc.gf as gf
+
+built, searched = [], []
+raw_init = gf.RawField.__init__
+search = gf.RawField.__dict__["generator"]
+find = search.func
+
+def counting_init(self, p, m):
+    built.append(p**m)
+    raw_init(self, p, m)
+
+def counting_find(self):
+    searched.append(self.order)
+    return find(self)
+
+gf.RawField.__init__ = counting_init
+search.func = counting_find
+import mpqc.negacyclic as negacyclic
+from mpqc.quantum import build_chain
+
+build_chain(17, (1, 2, 3))
+info = negacyclic._root_powers.cache_info()
+print(json.dumps({"built": built, "searched": searched, "steps": [info.misses, info.hits]}))
+"""
+
+
+def test_a_cold_chain_sets_up_each_field_once():
+    # a fresh interpreter, so every cache is cold: one table-free GF(17^4),
+    # one generator search on it, and the t^j table stepped once for the
+    # three components
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SETUP_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert sorted(doc["built"]) == [17, 17**2, 17**4]
+    assert sorted(doc["searched"]) == [17, 17**2, 17**4]
+    assert doc["steps"] == [1, 2]
+
+
 CASE_GUARD = """
 import json
 import mpqc.matrix as matrix

@@ -471,7 +471,7 @@ def test_kept_facts_against_a_hand_count():
     # verdicts are divisions of the components' polynomials
     kept = (
         negacyclic._build_negacyclic,
-        negacyclic._root_minpoly,
+        negacyclic._root_powers,
         product._all_prefix_minors_invertible,
         code_module._divides,
     )
