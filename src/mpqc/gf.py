@@ -111,8 +111,9 @@ def split_prime_power(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # polynomials over a Field: coefficient lists of element codes, constant term
 # first.  Over a prime field GF(p) the codes are the residues mod p, so the
-# modulus search below runs on field(p); Field(p, 1) takes its modulus x
-# before any polynomial call, so building it never recurses.
+# modulus search and the resultant below run on field(p); Field(p, 1) takes
+# its modulus x and searches its generator without a polynomial division, so
+# building it never recurses.
 
 
 def poly_trim(c: list[int]) -> list[int]:
@@ -136,7 +137,9 @@ def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
 
 def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder), both trimmed, on the field's tables: each step
-    adds f * (-b_i) to the leading window of a, for f = lead(a) / lead(b)."""
+    adds f * (-b_i) to the leading window of a, for f = lead(a) / lead(b),
+    which must cancel a's leading coefficient.  Tables that leave it
+    nonzero raise FieldError, so every step shortens a and the loop ends."""
     b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -146,12 +149,14 @@ def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], li
     by_inv_lead = mul[inv[b[-1]]]
     minus_b = [(i, mul[neg[bi]]) for i, bi in enumerate(b) if bi]
     q = [0] * max(len(a) - db, 0)
-    while a and len(a) - 1 >= db:
+    while len(a) > db:
         shift = len(a) - 1 - db
         f = by_inv_lead[a[-1]]
         q[shift] = f
         for i, m in minus_b:
             a[shift + i] = add[a[shift + i]][m[f]]
+        if a.pop():
+            raise FieldError(f"the tables of {fld!r} left a leading coefficient uncancelled")
         poly_trim(a)
     return q, a
 
@@ -202,19 +207,14 @@ def _resultant(f: Sequence[int], g: Sequence[int], p: int) -> int:
     with f a field's modulus it is the norm N(g) = g^((Q-1)/(p-1)).
 
     Euclid's steps, each Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
-    Res(g, r) for r = f mod g, end at Res(f, c) = c^(deg f).
+    Res(g, r) for r = f mod g, end at Res(f, c) = c^(deg f).  The remainders
+    are taken by ``poly_divmod`` on field(p), which this never reaches for a
+    constant g, as in the generator search of GF(p) itself.
     """
     res = 1
     g = poly_trim([c % p for c in g])
     while len(g) > 1:
-        r = list(f)
-        by_lead = pow(g[-1], p - 2, p)
-        while len(r) >= len(g):
-            c = r[-1] * by_lead % p
-            shift = len(r) - len(g)
-            for i, gi in enumerate(g):
-                r[shift + i] = (r[shift + i] - c * gi) % p
-            poly_trim(r)
+        r = poly_divmod(field(p), f, g)[1]
         if not r:
             return 0
         df, dg = len(f) - 1, len(g) - 1
@@ -606,13 +606,6 @@ class Field:
         if a == 0:
             raise FieldError("inversion of zero")
         return self._exp[self.order - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise FieldError("division by zero")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.order - 1]
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply; negative exponents invert first."""

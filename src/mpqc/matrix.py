@@ -102,10 +102,6 @@ class Matrix:
 
     # -- basics --
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -59,8 +59,6 @@ class NegacyclicError(ValueError):
 class CyclotomicCoset:
     representative: int
     members: tuple[int, ...]
-    modulus: int
-    multiplier: int
 
     def __len__(self):
         return len(self.members)
@@ -77,7 +75,7 @@ def cyclotomic_coset(j: int, modulus: int, multiplier: int) -> CyclotomicCoset:
         members.add(x)
         x = x * multiplier % modulus
     ms = tuple(sorted(members))
-    return CyclotomicCoset(ms[0], ms, modulus, multiplier)
+    return CyclotomicCoset(ms[0], ms)
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ class DefiningSet:
     """A union of q-cyclotomic cosets of odd residues mod 2n."""
 
     residues: tuple[int, ...]
-    cosets: tuple[CyclotomicCoset, ...]
     n: int
     q: int
 
@@ -105,16 +102,10 @@ class DefiningSet:
 
 
 def defining_set_from_residues(n: int, q: int, seeds) -> DefiningSet:
-    two_n = 2 * n
-    cosets = {}
-    for j in seeds:
-        c = cyclotomic_coset(j, two_n, q)
-        cosets[c.representative] = c
     members: set[int] = set()
-    for c in cosets.values():
-        members.update(c.members)
-    ordered = tuple(cosets[r] for r in sorted(cosets))
-    return DefiningSet(tuple(sorted(members)), ordered, n, q)
+    for j in seeds:
+        members.update(cyclotomic_coset(j, 2 * n, q).members)
+    return DefiningSet(tuple(sorted(members)), n, q)
 
 
 def centered_defining_set(l: int, delta: int) -> DefiningSet:

@@ -7,23 +7,20 @@ the full-row-rank bound through the row-prefix codes of A, and the sharper
 non-singular-by-columns bound, which is an equality when A is also upper
 triangular.
 
-Every product is assembled on its parity side whenever A, padded to square
-with identity rows and zero components, is nonsingular: the dual identity
-C^perp = [C_1-dual..C_m-dual](A^-1)^T (Blackmore and Norton) stacks one
-block row (b_ij h)_j per row h of each component's parity check, and that
-sum(n - k_i)-row stack is right-reduced by `code`'s one right-reduction
-and stores the code (its k x nm generator is read off only if something
-asks).  A^-1 comes from the kernel and A A^-1 = I is checked entrywise.  A
-singular padded A (rank-deficient, or padded off its pivots) goes through
-the kernel on the block rows a_ij G_i instead.  A dual-containing product
-(`_checked_product`) defers even the stack: it holds k = sum(k_i) and its
-block verdict, and the stack is assembled, with its rank check, when its
-generator or parity check is first read.  Its rank needs no elimination to
-be known: each H_i is right-reduced and A A^-1 = I was checked.
+`matrix_product_code` builds a product from that definition: the block
+rows (a_ij G_i)_j are stacked and canonicalized by the elimination kernel.
+A dual-containing product (`_checked_product`), where A is square and
+nonsingular, defers assembly: it holds k = sum(k_i) and its block verdict,
+and when its generator or parity check is first read it is assembled on
+its parity side through the dual identity C^perp = [C_1-dual..C_s-dual]
+(A^-1)^T (Blackmore and Norton), which stacks one block row (b_ij h)_j per
+row h of each component's parity check; that sum(n - k_i)-row stack is
+right-reduced by `code`'s one right-reduction, with its rank checked.  A^-1
+comes from the kernel and A A^-1 = I is checked entrywise.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
-both sides (each built from its definition through the kernel, never
-through the parity-side assembly that relies on the identity), and
+both sides (each built from its definition, never through the parity-side
+assembly that relies on the identity), and
 every dual-containing product construction tests its components and its
 output for Hermitian containment, raising ConsistencyError if the algebra
 and the matrices ever disagree.  The output is tested block by block: with
@@ -44,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .code import DistanceReport, LinearCode, _parity_code, exact_report
@@ -77,30 +73,14 @@ def _check_product(codes: Sequence[LinearCode], A: Matrix) -> None:
 
 
 def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """The length n*m code generated by the blocks a_ij G_i.
-
-    Stored by its parity check from `_parity_product` whenever A, padded to
-    square, is nonsingular; a singular padded A goes through the elimination
-    kernel."""
+    """The length n*m code generated by the blocks a_ij G_i: every block row
+    (a_ij G_i)_j stacked, then one kernel elimination."""
     _check_product(codes, A)
-    fld, (s, m) = A.field, A.shape
-    square = A if s == m else Matrix(
-        fld, [*A.rows, *([0] * i + [1] + [0] * (m - i - 1) for i in range(s, m))], ncols=m
-    )
-    B = _checked_inverse_transpose(square)
-    if B is None:
-        return _kernel_product(codes, A)
-    return _parity_product(codes, B)
-
-
-def _kernel_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """Every block row (a_ij G_i)_j stacked, then one kernel elimination."""
-    fld, n = codes[0].field, codes[0].n
+    fld, n = A.field, codes[0].n
     mul = fld.tables.mul
     zeros = [0] * n
     rows = []
-    for i, code in enumerate(codes):
-        arow = A.rows[i]
+    for arow, code in zip(A.rows, codes):
         for g in code.gen.rows:
             rows.append([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)])
     if not rows:
@@ -108,13 +88,13 @@ def _kernel_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     return LinearCode.from_generator(Matrix(fld, rows, ncols=n * A.ncols))
 
 
-def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]] | None:
-    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise; None when
-    A is singular."""
+def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
+    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise; a singular
+    A raises, since both callers' conditions make A nonsingular."""
     add, mul = A.field.tables.add, A.field.tables.mul
     _, ainv = A.det_inverse()
     if ainv is None:
-        return None
+        raise ConsistencyError("A is singular despite the product conditions")
     cols = list(zip(*ainv.rows))
     for i, arow in enumerate(A.rows):
         for j, col in enumerate(cols):
@@ -129,24 +109,22 @@ def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]] | None:
 
 def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> LinearCode:
     """[C_1..C_s]A stored by its right-reduced parity check, through the dual
-    identity [C_1-dual..C_m-dual](A^-1)^T.
+    identity [C_1-dual..C_s-dual](A^-1)^T.
 
-    B = (A^-1)^T for A padded to m x m with identity rows; the m - s padding
-    components are zero codes, whose duals are the full space (H = I_n).
-    Each row h of H_i gives the block row (b_ij h)_j.  It is orthogonal to
-    each row of block i' of the product's generator: their dot product is
-    (B A^T)_{ii'} (h.g) = delta_{ii'} (h.g) = 0, because H_i is read off C_i.
-    The stack is right-reduced as `LinearCode.from_parity` reduces any
-    spanning set of a dual, and it must keep its full rank
-    sum(n - k_i) = nm - sum(k_i), so it spans the product's dual.
+    B = (A^-1)^T for a square nonsingular A.  Each row h of H_i gives the
+    block row (b_ij h)_j.  It is orthogonal to each row of block i' of the
+    product's generator: their dot product is (B A^T)_{ii'} (h.g) =
+    delta_{ii'} (h.g) = 0, because H_i is read off C_i.  The stack is
+    right-reduced as `LinearCode.from_parity` reduces any spanning set of a
+    dual, and it must keep its full rank sum(n - k_i) = nm - sum(k_i), so it
+    spans the product's dual.
     """
-    fld, n, s = codes[0].field, codes[0].n, len(codes)
+    fld, n = codes[0].field, codes[0].n
     mul = fld.tables.mul
-    unit = Matrix.identity(fld, n) if s < len(B) else None
     zeros = [0] * n
     rows = []
-    for i, brow in enumerate(B):
-        for h in (codes[i].parity if i < s else unit).rows:
+    for brow, code in zip(B, codes):
+        for h in code.parity.rows:
             row = []
             for b in brow:
                 row += h if b == 1 else [mul[b][y] for y in h] if b else zeros
@@ -230,66 +208,31 @@ def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
 
     Both that expression and the plain nullspace dual of the product are
     computed; disagreement would break the dual identity and raises.  Both
-    products are built from their definition, the block rows a_ij G_i
-    through the kernel: `matrix_product_code` relies on this identity, so it
-    cannot be either side of its check.
+    products are built by `matrix_product_code`, from their definition: the
+    parity-side assembly of dual-containing products relies on this
+    identity, so it cannot be either side of its check.
     """
     if A.nrows != A.ncols:
         raise ValueError("the dual identity needs a square matrix")
     _, ainv = A.det_inverse()
     if ainv is None:
         raise ValueError("the dual identity needs a nonsingular matrix")
-    _check_product(codes, A)
-    lhs = _kernel_product(codes, A).euclidean_dual()
-    rhs = _kernel_product([c.euclidean_dual() for c in codes], ainv.transpose())
+    lhs = matrix_product_code(codes, A).euclidean_dual()
+    rhs = matrix_product_code([c.euclidean_dual() for c in codes], ainv.transpose())
     if lhs != rhs:
         raise ConsistencyError("dual identity failed on this instance")
     return lhs
 
 
-@dataclass(frozen=True)
-class GramCheck:
-    """Both sufficient conditions for products to stay dual-containing."""
-
-    diagonal_condition: bool
-    scalar_condition: bool
-    scalar: int | None  # code of a with conj-inverse-transpose = a * A
-
-
-def hermitian_gram_check(A: Matrix) -> GramCheck:
-    """Tests conj(A) A^T diagonal-invertible, and conj-inverse-transpose = a*A.
-
-    A singular matrix cannot satisfy either condition: its conjugate Gram is
-    singular (so never invertible-diagonal) and the scalar test has no
-    inverse to compare against, which reports as a plain False."""
+def dual_containing_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
+    """Product of Hermitian dual-containing components under a square matrix
+    whose conjugate Gram conj(A) A^T is an invertible diagonal matrix; the
+    output is re-checked, not assumed.  A singular A fails the test, since
+    its conjugate Gram is singular too."""
     if A.nrows != A.ncols:
         raise ValueError("square matrices only")
-    fld = A.field
-    s = A.nrows
-    gram = A.conjugate() @ A.transpose()
-    diagonal = all(
-        (gram.rows[i][j] == 0) == (i != j) for i in range(s) for j in range(s)
-    )
-    _, inv_conj = A.conjugate().det_inverse()
-    scalar_ok, scalar = False, None
-    if inv_conj is not None:
-        target = inv_conj.transpose()
-        pos = next(
-            ((i, j) for i in range(s) for j in range(s) if A.rows[i][j]), None
-        )
-        if pos is not None:
-            i, j = pos
-            a = fld.div(target.rows[i][j], A.rows[i][j])
-            if a != 0 and target == A.scale(a):
-                scalar_ok, scalar = True, a
-    return GramCheck(diagonal, scalar_ok, scalar)
-
-
-def dual_containing_product(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
-    """Product of Hermitian dual-containing components under a matrix whose
-    conjugate Gram is diagonal; the output is re-checked, not assumed."""
-    check = hermitian_gram_check(A)
-    if not check.diagonal_condition:
+    gram = (A.conjugate() @ A.transpose()).rows
+    if any((x == 0) == (i == j) for i, row in enumerate(gram) for j, x in enumerate(row)):
         raise ValueError("conj(A) A^T is not an invertible diagonal matrix")
     return _checked_product(codes, A, "product lost dual containment despite the Gram condition")
 
@@ -311,8 +254,6 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
             raise ValueError(f"component {i} is not Hermitian dual-containing")
     _check_product(codes, A)
     B = _checked_inverse_transpose(A)
-    if B is None:
-        raise ConsistencyError("A is singular despite the product conditions")
     if not _block_gram_vanishes(codes, B):
         raise ConsistencyError(lost)
     codes = tuple(codes)

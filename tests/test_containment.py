@@ -393,7 +393,7 @@ def test_both_containment_verdicts_occur(pm):
 @given(codes())
 def test_parity_spans_the_dual(C):
     H = C.parity
-    assert H.shape == (C.n - C.k, C.n)
+    assert (H.nrows, H.ncols) == (C.n - C.k, C.n)
     assert H.rank() == C.n - C.k
     assert all_zero(C.gen @ H.transpose())
 
@@ -402,7 +402,8 @@ def test_parity_spans_the_dual(C):
 def test_parity_of_the_trivial_codes(pm):
     fld = field(*pm)
     assert LinearCode.zero_code(fld, 4).parity == Matrix.identity(fld, 4)
-    assert LinearCode.full_space(fld, 4).parity.shape == (0, 4)
+    H = LinearCode.full_space(fld, 4).parity
+    assert (H.nrows, H.ncols) == (0, 4)
 
 
 @settings(max_examples=100, deadline=None)

@@ -339,7 +339,7 @@ def test_escaping_generator_is_rejected(F25):
     # residue 1 alone is not closed under *25 mod 52 (its coset is {1, 25});
     # bypass the defining-set validation to reach the landing check
     Z = object.__new__(DefiningSet)
-    for name, value in {"residues": (1,), "cosets": (), "n": 26, "q": 25}.items():
+    for name, value in {"residues": (1,), "n": 26, "q": 25}.items():
         object.__setattr__(Z, name, value)
     with pytest.raises(NegacyclicError, match="escaped the base field"):
         _generator_polynomial(26, F25, Z)

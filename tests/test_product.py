@@ -1,5 +1,6 @@
 import pytest
 
+from mpqc import product
 from mpqc.code import BudgetError, LinearCode
 from mpqc.gf import square_field
 from mpqc.constructions import rs_dual_containing
@@ -10,7 +11,6 @@ from mpqc.product import (
     character_product,
     dual_containing_product,
     frr_distance_bound,
-    hermitian_gram_check,
     is_frr,
     is_nsc,
     is_upper_triangular,
@@ -155,38 +155,49 @@ def test_product_dual_with_character_matrix(F25, rng):
 
 
 def test_gram_check_identity(F25):
-    chk = hermitian_gram_check(Matrix.identity(F25, 3))
-    assert chk.diagonal_condition and chk.scalar_condition and chk.scalar == 1
+    full = LinearCode.full_space(F25, 2)
+    prod = dual_containing_product([full] * 3, Matrix.identity(F25, 3))
+    assert prod == LinearCode.full_space(F25, 6)
 
 
 def test_gram_check_character_matrix(F25):
     A = character_matrix(F25, 2)
-    chk = hermitian_gram_check(A)
-    assert chk.diagonal_condition
-    assert chk.scalar_condition
-    assert chk.scalar == F25.inv(4)
-
-
-def test_gram_check_scalar_condition_over_a_non_prime_subfield():
-    # GF(81), l = 9: for A = c I, conj-inverse-transpose(A) = a A with
-    # a = 1 / (c conj(c)), a code of GF(81) that is in general not an
-    # element of the prime field GF(3)
-    F81 = square_field(9)
-    for c in range(1, 81):
-        chk = hermitian_gram_check(Matrix(F81, [[c, 0], [0, c]]))
-        assert chk.diagonal_condition and chk.scalar_condition
-        assert chk.scalar == F81.inv(F81.mul(c, F81.conj(c)))
+    assert A.conjugate() @ A.transpose() == Matrix.identity(F25, 4).scale(4)
+    full = LinearCode.full_space(F25, 2)
+    assert dual_containing_product([full] * 4, A) == LinearCode.full_space(F25, 8)
 
 
 def test_gram_check_negative(F25):
-    chk = hermitian_gram_check(Matrix(F25, [[1, 1], [0, 1]]))
-    assert not chk.diagonal_condition
+    full = LinearCode.full_space(F25, 2)
+    with pytest.raises(ValueError, match="invertible diagonal"):
+        dual_containing_product([full] * 2, Matrix(F25, [[1, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="square"):
+        dual_containing_product([full] * 2, Matrix(F25, [[1, 0, 0], [0, 1, 0]]))
 
 
 def test_gram_check_singular_fails_both(F25):
-    chk = hermitian_gram_check(Matrix(F25, [[1, 1], [1, 1]]))
-    assert not chk.diagonal_condition
-    assert not chk.scalar_condition and chk.scalar is None
+    # a singular A fails the Gram check, and the inverse it would need
+    # refuses it on its own
+    A = Matrix(F25, [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="invertible diagonal"):
+        dual_containing_product([LinearCode.full_space(F25, 2)] * 2, A)
+    with pytest.raises(ConsistencyError, match="singular"):
+        product._checked_inverse_transpose(A)
+
+
+def test_dual_containing_product_inverts_its_matrix_once(F25, rng, monkeypatch):
+    codes = [random_dual_containing_code(F25, 3, rng.randint(0, 1), rng) for _ in range(4)]
+    calls = []
+    det_inverse = Matrix.det_inverse
+
+    def spy(self):
+        calls.append(self)
+        return det_inverse(self)
+
+    monkeypatch.setattr(Matrix, "det_inverse", spy)
+    A = character_matrix(F25, 2)
+    dual_containing_product(codes, A)
+    assert calls == [A]
 
 
 def test_character_matrix_small(F25):

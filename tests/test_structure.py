@@ -1,5 +1,6 @@
 """Differential tests for the structured chain build: the parity-side
-assembly of a matrix product code, the parity check read off an RREF
+assembly of a dual-containing matrix product code against the product's
+definition, the parity check read off an RREF
 and the RREF read off a parity check, and the kept facts (negacyclic
 components, NSC verdicts, polynomial divisions), each against the reference code
 it replaced."""
@@ -164,9 +165,8 @@ def triangular_products(draw):
 @st.composite
 def other_products(draw):
     """Components and a matrix of every other shape the product meets: a
-    nonsingular square A that is not upper triangular, an s x m A with s < m
-    (its identity padding is singular whenever its leading s x s block is),
-    a character table, or an A whose rows are dependent."""
+    nonsingular square A that is not upper triangular, an s x m A with
+    s < m, a character table, or an A whose rows are dependent."""
     kind = draw(st.sampled_from(["square", "wide", "character", "deficient"]))
     pm = draw(st.sampled_from(SQUARE_FIELDS[1:] if kind == "character" else SQUARE_FIELDS))
     fld = field(*pm)
@@ -188,35 +188,70 @@ def other_products(draw):
     return [draw(component(fld, n)) for _ in range(A.nrows)], A
 
 
+@st.composite
+def square_products(draw):
+    """Components and a square nonsingular A, the matrices under which a
+    dual-containing product is assembled on its parity side: upper
+    triangular, not triangular, or a character table.  The components are
+    arbitrary codes, or a nested chain of dual-containing codes, ascending
+    or descending."""
+    shape = draw(st.sampled_from(["triangular", "general", "character"]))
+    fld = field(*draw(st.sampled_from(SQUARE_FIELDS[1:] if shape == "character" else SQUARE_FIELDS)))
+    entry = st.just(0) | st.integers(0, fld.order - 1)
+    if shape == "character":
+        A = character_matrix(fld, draw(st.integers(1, 2)))
+    elif shape == "triangular":
+        s = draw(st.integers(1, 4))
+        rows = [
+            [0] * i + [draw(st.integers(1, fld.order - 1))] + [draw(entry) for _ in range(s - i - 1)]
+            for i in range(s)
+        ]
+        A = Matrix(fld, rows, ncols=s)
+    else:
+        s = draw(st.integers(2, 4))
+        A = Matrix(fld, [[draw(entry) for _ in range(s)] for _ in range(s)], ncols=s)
+        assume(A.det() and not is_upper_triangular(A))
+    s, n = A.nrows, draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["arbitrary", "ascending", "descending"]))
+    if kind == "arbitrary":
+        return [draw(component(fld, n)) for _ in range(s)], A
+    codes = random_dual_containing_chain(fld, n, s, random.Random(draw(st.integers(0, 2**32))))
+    return (codes if kind == "ascending" else codes[::-1]), A
+
+
+def parity_product(codes, A):
+    """The parity-side assembly a dual-containing product defers to."""
+    return product._parity_product(codes, product._checked_inverse_transpose(A))
+
+
 # ---------------------------------------------------------------------------
 # parity-side product assembly
 
 
 @settings(max_examples=400, deadline=None)
-@given(triangular_products())
-def test_triangular_product_matches_kernel(case):
+@given(square_products())
+def test_parity_product_matches_kernel(case):
     codes, A = case
-    got = matrix_product_code(codes, A)
-    want = reference_product(codes, A)
-    assert got.k == sum(c.k for c in codes)
+    got = parity_product(codes, A)
+    assert got._gen is None  # stored by its parity check
+    want = matrix_product_code(codes, A)
+    assert got.k == want.k == sum(c.k for c in codes)
     assert got.parity.rows == want.parity.rows
     assert got.gen.rows == want.gen.rows
     assert got == want
-    old = reference_triangular_product(codes, A)
-    assert got.parity.rows == old.parity.rows and got.gen.rows == old.gen.rows
+    if is_upper_triangular(A):
+        old = reference_triangular_product(codes, A)
+        assert got.parity.rows == old.parity.rows and got.gen.rows == old.gen.rows
 
 
 @settings(max_examples=400, deadline=None)
 @given(other_products())
 def test_every_matrix_matches_kernel(case):
+    # the definition, for wide and rank-deficient matrices too, where the
+    # dual identity does not apply
     codes, A = case
-    s = A.nrows
     got = matrix_product_code(codes, A)
     want = reference_product(codes, A)
-    # the padded A is nonsingular exactly when its leading s x s block is,
-    # and only then is the product stored by its parity check
-    padded_nonsingular = A.submatrix(range(s), range(s)).det() != 0
-    assert (got._gen is None) == padded_nonsingular
     assert got.k == want.k
     assert got.gen.rows == want.gen.rows
     assert got.parity.rows == want.parity.rows
@@ -248,32 +283,18 @@ def test_trailing_columns_of_a_right_reduced_matrix(F9):
 
 
 def test_triangular_product_checks_the_inverse(F25, monkeypatch):
-    codes = [LinearCode.full_space(F25, 2), LinearCode.zero_code(F25, 2)]
+    codes = [LinearCode.full_space(F25, 2)] * 2  # a dual-containing chain
     A = Matrix(F25, [[1, 3], [0, 2]])
     _, ainv = A.det_inverse()
-    matrix_product_code(codes, A)
+    assert product._checked_product(codes, A, "lost") == matrix_product_code(codes, A)
     wrong = Matrix(F25, [list(ainv.rows[0]), [0, 1]])
     monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, wrong))
     with pytest.raises(ConsistencyError, match="A A\\^-1 = I"):
-        matrix_product_code(codes, A)
-    # an inverse that comes out singular sends the product to the kernel
+        product._checked_product(codes, A, "lost")
+    # a singular A is refused: both callers' conditions rule it out
     monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, None))
-    assert matrix_product_code(codes, A) == reference_product(codes, A)
-
-
-@settings(max_examples=100, deadline=None)
-@given(triangular_products(), st.integers(0, 2**32))
-def test_other_matrices_keep_the_kernel_path(case, seed):
-    codes, A = case
-    rng = random.Random(seed)
-    rows = [list(r) for r in A.rows]
-    i = rng.randrange(A.nrows)
-    if rng.random() < 0.5 or i == 0:
-        rows[i][i] = 0  # a zero on the diagonal
-    else:
-        rows[i][rng.randrange(i)] = rng.randrange(1, A.field.order)  # below it
-    B = Matrix(A.field, rows, ncols=A.ncols)
-    assert matrix_product_code(codes, B) == reference_product(codes, B)
+    with pytest.raises(ConsistencyError, match="singular"):
+        product._checked_product(codes, A, "lost")
 
 
 def test_descending_and_ascending_chains_match_kernel(F25):
@@ -284,7 +305,8 @@ def test_descending_and_ascending_chains_match_kernel(F25):
             for _ in range(3):
                 rows = [[0] * i + [rng.randrange(1, 25) for _ in range(s - i)] for i in range(s)]
                 A = Matrix(F25, rows, ncols=s)
-                assert matrix_product_code(codes, A) == reference_product(codes, A)
+                got = parity_product(codes, A)
+                assert got.parity.rows == matrix_product_code(codes, A).parity.rows
 
 
 CHAIN_CASES = [(5, "full"), (9, "full"), (13, "full"), (7, "half"), (11, "half")]
@@ -297,10 +319,10 @@ def test_every_admissible_chain_matches_kernel(l, family):
     for deltas in admissible_triples(l, family, strict=False):
         n, sets = _chain_defining_sets(l, deltas, family)
         codes = [negacyclic_code(n, fld, Z).code for Z in sets]
-        got = matrix_product_code(codes, A)
+        got = parity_product(codes, A)
         old = reference_triangular_product(codes, A)
         assert got.parity.rows == old.parity.rows, deltas
-        assert got.gen.rows == old.gen.rows == reference_product(codes, A).gen.rows, deltas
+        assert got.gen.rows == old.gen.rows == matrix_product_code(codes, A).gen.rows, deltas
         if l <= 9:
             assert got.parity.rows == reference_nullspace(got.gen).rows, deltas
 
@@ -318,7 +340,9 @@ def test_product_dual_and_character_products_take_the_kernel(F25):
     rng = random.Random(8)
     codes = [random_dual_containing_code(F25, 5, 2, rng) for _ in range(4)]
     X = character_matrix(F25, 2)
-    assert matrix_product_code(codes, X) == reference_product(codes, X)
+    kernel = matrix_product_code(codes, X)
+    assert kernel == reference_product(codes, X)
+    assert dual_containing_product(codes, X) == kernel
     A = Matrix(F25, [[1, 3, 4], [0, 2, 1], [0, 0, 4]])
     dual = product_dual(codes[:3], A)
     assert dual == reference_product(codes[:3], A).euclidean_dual()
@@ -340,10 +364,10 @@ def test_product_dual_builds_its_side_from_the_definition(F25, monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(triangular_products(), st.data())
+@given(square_products(), st.data())
 def test_membership_through_the_parity_check_matches_the_row_space(case, data):
     codes, A = case
-    got = matrix_product_code(codes, A)  # stored by its parity check
+    got = parity_product(codes, A)  # stored by its parity check
     G = reference_product(codes, A).gen
     fld, nm = G.field, G.ncols
     add, mul = fld.tables.add, fld.tables.mul
@@ -374,9 +398,9 @@ def test_parity_read_off_matches_nullspace(pm, n, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(triangular_products())
+@given(square_products())
 def test_product_parity_matches_nullspace(case):
-    C = matrix_product_code(*case)
+    C = parity_product(*case)
     assert C.parity.rows == reference_nullspace(C.gen).rows
 
 
@@ -451,7 +475,12 @@ def test_no_verdict_leaves_one_code_referencing_another(stored, F25):
 @given(triangular_products())
 def test_kept_verdicts_leave_equality_hash_and_dict_alone(case):
     codes, A = case
-    for C in (matrix_product_code(codes, A), codes[0]):
+    # stored by its generator, by a component's, and (for a square A) by
+    # its parity check
+    stored = [matrix_product_code(codes, A), codes[0]]
+    if A.nrows == A.ncols:
+        stored.append(parity_product(codes, A))
+    for C in stored:
         fresh = LinearCode.from_generator(C.gen)
         C.parity
         C.is_hermitian_dual_containing()
