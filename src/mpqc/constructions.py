@@ -442,7 +442,7 @@ def _negacyclic_family(l: int, d: int, max_subsets: int) -> LinearCode:
             f"defining set size d-1 = {d - 1} is unreachable"
         )
     depth = (d - 2) // 2
-    nega = negacyclic_code(n, fld, centered_defining_set(l, depth))
+    Z = centered_defining_set(l, depth)
     return _verify_family_code(
-        nega.code, n, n + 1 - d, d, max_subsets, lambda: distance_report(nega).exact
+        negacyclic_code(n, fld, Z), n, n + 1 - d, d, max_subsets, lambda: distance_report(Z).exact
     )

@@ -33,11 +33,12 @@ every prime of p^m - 1 that divides p - 1 with one resultant; only the
 other primes need full powers) and the smallest-root rule that pins
 ``SubfieldEmbedding``.  A Field bootstraps its tables from one, and
 ``primitive_root_of_unity`` returns its extension as one, so the negacyclic
-builder works in GF(l^4) without tabulating it.
+builder works in GF(l^4) without tabulating it:
+``SubfieldEmbedding.poly_from_roots`` multiplies out prod (x - r) in the
+packed form and restricts the result to the base field.
 
-The package's one set of polynomial helpers over a Field (``poly_mul``,
-``poly_divmod``, ``poly_eval``) lives here too, beside the resultant over
-GF(p).
+The package's one set of polynomial helpers over a Field (``poly_divmod``,
+``poly_eval``) lives here too, beside the resultant over GF(p).
 """
 
 from __future__ import annotations
@@ -120,19 +121,6 @@ def poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = fld.add, fld.mul
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
 
 
 def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -676,6 +664,7 @@ class SubfieldEmbedding:
         self.ext = ext
         self.degree = ext.m // base.m
         raw = ext if isinstance(ext, RawField) else ext.raw
+        self._raw = raw
         root = self._modulus_root(raw)
         self._root = root
         # a = sum c_i x^i maps to sum c_i root^i: span the packed images
@@ -717,6 +706,38 @@ class SubfieldEmbedding:
             raise FieldError("element is not in the embedded subfield")
         return self._pre[b]
 
+    def poly_from_roots(self, roots: Sequence[int]) -> list[int]:
+        """prod (x - r) over the given extension elements, as a polynomial
+        over the base field, constant term first.
+
+        The product is multiplied out in the extension's packed form, and
+        each coefficient comes back through ``restrict``, which checks
+        Frobenius fixation: roots that no base polynomial has raise
+        FieldError.  The restricted polynomial, embedded again, must vanish
+        at every given root.
+        """
+        raw = self._raw
+        pack, mul, reduce = raw._pack, raw._mul, raw._reduce
+        packed = [pack(r) for r in roots]
+        g = [1]
+        for r in packed:
+            minus_r = reduce(r * (raw.p - 1))
+            # (x - r) g: coefficient i is g_(i-1) - r g_i
+            g = [reduce(lo + mul(minus_r, hi)) for lo, hi in zip([0] + g, g + [0])]
+        try:
+            coeffs = [self.restrict(v % raw._to_code) for v in g]
+        except FieldError as exc:
+            raise FieldError("the product escaped the base field; "
+                             "its roots are not closed under Frobenius") from exc
+        lifted = [pack(self.embed(c)) for c in reversed(coeffs)]
+        for r in packed:
+            acc = 0
+            for c in lifted:
+                acc = reduce(mul(acc, r) + c)
+            if acc:
+                raise FieldError("the restricted product does not vanish at one of its roots")
+        return coeffs
+
 
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a modulo n; requires gcd(a, n) = 1."""
@@ -737,7 +758,8 @@ def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int
     e = ord_n(q); refused when n and q share a factor or when q^e exceeds
     the cap.  The extension is a table-free RawField, so no GF(q^e) table
     is built.  gamma is g^((q^e - 1)/n) for the canonical generator g of
-    the extension, so repeated calls agree.
+    the extension, so repeated calls agree; its order is checked to be
+    exactly n: gamma^n = 1, and gamma^(n/r) != 1 for each prime r | n.
     """
     q = base.order
     if math.gcd(n, q) != 1:
@@ -746,6 +768,7 @@ def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int
     if q**e > DEFAULT_ORDER_CAP:
         raise FieldError(f"extension order {q}^{e} exceeds cap {DEFAULT_ORDER_CAP}")
     ext = raw_field(base.p, base.m * e)
-    emb = SubfieldEmbedding(base, ext)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)
-    return emb, gamma
+    if ext.pow(gamma, n) != 1 or any(ext.pow(gamma, n // r) == 1 for r in prime_factors(n)):
+        raise FieldError(f"gamma = {gamma} does not have multiplicative order {n}")
+    return SubfieldEmbedding(base, ext), gamma

@@ -7,17 +7,14 @@ unity gamma living in GF(q^e), e = ord_2n(q).  The canonical gamma is
 gen^((q^e - 1)/2n) for the canonical generator gen of the extension, so
 every run builds the identical code.
 
-The extension is never tabulated.  Once per (field, 2n), gamma and its
-minimal polynomial mu over GF(q) (degree e) are formed in the table-free
-extension that ``gf.primitive_root_of_unity`` returns, and mu's
-coefficients come back to GF(q) through the Frobenius-checked smallest-root
-embedding.  Everything after that runs in K = GF(q)[t]/(mu) on GF(q)'s
-tables, with t standing for gamma, and the powers t^j, j < 2n, are stepped
-out once with mu and kept with it.  By one route for every e, g is
-multiplied out there, each of its coefficients must have no t-component
-(coset closure of Z is what makes them land in GF(q), and the landing is
-asserted rather than assumed), and g(t^j) must vanish for exactly the odd
-j in Z.
+The extension is never tabulated.  ``gf.primitive_root_of_unity`` gives
+gamma in a table-free GF(q^e), with its order checked to be exactly 2n, and
+it is kept once per (field, 2n).  g is multiplied out there by
+``SubfieldEmbedding.poly_from_roots``, and each of its coefficients must
+restrict to GF(q) (coset closure of Z is what makes them land there, and
+the landing is asserted rather than assumed); the restricted g must vanish
+at every gamma^j, j in Z.  These |Z| roots are distinct, since gamma has
+order 2n, so g, of degree |Z|, has no other root.
 
 The code is held by g, with k = n - deg g, which must be n - |Z|.  The
 exact division of x^n + 1 by g checks g | x^n + 1 and yields
@@ -43,8 +40,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .code import LinearCode
-from .gf import Field, FieldError, poly_divmod, poly_mul, primitive_root_of_unity
+from .code import DistanceReport, LinearCode
+from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, primitive_root_of_unity
 from .matrix import Matrix
 
 
@@ -55,17 +52,9 @@ class NegacyclicError(ValueError):
 # -- cyclotomic structure --
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    representative: int
-    members: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-
-def cyclotomic_coset(j: int, modulus: int, multiplier: int) -> CyclotomicCoset:
-    """Orbit of j under multiplication by the multiplier, mod the modulus."""
+def cyclotomic_coset(j: int, modulus: int, multiplier: int) -> tuple[int, ...]:
+    """Orbit of j under multiplication by the multiplier, mod the modulus,
+    sorted."""
     if math.gcd(multiplier, modulus) != 1:
         raise NegacyclicError(f"gcd({multiplier}, {modulus}) != 1")
     j %= modulus
@@ -74,8 +63,7 @@ def cyclotomic_coset(j: int, modulus: int, multiplier: int) -> CyclotomicCoset:
     while x != j:
         members.add(x)
         x = x * multiplier % modulus
-    ms = tuple(sorted(members))
-    return CyclotomicCoset(ms[0], ms)
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ class DefiningSet:
 def defining_set_from_residues(n: int, q: int, seeds) -> DefiningSet:
     members: set[int] = set()
     for j in seeds:
-        members.update(cyclotomic_coset(j, 2 * n, q).members)
+        members.update(cyclotomic_coset(j, 2 * n, q))
     return DefiningSet(tuple(sorted(members)), n, q)
 
 
@@ -140,31 +128,12 @@ def half_length_defining_set(l: int, delta: int) -> DefiningSet:
 # -- code construction --
 
 
-@dataclass(frozen=True)
-class NegacyclicCode:
-    code: LinearCode
-    defining: DefiningSet
-    genpoly: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    def is_dual_containing(self) -> bool:
-        """The exact division g | conj(h*), independent of any coset argument."""
-        return self.code.is_hermitian_dual_containing()
-
-
-def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
+def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     """Build the code with the given defining set and verify its algebra.
 
-    Checks performed: the generator polynomial has every coefficient in
-    GF(q), divides x^n + 1 exactly, and vanishes at gamma^j for exactly the
-    j in the defining set among odd residues, and the code has dimension
+    Checks performed: gamma has order exactly 2n, the generator polynomial
+    has every coefficient in GF(q), vanishes at gamma^j for each j in the
+    defining set and divides x^n + 1 exactly, and the code has dimension
     n - |Z|; when the generator matrix is first read, every row is checked
     to be a multiple of it.  Any failure is an internal consistency error.
     The checks run once per distinct code: a repeated call returns the same
@@ -180,7 +149,7 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode
 # the cache sits on the private builder: the public function stays a plain
 # function, which a tracer that wraps plain functions still sees on every call
 @functools.cache
-def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCode:
+def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     coeffs = _generator_polynomial(n, fld, defining) if defining.residues else [1]
     if len(coeffs) - 1 != len(defining):
         raise NegacyclicError("dimension disagrees with the defining set size")
@@ -189,7 +158,7 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCo
         raise NegacyclicError("generator polynomial does not divide x^n + 1")
     # the Hermitian dual of <g> is <conj(h*)>, h* the reciprocal of h
     dual = tuple(fld.conj_table[x] for x in reversed(h)) if fld.has_square_order else None
-    code = LinearCode(
+    return LinearCode(
         fld,
         n,
         None,
@@ -198,7 +167,6 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> NegacyclicCo
         genpoly=tuple(coeffs),
         hermitian_dual_genpoly=dual,
     )
-    return NegacyclicCode(code, defining, tuple(coeffs))
 
 
 def _systematic_code(n: int, fld: Field, coeffs: list[int]) -> LinearCode:
@@ -222,80 +190,25 @@ def _systematic_code(n: int, fld: Field, coeffs: list[int]) -> LinearCode:
 def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int]:
     """g(x) = prod_{j in Z} (x - gamma^j) over GF(q), constant term first.
 
-    The product is formed in K = GF(q)[t]/(mu), mu the minimal polynomial of
-    gamma, where gamma is t.  Checked: t^(2n) = 1, every coefficient of g
-    lands in GF(q) (no t-components), and g(t^j) = 0 exactly for the odd j
-    in Z.
+    Formed in gamma's extension by ``poly_from_roots``: every coefficient
+    must restrict to GF(q), and the restricted g must vanish at each
+    gamma^j.
     """
-    add, mul, neg, _ = fld.tables
-    mu, power = _root_powers(fld, 2 * n)
-    e = len(mu) - 1
-
-    # g = prod (x - t^j) over K, constant term first
-    g = [power[0]]
-    for j in defining.residues:
-        root = power[j]
-        shifted = [[0] * e] + g
-        scaled = [_k_mul(fld, c, root, mu) for c in g] + [[0] * e]
-        g = [[add[x][neg[y]] for x, y in zip(a, b)] for a, b in zip(shifted, scaled)]
-    # coset closure lands every coefficient in GF(q): no t-components
-    if any(any(c[1:]) for c in g):
-        raise NegacyclicError("generator polynomial escaped the base field; "
-                              "the defining set cannot be coset-closed")
-    coeffs = [c[0] for c in g]
-
-    # g(t^j) = sum_i g_i t^(ij mod 2n): zero exactly on the defining set
-    residues = set(defining.residues)
-    two_n = 2 * n
-    for j in range(1, two_n, 2):
-        acc = [0] * e
-        for i, gi in enumerate(coeffs):
-            if gi:
-                m = mul[gi]
-                acc = [add[a][m[b]] for a, b in zip(acc, power[i * j % two_n])]
-        if (not any(acc)) != (j in residues):
-            raise NegacyclicError(f"root pattern mismatch at exponent {j}")
-    return coeffs
+    emb, gamma = _root_of_unity(fld, 2 * n)
+    ext = emb.ext
+    roots = [ext.pow(gamma, j) for j in defining.residues]
+    try:
+        return emb.poly_from_roots(roots)
+    except FieldError as exc:
+        raise NegacyclicError(f"generator polynomial: {exc}") from exc
 
 
 @functools.cache
-def _root_powers(fld: Field, two_n: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """mu, the minimal polynomial over GF(q) of gamma = gen^((Q-1)/2n), gen
-    the canonical generator of GF(Q = q^e), and the table t^j for
-    0 <= j < 2n in K = GF(q)[t]/(mu), where t is gamma; kept per (field, 2n),
-    so every code of length n reads the same table.
-
-    ``primitive_root_of_unity`` gives gamma in a table-free GF(Q);
-    mu = prod_{i<e} (x - gamma^(q^i)) is formed there, and each coefficient
-    comes back to GF(q) through the smallest-root embedding, whose restrict
-    checks Frobenius fixation.  The elements of K are length-e coefficient
-    lists; t^(2n) = 1 is checked.
-    """
-    emb, gamma = primitive_root_of_unity(fld, two_n)
-    ext, e = emb.ext, emb.degree
-    mu = [1]
-    conj = gamma
-    for _ in range(e):
-        mu = poly_mul(ext, mu, [ext.neg(conj), 1])
-        conj = ext.pow(conj, fld.order)
-    if conj != gamma:
-        raise NegacyclicError(f"gamma is not fixed by the {e}-th power of Frobenius")
-    try:
-        mu = tuple(emb.restrict(c) for c in mu)
-    except FieldError as exc:
-        raise NegacyclicError("minimal polynomial escaped the base field") from exc
-    power = [[1] + [0] * (e - 1)]
-    for _ in range(two_n - 1):
-        power.append(_times_x_mod(fld, power[-1], mu))
-    if _times_x_mod(fld, power[-1], mu) != power[0]:
-        raise NegacyclicError(f"t is not a {two_n}-th root of unity modulo its minimal polynomial")
-    return mu, power
-
-
-def _k_mul(fld: Field, a: list[int], b: list[int], mu: list[int]) -> list[int]:
-    """a * b in GF(q)[t]/(mu), as a length-deg(mu) list."""
-    rem = poly_divmod(fld, poly_mul(fld, a, b), mu)[1]
-    return rem + [0] * (len(mu) - 1 - len(rem))
+def _root_of_unity(fld: Field, two_n: int) -> tuple[SubfieldEmbedding, int]:
+    """GF(q) inside GF(q^e) and gamma of order exactly 2n there, from
+    ``primitive_root_of_unity``; kept per (field, 2n), so every code of
+    length n reads the same gamma."""
+    return primitive_root_of_unity(fld, two_n)
 
 
 def _times_x_mod(fld: Field, s: list[int], monic: list[int]) -> list[int]:
@@ -341,16 +254,13 @@ def negacyclic_shift(fld: Field, word: list[int]) -> list[int]:
     return [fld.neg(word[-1])] + word[:-1]
 
 
-def distance_report(nc: NegacyclicCode) -> "DistanceReport":
-    """Certified distance bounds from the structure alone: the consecutive
-    run bound below, the Singleton bound above.  For the centered and
-    half-length families the two meet, so the report is exact without any
-    codeword enumeration."""
-    from .code import DistanceReport
-
-    lo = bch_bound(nc.defining)
-    hi = nc.n - nc.k + 1
-    return DistanceReport(lo, hi, "bch", "singleton")
+def distance_report(defining: DefiningSet) -> DistanceReport:
+    """Certified distance bounds for the code with this defining set from
+    the structure alone: the consecutive run bound below, the Singleton
+    bound n - k + 1 = |Z| + 1 above (k = n - |Z| is checked at build).  For
+    the centered and half-length families the two meet, so the report is
+    exact without any codeword enumeration."""
+    return DistanceReport(bch_bound(defining), len(defining) + 1, "bch", "singleton")
 
 
 def bch_bound(defining: DefiningSet) -> int:

@@ -196,13 +196,6 @@ def nsc_dstar(dists: Sequence[int], m: int) -> int:
     return min(d * (m - i) for i, d in enumerate(dists))
 
 
-def nsc_distance_bound(dists: Sequence[int], A: Matrix) -> tuple[int, bool]:
-    """d* = min{m d_1, (m-1) d_2, ...}; exact when A is upper triangular."""
-    if not is_nsc(A):
-        raise ValueError("bound requires a non-singular-by-columns matrix")
-    return nsc_dstar(dists, A.ncols), is_upper_triangular(A)
-
-
 def product_dual(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     """Dual of [C_1..C_s]A, via [C_1-dual..C_s-dual](A^-1)^T.
 

@@ -39,7 +39,6 @@ from .gf import split_prime_power, square_field
 from .matrix import Matrix
 from .negacyclic import (
     DefiningSet,
-    NegacyclicCode,
     bch_bound,
     centered_defining_set,
     distance_report,
@@ -327,7 +326,6 @@ class ChainBuild:
     classical_distance: DistanceReport
     quantum: QuantumParams
     claimed: dict
-    components: tuple[NegacyclicCode, ...]
 
     @property
     def discrepancy(self) -> dict | None:
@@ -389,15 +387,14 @@ def build_chain(
     n, sets = _chain_defining_sets(l, deltas, family)
 
     fld = square_field(l)
-    comps = tuple(negacyclic_code(n, fld, Z) for Z in sets)
+    codes = [negacyclic_code(n, fld, Z) for Z in sets]
     # distances are exact by squeeze: the consecutive-run bound meets the
     # Singleton bound for these defining sets
-    reports = [distance_report(nc) for nc in comps]
+    reports = [distance_report(Z) for Z in sets]
     if not all(r.exact for r in reports):
         raise ConsistencyError("run bound fails to meet the Singleton bound")
 
     A = _chain_matrix(fld)
-    codes = [nc.code for nc in comps]
     classical = nested_chain_product(codes, A)
     report = product_distance_report(codes, [r.lower for r in reports], A)
     qp = hermitian_construction(classical, report)
@@ -413,7 +410,7 @@ def build_chain(
                 "computed": computed,
             },
         )
-    return ChainBuild(family, l, deltas, classical, report, qp, claimed, comps)
+    return ChainBuild(family, l, deltas, classical, report, qp, claimed)
 
 
 def chain_audit(l: int, deltas: tuple[int, int, int], family: str) -> dict:

@@ -32,7 +32,7 @@ from .product import (
     is_nsc,
     matrix_product_code,
     nested_chain_product,
-    nsc_distance_bound,
+    product_distance_report,
     product_dual,
     row_prefix_code,
 )
@@ -422,10 +422,10 @@ def suite_mpc(seed: int) -> dict:
                 continue
             A = random_nsc_upper_triangular(fld, s, rng)
             dists = [c.min_distance_exhaustive().lower for c in codes]
-            dstar, exact = nsc_distance_bound(dists, A)
-            _assert(exact, "upper triangular lost exactness flag")
+            bound = product_distance_report(codes, dists, A)
+            _assert(bound.exact, "upper triangular lost exactness flag")
             actual = matrix_product_code(codes, A).min_distance_exhaustive(10**6).lower
-            _assert(actual == dstar, f"exact bound {dstar} but distance {actual}")
+            _assert(actual == bound.lower, f"exact bound {bound.lower} but distance {actual}")
             done += 1
         return f"{done} upper-triangular equalities"
 
@@ -481,14 +481,14 @@ def suite_negacyclic(seed: int) -> dict:
         for delta in range(3):
             Z = centered_defining_set(5, delta)
             _assert(len(Z) == 2 * delta + 1, "coset union size")
-            nc = negacyclic_code(26, F25, Z)
-            _assert(nc.k == 26 - len(Z), "dimension vs union size")
+            C = negacyclic_code(26, F25, Z)
+            _assert(C.k == 26 - len(Z), "dimension vs union size")
         F169 = field(13, 2)
         for delta in range(3):
             Z = centered_defining_set(13, delta)
             _assert(len(Z) == 2 * delta + 1, "coset union size at l=13")
-            nc = negacyclic_code(170, F169, Z)
-            _assert(nc.k == 170 - len(Z), "dimension vs union size at l=13")
+            C = negacyclic_code(170, F169, Z)
+            _assert(C.k == 170 - len(Z), "dimension vs union size at l=13")
         return "depths 0..2 at l = 5 and l = 13"
 
     def small_random_codes():
@@ -504,15 +504,15 @@ def suite_negacyclic(seed: int) -> dict:
             Z = defining_set_from_residues(n, fld.order, seeds)
             if len(Z) >= n:
                 continue
-            nc = negacyclic_code(n, fld, Z)
-            if nc.k == 0 or fld.order**nc.k > 10**5:
+            C = negacyclic_code(n, fld, Z)
+            if C.k == 0 or fld.order**C.k > 10**5:
                 continue
-            d = nc.code.min_distance_exhaustive(10**5).lower
+            d = C.min_distance_exhaustive(10**5).lower
             _assert(bch_bound(Z) <= d, "run bound exceeds true distance")
-            w = list(nc.code.gen.rows[rng.randrange(nc.k)])
+            w = list(C.gen.rows[rng.randrange(C.k)])
             for _ in range(3):
                 w = negacyclic_shift(fld, w)
-                _assert(nc.code.contains_word(w), "shift left the code")
+                _assert(C.contains_word(w), "shift left the code")
             checked += 1
         return f"{checked} random defining sets, bound and shift closure hold"
 
@@ -520,28 +520,28 @@ def suite_negacyclic(seed: int) -> dict:
         F25 = field(5, 2)
         prev = None
         for delta in range(3):
-            nc = negacyclic_code(26, F25, centered_defining_set(5, delta))
+            C = negacyclic_code(26, F25, centered_defining_set(5, delta))
             if prev is not None:
-                _assert(nc.code.is_subcode_of(prev.code), "larger set, larger code")
-            prev = nc
+                _assert(C.is_subcode_of(prev), "larger set, larger code")
+            prev = C
         F49 = field(7, 2)
         prev = None
         for delta in range(1, 4):
-            nc = negacyclic_code(25, F49, half_length_defining_set(7, delta))
+            C = negacyclic_code(25, F49, half_length_defining_set(7, delta))
             if prev is not None:
-                _assert(nc.code.is_subcode_of(prev.code), "half-length monotonicity")
-            prev = nc
+                _assert(C.is_subcode_of(prev), "half-length monotonicity")
+            prev = C
         return "both families shrink as depth grows"
 
     def families_dual_containing():
         F25 = field(5, 2)
         for delta in range(3):
-            nc = negacyclic_code(26, F25, centered_defining_set(5, delta))
-            _assert(nc.is_dual_containing(), f"centered depth {delta}")
+            C = negacyclic_code(26, F25, centered_defining_set(5, delta))
+            _assert(C.is_hermitian_dual_containing(), f"centered depth {delta}")
         F49 = field(7, 2)
         for delta in range(1, 4):
-            nc = negacyclic_code(25, F49, half_length_defining_set(7, delta))
-            _assert(nc.is_dual_containing(), f"half-length depth {delta}")
+            C = negacyclic_code(25, F49, half_length_defining_set(7, delta))
+            _assert(C.is_hermitian_dual_containing(), f"half-length depth {delta}")
         return "explicit matrix checks for both families"
 
     b.check("centered family dimensions", centered_dimensions)

@@ -22,7 +22,7 @@ from mpqc.product import (
     frr_distance_bound,
     matrix_product_code,
     nested_chain_product,
-    nsc_distance_bound,
+    product_distance_report,
     product_dual,
     row_prefix_code,
 )
@@ -51,7 +51,7 @@ F25 = field(5, 2)
 
 _emitted: list[QuantumParams] = []
 _generated_codes: list[LinearCode] = []
-_generated_negacyclic = []
+_generated_negacyclic = []  # (defining set, code) pairs
 
 
 class Timer:
@@ -160,10 +160,10 @@ def test_criterion_5_triangular_exactness():
                 continue  # keep the batch quick; still within the stated cap
             A = random_nsc_upper_triangular(fld, s, rng)
             dists = [c.min_distance_exhaustive().lower for c in codes]
-            dstar, exact = nsc_distance_bound(dists, A)
-            assert exact
+            bound = product_distance_report(codes, dists, A)
+            assert bound.exact
             actual = matrix_product_code(codes, A).min_distance_exhaustive(10**6).lower
-            assert actual == dstar, f"d* = {dstar} but exhaustive gave {actual}"
+            assert actual == bound.lower, f"d* = {bound.lower} but exhaustive gave {actual}"
             _generated_codes.extend(codes)
             done += 1
     report(5, t, f"exhaustive distance equals d* on {done} triangular instances")
@@ -198,13 +198,13 @@ def test_criterion_7_centered_family_and_chain():
         expected = {0: (25, 2), 1: (23, 4), 2: (21, 6)}
         for delta, (k, d) in expected.items():
             Z = centered_defining_set(5, delta)
-            nc = negacyclic_code(26, F25, Z)
-            assert nc.k == k
-            assert nc.is_dual_containing()
-            assert nc.code.is_mds()  # certificate, so d = n - k + 1 = stated d
-            assert 26 - nc.k + 1 == d
+            C = negacyclic_code(26, F25, Z)
+            assert C.k == k
+            assert C.is_hermitian_dual_containing()
+            assert C.is_mds()  # certificate, so d = n - k + 1 = stated d
+            assert 26 - C.k + 1 == d
             assert bch_bound(Z) == d
-            _generated_negacyclic.append(nc)
+            _generated_negacyclic.append((Z, C))
 
         cb = build_chain(5, (0, 1, 2), "full")
         assert cb.quantum.verified
@@ -268,18 +268,18 @@ def test_criterion_9_oracle_cross_checks():
             Z = defining_set_from_residues(n, 9, rng.sample(odd, rng.randint(0, 2)))
             if len(Z) >= n:
                 continue
-            nega.append(negacyclic_code(n, F9, Z))
+            nega.append((Z, negacyclic_code(n, F9, Z)))
         bch_checked = 0
-        for nc in nega:
-            if nc.k == 0:
+        for Z, C in nega:
+            if C.k == 0:
                 continue
-            if nc.code.field.order**nc.k <= 10**5:
-                d = nc.code.min_distance_exhaustive(10**5).lower
-            elif nc.code.is_mds():
-                d = nc.n - nc.k + 1
+            if C.field.order**C.k <= 10**5:
+                d = C.min_distance_exhaustive(10**5).lower
+            elif C.is_mds():
+                d = C.n - C.k + 1
             else:
                 continue
-            assert bch_bound(nc.defining) <= d
+            assert bch_bound(Z) <= d
             bch_checked += 1
         assert checked >= 10 and bch_checked >= 10
     report(9, t, f"{checked} certificate and {bch_checked} run-bound cross-checks, no exceptions")

@@ -337,7 +337,7 @@ def test_cross_gram_verdict_is_kept_per_other_code(F25, monkeypatch):
     # between negacyclic codes the cross verdict is kept by the division
     # cache, keyed by the other code's generator polynomial, not by the code:
     # an equal code built afresh reads the same kept verdict
-    a, b = (negacyclic_code(26, F25, centered_defining_set(5, d)).code for d in (1, 2))
+    a, b = (negacyclic_code(26, F25, centered_defining_set(5, d)) for d in (1, 2))
     other = LinearCode.full_space(F25, 26)
     verdict = a.hermitian_dual_is_subcode_of(b)
     assert verdict == a._hermitian_gram_vanishes(b.parity.rows)
@@ -347,7 +347,7 @@ def test_cross_gram_verdict_is_kept_per_other_code(F25, monkeypatch):
         raise AssertionError("cross-Gram re-derived")
 
     negacyclic._build_negacyclic.cache_clear()
-    fresh = negacyclic_code(26, F25, centered_defining_set(5, 2)).code
+    fresh = negacyclic_code(26, F25, centered_defining_set(5, 2))
     assert fresh is not b and fresh == b
     with monkeypatch.context() as mp:
         mp.setattr(code_module, "poly_divmod", refuse)

@@ -18,7 +18,6 @@ from mpqc.gf import (
     prime_factors,
     poly_divmod,
     poly_eval,
-    poly_mul,
     primitive_root_of_unity,
     raw_field,
     smallest_irreducible,
@@ -288,6 +287,21 @@ def test_poly_divmod_matches_the_integer_copy(case):
     a_before, b_before = list(a), list(b)
     assert poly_divmod(field(p), a, b) == reference_poly_divmod(a, b, p)
     assert (a, b) == (a_before, b_before)  # neither operand is modified
+
+
+def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
+    """The package's former polynomial product, kept verbatim as a test
+    reference: schoolbook, through the field's method calls."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = fld.add, fld.mul
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
 
 
 def reference_method_poly_divmod(fld, a, b):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import io
 import itertools
@@ -10,6 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gf import poly_mul
 
 import mpqc
 from mpqc import code as code_module
@@ -17,12 +19,12 @@ from mpqc import gf, negacyclic
 from mpqc.cli import main
 from mpqc.code import LinearCode
 from mpqc.gf import (
+    FieldError,
     SubfieldEmbedding,
     field,
     multiplicative_order,
     poly_divmod,
     poly_eval,
-    poly_mul,
     primitive_root_of_unity,
     square_field,
 )
@@ -42,17 +44,16 @@ from mpqc.negacyclic import (
 
 
 def test_coset_singleton():
-    assert cyclotomic_coset(13, 52, 25).members == (13,)
+    assert cyclotomic_coset(13, 52, 25) == (13,)
 
 
 def test_coset_pair():
-    c = cyclotomic_coset(11, 52, 25)
-    assert c.members == (11, 15)
-    assert c.representative == 11
+    assert cyclotomic_coset(11, 52, 25) == (11, 15)
+    assert cyclotomic_coset(15, 52, 25) == (11, 15)
 
 
 def test_coset_zero():
-    assert cyclotomic_coset(0, 52, 25).members == (0,)
+    assert cyclotomic_coset(0, 52, 25) == (0,)
 
 
 def test_coset_gcd_guard():
@@ -102,30 +103,30 @@ def test_poly_helpers(F9):
 
 def test_empty_defining_set_gives_full_space(F25):
     Z = defining_set_from_residues(26, 25, [])
-    nc = negacyclic_code(26, F25, Z)
-    assert nc.code == LinearCode.full_space(F25, 26)
-    assert nc.genpoly == (1,)
+    C = negacyclic_code(26, F25, Z)
+    assert C == LinearCode.full_space(F25, 26)
+    assert C._genpoly == (1,)
     assert bch_bound(Z) == 1
-    assert nc.is_dual_containing()
+    assert C.is_hermitian_dual_containing()
 
 
 @pytest.mark.parametrize("delta,k,d", [(0, 25, 2), (1, 23, 4), (2, 21, 6)])
 def test_centered_codes_l5(F25, delta, k, d):
     Z = centered_defining_set(5, delta)
-    nc = negacyclic_code(26, F25, Z)
-    assert nc.k == k
+    C = negacyclic_code(26, F25, Z)
+    assert C.k == k
     assert bch_bound(Z) == d
-    assert nc.is_dual_containing()
-    assert nc.code.is_mds()
+    assert C.is_hermitian_dual_containing()
+    assert C.is_mds()
 
 
 def test_genpoly_divides_xn_plus_1(F25):
     Z = centered_defining_set(5, 1)
-    nc = negacyclic_code(26, F25, Z)
+    C = negacyclic_code(26, F25, Z)
     xn1 = [1] + [0] * 25 + [1]
-    q, r = poly_divmod(F25, xn1, list(nc.genpoly))
+    q, r = poly_divmod(F25, xn1, list(C._genpoly))
     assert r == []
-    assert len(nc.genpoly) - 1 == len(Z)
+    assert len(C._genpoly) - 1 == len(Z)
 
 
 def test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused(F25, monkeypatch):
@@ -141,33 +142,33 @@ def test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused(F25, m
 
 
 def test_shift_closure_random_codewords(F25, rng):
-    nc = negacyclic_code(26, F25, centered_defining_set(5, 2))
+    C = negacyclic_code(26, F25, centered_defining_set(5, 2))
     for _ in range(5):
         w = [0] * 26
-        for row in nc.code.gen.rows:
+        for row in C.gen.rows:
             c = rng.randrange(25)
             if c:
                 w = [F25.add(x, F25.mul(c, y)) for x, y in zip(w, row)]
         for _ in range(4):
             w = negacyclic_shift(F25, w)
-            assert nc.code.contains_word(w)
+            assert C.contains_word(w)
 
 
 def test_monotonicity(F25):
     codes = [
         negacyclic_code(26, F25, centered_defining_set(5, delta)) for delta in range(3)
     ]
-    assert codes[2].code.is_subcode_of(codes[1].code)
-    assert codes[1].code.is_subcode_of(codes[0].code)
+    assert codes[2].is_subcode_of(codes[1])
+    assert codes[1].is_subcode_of(codes[0])
 
 
 def test_half_length_codes_l7(F49):
     for delta, k, d in [(1, 23, 3), (2, 21, 5), (3, 19, 7)]:
         Z = half_length_defining_set(7, delta)
-        nc = negacyclic_code(25, F49, Z)
-        assert nc.k == k
+        C = negacyclic_code(25, F49, Z)
+        assert C.k == k
         assert bch_bound(Z) == d
-        assert nc.is_dual_containing()
+        assert C.is_hermitian_dual_containing()
 
 
 def test_bch_bound_wraps_around():
@@ -184,10 +185,10 @@ def test_bch_bound_leq_distance_small(F9, rng):
         Z = defining_set_from_residues(n, 9, rng.sample(odd, rng.randint(0, 2)))
         if len(Z) >= n:
             continue
-        nc = negacyclic_code(n, F9, Z)
-        if nc.k == 0 or 9**nc.k > 10**5:
+        C = negacyclic_code(n, F9, Z)
+        if C.k == 0 or 9**C.k > 10**5:
             continue
-        assert bch_bound(Z) <= nc.code.min_distance_exhaustive(10**5).lower
+        assert bch_bound(Z) <= C.min_distance_exhaustive(10**5).lower
         checked += 1
     assert checked >= 5
 
@@ -195,9 +196,9 @@ def test_bch_bound_leq_distance_small(F9, rng):
 def test_roots_already_in_base_field(F25):
     # 2n = 6 divides q - 1, so the root of unity needs no proper extension
     Z = defining_set_from_residues(3, 25, [1])
-    nc = negacyclic_code(3, F25, Z)
-    assert nc.k == 3 - len(Z)
-    assert bch_bound(Z) <= nc.code.min_distance_exhaustive(10**5).lower
+    C = negacyclic_code(3, F25, Z)
+    assert C.k == 3 - len(Z)
+    assert bch_bound(Z) <= C.min_distance_exhaustive(10**5).lower
 
 
 def test_mismatched_context_rejected(F25, F9):
@@ -209,22 +210,24 @@ def test_mismatched_context_rejected(F25, F9):
 def test_oracle_division_of_labor(F25):
     # the [26,23] code is out of enumeration reach, but its [26,3] dual is
     # not; the certificate answers for the primal, enumeration for the dual
-    nc = negacyclic_code(26, F25, centered_defining_set(5, 1))
-    dual = nc.code.euclidean_dual()
+    C = negacyclic_code(26, F25, centered_defining_set(5, 1))
+    dual = C.euclidean_dual()
     assert dual.params() == (26, 3)
     assert dual.min_distance_exhaustive(10**5).lower == 24  # also MDS
-    assert nc.code.is_mds()
+    assert C.is_mds()
 
 
 def test_structural_distance_report(F25, F49):
     from mpqc.negacyclic import distance_report
 
-    nc = negacyclic_code(26, F25, centered_defining_set(5, 2))
-    rep = distance_report(nc)
+    Z = centered_defining_set(5, 2)
+    rep = distance_report(Z)
     assert rep.exact and rep.lower == 6
+    assert rep.upper == 26 - negacyclic_code(26, F25, Z).k + 1  # the Singleton bound
     assert rep.lower_provenance == "bch" and rep.upper_provenance == "singleton"
-    nc = negacyclic_code(25, F49, half_length_defining_set(7, 2))
-    assert distance_report(nc).exact
+    Z = half_length_defining_set(7, 2)
+    assert distance_report(Z).exact
+    assert distance_report(Z).upper == 25 - negacyclic_code(25, F49, Z).k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +303,9 @@ def test_remainder_rref_matches_row_reduced_shifts(l):
         families = [(n, Z) for n, Z in families if n == l * l + 1]
     assert families
     for n, Z in families:
-        nc = negacyclic_code(n, fld, Z)
-        assert nc.code == reference_code(fld, n, nc.genpoly)
-        assert nc.code.k == n - len(Z)
+        C = negacyclic_code(n, fld, Z)
+        assert C == reference_code(fld, n, C._genpoly)
+        assert C.k == n - len(Z)
 
 
 @pytest.mark.parametrize("pm,n,e", [((3, 2), 5, 2), ((3, 2), 7, 3), ((5, 2), 3, 1)])
@@ -312,9 +315,10 @@ def test_remainder_rref_on_the_battery_pairs(pm, n, e):
     assert multiplicative_order(fld.order, 2 * n) == e
     count = 0
     for Z in _small_sets(n, fld.order):
-        nc = negacyclic_code(n, fld, Z)
-        assert nc.code == reference_code(fld, n, nc.genpoly)
-        assert list(nc.genpoly) == reference_genpoly(n, fld, Z)
+        C = negacyclic_code(n, fld, Z)
+        assert C == reference_code(fld, n, C._genpoly)
+        assert list(C._genpoly) == reference_genpoly(n, fld, Z)
+        assert root_exponents(n, fld, C._genpoly) == Z.residues
         count += 1
     assert count >= 4
 
@@ -342,6 +346,57 @@ def test_escaping_generator_is_rejected(F25):
     for name, value in {"residues": (1,), "n": 26, "q": 25}.items():
         object.__setattr__(Z, name, value)
     with pytest.raises(NegacyclicError, match="escaped the base field"):
+        _generator_polynomial(26, F25, Z)
+
+
+def root_exponents(n, fld, genpoly):
+    """The odd j < 2n with g(gamma^j) = 0, by a scan over every odd
+    exponent: the root pattern the builder once checked this way."""
+    emb, gamma = primitive_root_of_unity(fld, 2 * n)
+    ext = emb.ext
+    lifted = [emb.embed(c) for c in genpoly]
+    return tuple(j for j in range(1, 2 * n, 2) if poly_eval(ext, lifted, ext.pow(gamma, j)) == 0)
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 9, 11, 13])
+def test_the_roots_of_g_among_the_odd_powers_are_the_defining_set(l):
+    fld = square_field(l)
+    for n, Z in _family_sets(l):
+        assert root_exponents(n, fld, negacyclic_code(n, fld, Z)._genpoly) == Z.residues
+
+
+@pytest.fixture()
+def cold_roots():
+    """No kept gamma and no kept code, before and after the test."""
+    for f in (negacyclic._root_of_unity, negacyclic._build_negacyclic):
+        f.cache_clear()
+    yield
+    for f in (negacyclic._root_of_unity, negacyclic._build_negacyclic):
+        f.cache_clear()
+
+
+def test_a_root_of_unity_of_the_wrong_order_is_refused(F9, cold_roots, monkeypatch):
+    # a stand-in GF(81) whose generator is the square of the true one, of
+    # order 40: gamma = g^(80/10) then has order 5, not 2n = 10
+    true = gf.raw_field(3, 4)
+    fake = gf.RawField(3, 4)
+    fake.generator = true.pow(true.generator, 2)
+    monkeypatch.setattr(gf, "raw_field", lambda p, m: fake)
+    with pytest.raises(FieldError, match="does not have multiplicative order 10$"):
+        negacyclic_code(5, F9, defining_set_from_residues(5, 9, [1]))
+
+
+def test_a_restricted_generator_that_does_not_vanish_is_rejected(F25, cold_roots, monkeypatch):
+    # an embedding whose image of g's constant term is wrong: g still
+    # restricts, but the g it lifts back no longer vanishes at its roots
+    Z = defining_set_from_residues(26, 25, [11])
+    emb, gamma = primitive_root_of_unity(F25, 52)
+    g0 = _generator_polynomial(26, F25, Z)[0]
+    bad = copy.copy(emb)
+    bad._img = list(emb._img)
+    bad._img[g0] = emb.embed(F25.add(g0, 1))
+    monkeypatch.setattr(negacyclic, "_root_of_unity", lambda fld, two_n: (bad, gamma))
+    with pytest.raises(NegacyclicError, match="does not vanish"):
         _generator_polynomial(26, F25, Z)
 
 
@@ -417,15 +472,15 @@ import mpqc.negacyclic as negacyclic
 from mpqc.quantum import build_chain
 
 build_chain(17, (1, 2, 3))
-info = negacyclic._root_powers.cache_info()
+info = negacyclic._root_of_unity.cache_info()
 print(json.dumps({"built": built, "searched": searched, "steps": [info.misses, info.hits]}))
 """
 
 
 def test_a_cold_chain_sets_up_each_field_once():
     # a fresh interpreter, so every cache is cold: one table-free GF(17^4),
-    # one generator search on it, and the t^j table stepped once for the
-    # three components
+    # one generator search on it, and gamma formed once for the three
+    # components
     src = os.path.dirname(os.path.dirname(mpqc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -500,7 +555,7 @@ def negacyclic_pairs(draw):
     if draw(st.integers(0, 2)) == 0:
         second = first + second
     return tuple(
-        negacyclic_code(n, fld, defining_set_from_residues(n, fld.order, s)).code
+        negacyclic_code(n, fld, defining_set_from_residues(n, fld.order, s))
         for s in (first, second)
     )
 
@@ -552,7 +607,7 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
         return divides(*key)
 
     monkeypatch.setattr(code_module, "_divides", spy)
-    c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in (1, 2, 3))
+    c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)) for d in (1, 2, 3))
     assert c3.is_subcode_of(c2) and c2.is_subcode_of(c1) and not c1.is_subcode_of(c2)
     assert all(c.is_hermitian_dual_containing() for c in (c1, c2, c3))
     assert c1.hermitian_dual_is_subcode_of(c3) and c3.hermitian_dual_is_subcode_of(c1)
@@ -582,7 +637,7 @@ def test_deferred_component_gen_is_the_systematic_rref(l):
     fld = square_field(l)
     negacyclic._build_negacyclic.cache_clear()
     for n, Z in _family_sets(l):
-        C = negacyclic_code(n, fld, Z).code
+        C = negacyclic_code(n, fld, Z)
         assert C._gen is None and C._parity is None and C.k == n - len(Z)
         G = C.gen
         assert C._build is None

@@ -16,7 +16,6 @@ from mpqc.product import (
     is_upper_triangular,
     matrix_product_code,
     nested_chain_product,
-    nsc_distance_bound,
     product_dual,
     product_distance_report,
     row_prefix_code,
@@ -121,8 +120,9 @@ def test_frr_bound_refuses_more_than_sixteen_columns(F9):
 
 def test_nsc_bound_example(F25):
     T = Matrix(F25, [[1, 1, 1], [0, 2, 1], [0, 0, 1]])
-    dstar, exact = nsc_distance_bound([2, 4, 6], T)
-    assert (dstar, exact) == (6, True)
+    codes = [LinearCode.full_space(F25, 2)] * 3  # the report reads only n and k off them
+    report = product_distance_report(codes, [2, 4, 6], T)
+    assert (report.lower, report.exact) == (6, True)
 
 
 def test_product_dual_identity_random(F9, F25, rng):

@@ -318,7 +318,7 @@ def test_every_admissible_chain_matches_kernel(l, family):
     A = _chain_matrix(fld)
     for deltas in admissible_triples(l, family, strict=False):
         n, sets = _chain_defining_sets(l, deltas, family)
-        codes = [negacyclic_code(n, fld, Z).code for Z in sets]
+        codes = [negacyclic_code(n, fld, Z) for Z in sets]
         got = parity_product(codes, A)
         old = reference_triangular_product(codes, A)
         assert got.parity.rows == old.parity.rows, deltas
@@ -405,7 +405,7 @@ def test_product_parity_matches_nullspace(case):
 
 
 def test_parity_of_a_negacyclic_component(F25):
-    C = negacyclic_code(26, F25, centered_defining_set(5, 2)).code
+    C = negacyclic_code(26, F25, centered_defining_set(5, 2))
     assert C.parity.rows == reference_nullspace(C.gen).rows
 
 
@@ -420,7 +420,7 @@ def test_negacyclic_memo_returns_the_same_code(F25):
     negacyclic._build_negacyclic.cache_clear()
     again = negacyclic_code(26, F25, Z)
     assert again is not first and again == first
-    assert again.code.gen.rows == first.code.gen.rows
+    assert again.gen.rows == first.gen.rows
     assert negacyclic_code(26, F25, Z) is again
 
 
@@ -460,7 +460,7 @@ def test_no_verdict_leaves_one_code_referencing_another(stored, F25):
         pair = [random_dual_containing_code(F25, 6, 2, rng) for _ in range(2)]
     else:
         negacyclic._build_negacyclic.cache_clear()
-        pair = [negacyclic_code(26, F25, centered_defining_set(5, d)).code for d in (1, 2)]
+        pair = [negacyclic_code(26, F25, centered_defining_set(5, d)) for d in (1, 2)]
     for a, b in (pair, pair[::-1]):
         a.is_subcode_of(b)
         a.hermitian_dual_is_subcode_of(b)
@@ -495,12 +495,12 @@ def test_kept_verdicts_leave_equality_hash_and_dict_alone(case):
 def test_kept_facts_against_a_hand_count():
     # example 3.8 at l = 9: 35 admissible triples, each with 3 negacyclic
     # components of length 82 over GF(81) drawn from the centered defining
-    # sets at depths 0..4, one minimal polynomial, and the one NSC matrix
+    # sets at depths 0..4, one root of unity, and the one NSC matrix
     # every chain reuses (70 is_nsc calls); the chain checks and the block
     # verdicts are divisions of the components' polynomials
     kept = (
         negacyclic._build_negacyclic,
-        negacyclic._root_powers,
+        negacyclic._root_of_unity,
         product._all_prefix_minors_invertible,
         code_module._divides,
     )
@@ -734,7 +734,7 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     negacyclic._build_negacyclic.cache_clear()
     seen = _spy_on_gram_tests(monkeypatch)
     cmd_example("3.8", 9, strict=False, deep=True)
-    codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)).code for d in range(5)}
+    codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)) for d in range(5)}
     depth = {id(c): d for d, c in codes.items()}
     depth_of_genpoly = {c._genpoly: d for d, c in codes.items()}
     own = [depth[id(c)] for c, g in seen if g is None]
@@ -764,7 +764,7 @@ def deferred_product_cases(draw):
     else:
         fld = field(5, 2)
         depths = draw(st.lists(st.integers(0, 2), min_size=s, max_size=s))
-        codes = [negacyclic_code(26, fld, centered_defining_set(5, d)).code for d in sorted(depths)]
+        codes = [negacyclic_code(26, fld, centered_defining_set(5, d)) for d in sorted(depths)]
     return codes, random_nonsingular(fld, s, rng)
 
 
