@@ -351,7 +351,7 @@ def test_escaping_generator_is_rejected(F25):
 
 def root_exponents(n, fld, genpoly):
     """The odd j < 2n with g(gamma^j) = 0, by a scan over every odd
-    exponent: the root pattern the builder once checked this way."""
+    exponent: the reference for the builder's checks at the roots in Z."""
     emb, gamma = primitive_root_of_unity(fld, 2 * n)
     ext = emb.ext
     lifted = [emb.embed(c) for c in genpoly]
@@ -368,10 +368,11 @@ def test_the_roots_of_g_among_the_odd_powers_are_the_defining_set(l):
 @pytest.fixture()
 def cold_roots():
     """No kept gamma and no kept code, before and after the test."""
-    for f in (negacyclic._root_of_unity, negacyclic._build_negacyclic):
+    caches = (negacyclic._root_of_unity, negacyclic._build_negacyclic)
+    for f in caches:
         f.cache_clear()
     yield
-    for f in (negacyclic._root_of_unity, negacyclic._build_negacyclic):
+    for f in caches:
         f.cache_clear()
 
 
