@@ -35,8 +35,14 @@ one.  The divisions are kept instead, by ``functools.cache`` on
 ``_divides``, keyed by the field and the two coefficient tuples: a
 component shared between chain builds divides each pair once.  A matrix
 scan between two codes runs again on every call.
-Distance facts always travel with a provenance tag; nothing here ever
-reports a distance it did not compute or certify.  The exhaustive oracle
+Distance facts always travel with a provenance tag, in a `DistanceReport`;
+nothing here ever reports a distance it did not compute or certify.  That
+report is one of the package's seven immutable records, all `_Record`
+subclasses: the fields are the class's ``__slots__``, checked when the
+record is made, read-only after, compared and hashed by value.  They are
+plain classes, so no import of the package loads ``dataclasses`` (and
+with it inspect, ast and dis), a fixed cost to every cold process.
+The exhaustive oracle
 walks one message per line of scalar multiples (leading coefficient 1) and
 resolves the last generator row's coefficient by counting, while its
 budget is still charged as all q^k messages.
@@ -46,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .gf import Field, poly_divmod
@@ -61,16 +66,58 @@ class BudgetError(RuntimeError):
     """An exhaustive check would exceed its enumeration budget."""
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    Fields are given by position or keyword, with ``_defaults`` for the
+    rest; ``_validate`` runs on the result.  == and hash read ``_key``, all
+    fields unless a record leaves some out.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class DistanceReport(_Record):
     """Bounds on the minimum Hamming distance, each with provenance."""
 
-    lower: int
-    upper: int
-    lower_provenance: str
-    upper_provenance: str
+    __slots__ = ("lower", "upper", "lower_provenance", "upper_provenance")
 
-    def __post_init__(self):
+    def _validate(self):
         if not 1 <= self.lower <= self.upper:
             raise ValueError(f"bad distance bounds {self.lower}..{self.upper}")
 

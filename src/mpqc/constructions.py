@@ -9,7 +9,8 @@ out silently.
 Every check runs in `_verify_family_code`.  MDS is certified from
 structure where the rung knows it: window and extended codes are built as
 the Euclidean duals of small GRS codes (GRS codes on distinct points with
-nonzero multipliers are MDS, and so are their duals), and a centered
+nonzero multipliers are MDS, and so are their duals; a `GrsSpec` record
+refuses any other points or multipliers when it is made), and a centered
 negacyclic code has a consecutive-run bound that meets Singleton.  The
 curve-drop and registry candidates carry no certificate, so the
 column-subset DFS `LinearCode.is_mds` decides; for the curve drop it runs
@@ -47,10 +48,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .code import DEFAULT_SUBSET_BUDGET, BudgetError, LinearCode
+from .code import DEFAULT_SUBSET_BUDGET, BudgetError, LinearCode, _Record
 from .gf import Field, FieldError, SubfieldEmbedding, field, split_prime_power, square_field
 from .matrix import Matrix
 
@@ -63,15 +63,13 @@ class ConstructionError(RuntimeError):
 # generalized Reed-Solomon codes
 
 
-@dataclass(frozen=True)
-class GrsSpec:
-    """Distinct evaluation points, nonzero column multipliers, dimension."""
+class GrsSpec(_Record):
+    """Distinct evaluation points, nonzero column multipliers (tuples of
+    element codes), dimension."""
 
-    points: tuple[int, ...]
-    multipliers: tuple[int, ...]
-    k: int
+    __slots__ = ("points", "multipliers", "k")
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.multipliers) != len(self.points):
             raise ValueError("one multiplier per point")
         defect = self.mds_defect()
@@ -151,12 +149,15 @@ NORM_SEARCH_CAP = 400000
 def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     """Column norms mu in (GF(l)*)^n with sum_j mu_j g_j conj(g_j)^T = 0.
 
-    The system is linear over the subfield GF(l); its kernel is enumerated
-    (seeded-random sampled past NORM_SEARCH_CAP) for a vector with every
-    coordinate nonzero.  Returns mu as subfield codes, or None.  The
-    enumeration takes the coefficient vectors in itertools.product order,
-    depth first with the partial sum of each prefix kept, so each vector
-    costs about one scaled-row add.
+    The system is linear over the subfield GF(l); its kernel is searched
+    for a vector with every coordinate nonzero.  Returns mu as subfield
+    codes, or None.  A kernel of at most NORM_SEARCH_CAP vectors is walked
+    in itertools.product order, depth first with the partial sum of each
+    prefix kept, so each vector costs about one scaled-row add.  A larger
+    one is sampled: NORM_SEARCH_CAP coefficient vectors drawn from a fixed
+    seed, each summed one coordinate at a time up to its first zero (about
+    l coordinates in, as each is zero with chance about 1/l), and a hit
+    combined in full.
     """
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
@@ -175,15 +176,6 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     if not basis:
         return None
     add, mul = sub.tables.add, sub.tables.mul
-
-    def combine(coeffs):
-        v = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = mul[c]
-                v = [add[x][m[y]] for x, y in zip(v, b)]
-        return v
-
     if l ** len(basis) <= NORM_SEARCH_CAP:
         # scaled[i][c] = c * basis[i]; level i adds c_i * basis[i] to the
         # prefix sum for every c_i, the last coordinate varying fastest
@@ -199,13 +191,30 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
             return None
 
         return walk(0, [0] * n)
+
+    def combine(coeffs):
+        v = [0] * n
+        for c, b in zip(coeffs, basis):
+            if c:
+                m = mul[c]
+                v = [add[x][m[y]] for x, y in zip(v, b)]
+        return v
+
+    # terms[j][i][c] = c * basis[i][j]: a draw's coordinates are summed one
+    # column at a time, up to the first that vanishes (at once for the
+    # all-zero draw, which still uses up its turn)
+    terms = [[[mul[c][b[j]] for c in range(l)] for b in basis] for j in range(n)]
     rng = random.Random(0xC0DE)
     for _ in range(NORM_SEARCH_CAP):
         coeffs = [rng.randrange(l) for _ in basis]
-        if any(coeffs):
-            v = combine(coeffs)
-            if all(v):
-                return v
+        for col in terms:
+            s = 0
+            for c, t in zip(coeffs, col):
+                s = add[s][t[c]]
+            if not s:
+                break
+        else:
+            return combine(coeffs)
     return None
 
 

@@ -17,6 +17,8 @@ concatenated from base-p digit blocks.  Up to order TABLE_ORDER_CAP add and
 mul are nested lists; above it their rows are objects that read each entry
 through the Zech path.  Bulk loops such as the elimination kernel in
 ``matrix.py`` index them directly instead of calling a method per entry.
+``Field.conj_table``, x -> x^l on GF(l^2), is one more window of exp read
+the same way.
 
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
@@ -512,6 +514,12 @@ class Field:
         self._neg_shift = n1 // 2 if p != 2 else 0
 
     @functools.cached_property
+    def _codes(self) -> list[int]:
+        """The element codes 0..q-1: every entry of the tables and of
+        conj_table references one of these q int objects."""
+        return list(range(self.order))
+
+    @functools.cached_property
     def tables(self) -> FieldTables:
         """Operation tables, built on first use, with no Python loop per entry.
 
@@ -524,8 +532,7 @@ class Field:
         """
         q = self.order
         n1 = q - 1
-        codes = list(range(q))
-        # every entry references one of these q int objects
+        codes = self._codes
         exp = list(map(codes.__getitem__, self._exp))
         log = self._log
         by_log = operator.itemgetter(*log)
@@ -625,9 +632,17 @@ class Field:
 
     @functools.cached_property
     def conj_table(self) -> list[int]:
-        """conj_table[a] = a^l, built on first use."""
-        l = self.subfield_order
-        return [self.pow(x, l) for x in range(self.order)]
+        """conj_table[a] = a^l, built on first use like neg and inv: a
+        window of exp read through one itemgetter over log."""
+        l, q = self.subfield_order, self.order
+        exp = list(map(self._codes.__getitem__, self._exp[:q]))
+        # conj(g^i) = g^(il mod (q-1)), and i = al + b has il = a + bl mod
+        # l^2 - 1: the window reads exp column by column as an l x l array.
+        # Its last entry, g^(q-1), is read by no log and becomes the zero
+        # that log[0] = -1 picks
+        window = list(itertools.chain.from_iterable(exp[a::l] for a in range(l)))
+        window[-1] = 0
+        return list(operator.itemgetter(*self._log)(window))
 
     def conj(self, a: int) -> int:
         """a^l, the involution fixing the index-2 subfield GF(l)."""

@@ -1,7 +1,10 @@
 """Negacyclic codes of length n over GF(q): ideals of GF(q)[x]/(x^n + 1).
 
 A code is pinned by a defining set Z of odd residues modulo 2n, closed
-under multiplication by q.  Its generator polynomial is
+under multiplication by q, held as a `DefiningSet` record (see
+`code._Record`) that checks both when it is made and compares and hashes
+by value, so an equal set finds the same kept code.  Its generator
+polynomial is
 g(x) = prod_{j in Z} (x - gamma^j) for a fixed primitive 2n-th root of
 unity gamma living in GF(q^e), e = ord_2n(q).  The canonical gamma is
 gen^((q^e - 1)/2n) for the canonical generator gen of the extension, so
@@ -38,9 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .code import DistanceReport, LinearCode
+from .code import DistanceReport, LinearCode, _Record
 from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, primitive_root_of_unity
 from .matrix import Matrix
 
@@ -66,15 +68,13 @@ def cyclotomic_coset(j: int, modulus: int, multiplier: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-@dataclass(frozen=True)
-class DefiningSet:
-    """A union of q-cyclotomic cosets of odd residues mod 2n."""
+class DefiningSet(_Record):
+    """A union of q-cyclotomic cosets of odd residues mod 2n, held as its
+    residues tuple with n and q."""
 
-    residues: tuple[int, ...]
-    n: int
-    q: int
+    __slots__ = ("residues", "n", "q")
 
-    def __post_init__(self):
+    def _validate(self):
         two_n = 2 * self.n
         seen = set(self.residues)
         if any(r % 2 == 0 for r in seen):

@@ -5,6 +5,9 @@ code over the base l whose distance is at least the classical one.  The
 construction here refuses any input that fails the explicit containment
 check, and every emitted parameter record is validated against the quantum
 Singleton bound at creation time, so an out-of-bound record cannot exist.
+`QuantumParams`, `SingletonReport`, `CaseBuild` and `ChainBuild` are
+immutable records (see `code._Record`): a discrepancy is attached by
+building a new `QuantumParams`, whose == and hash ignore it.
 
 The six-case parameter formulas and the two negacyclic chain theorems are
 implemented twice: once as pure arithmetic (`formula_params`,
@@ -24,11 +27,10 @@ distance floor off the same defining sets without building any matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 from .claims import TABLE1
-from .code import DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode
+from .code import DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode, _Record
 from .constructions import (
     ConstructionError,
     extended_rs_dual_containing,
@@ -59,25 +61,22 @@ class SingletonViolation(ValueError):
     """Parameters beat the quantum Singleton bound; something is wrong."""
 
 
-@dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(_Record):
     """An [[n, k, >= d_lower]] record over base l, with provenance.
 
     verified is set only when the source classical code passed the explicit
     Hermitian containment check.  Construction rejects any record violating
-    2*d <= n - k + 2.
+    2*d <= n - k + 2.  d_exact (an int) and discrepancy (a dict) default to
+    None; == and hash ignore discrepancy.
     """
 
-    n: int
-    k: int
-    d_lower: int
-    base: int
-    provenance: str
-    verified: bool
-    d_exact: int | None = None
-    discrepancy: dict | None = dc_field(default=None, compare=False)
+    __slots__ = ("n", "k", "d_lower", "base", "provenance", "verified", "d_exact", "discrepancy")
+    _defaults = {"d_exact": None, "discrepancy": None}
 
-    def __post_init__(self):
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # all but discrepancy
+
+    def _validate(self):
         d = self.d_exact if self.d_exact is not None else self.d_lower
         if 2 * d > self.n - self.k + 2:
             raise SingletonViolation(
@@ -100,11 +99,11 @@ class QuantumParams:
         return out
 
 
-@dataclass(frozen=True)
-class SingletonReport:
-    defect: int
-    is_mds: bool
-    approximate: bool  # defect was computed from a lower bound only
+class SingletonReport(_Record):
+    """Quantum Singleton defect; approximate when it was computed from a
+    lower bound on the distance only."""
+
+    __slots__ = ("defect", "is_mds", "approximate")
 
 
 def singleton_check(qp: QuantumParams) -> SingletonReport:
@@ -187,16 +186,12 @@ def _case_component_distances(d: int, case: str) -> tuple[int, int, int, int]:
     return ((d + 1) // 4, (d + 1) // 2, (d + 1) // 2, d)
 
 
-@dataclass(frozen=True)
-class CaseBuild:
-    """A fully constructed character-product instance next to its six-case
-    formula record, if it has one."""
+class CaseBuild(_Record):
+    """A fully constructed character-product instance (its quantum record,
+    classical code, four components and their distances) next to its
+    six-case formula record, if it has one."""
 
-    built: QuantumParams
-    formula: QuantumParams | None
-    classical: LinearCode
-    components: tuple[LinearCode, ...]
-    component_distances: tuple[int, int, int, int]
+    __slots__ = ("built", "formula", "classical", "components", "component_distances")
 
     @property
     def discrepancy(self) -> dict | None:
@@ -260,8 +255,8 @@ def build_case(
         formula_note = {"n": 4 * _LENGTHS[kind](l), "k": kf(l, d), "d": d, "out_of_range": True}
 
     if (built.n, built.k) != (formula_note["n"], formula_note["k"]) or built.d_lower < d:
-        built = replace(
-            built,
+        built = QuantumParams(
+            built.n, built.k, built.d_lower, built.base, built.provenance, built.verified, built.d_exact,
             discrepancy={
                 "source": f"case:{case}",
                 "inputs": {"l": l, "d": d},
@@ -269,7 +264,7 @@ def build_case(
                 "computed": {"n": built.n, "k": built.k, "d_lower": built.d_lower},
             },
         )
-    return replace(cb, built=built, formula=formula)
+    return CaseBuild(built, formula, cb.classical, cb.components, cb.component_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +310,12 @@ def _chain_defining_sets(
     return (l * l + 1) // 2, [half_length_defining_set(l, dj) for dj in deltas]
 
 
-@dataclass(frozen=True)
-class ChainBuild:
-    """A three-component negacyclic chain product plus its claimed record."""
+class ChainBuild(_Record):
+    """A three-component negacyclic chain product (family, l, the depth
+    triple, the classical code and its distance report, the quantum record)
+    plus its claimed record."""
 
-    family: str
-    l: int
-    deltas: tuple[int, int, int]
-    classical: LinearCode
-    classical_distance: DistanceReport
-    quantum: QuantumParams
-    claimed: dict
+    __slots__ = ("family", "l", "deltas", "classical", "classical_distance", "quantum", "claimed")
 
     @property
     def discrepancy(self) -> dict | None:
@@ -401,8 +391,8 @@ def build_chain(
     claimed = chain_claimed_params(l, deltas, family)
     computed = {"n": qp.n, "k": qp.k, "d_geq": qp.d_lower, "base": qp.base}
     if claimed != computed:
-        qp = replace(
-            qp,
+        qp = QuantumParams(
+            qp.n, qp.k, qp.d_lower, qp.base, qp.provenance, qp.verified, qp.d_exact,
             discrepancy={
                 "source": f"chain:{family}",
                 "inputs": {"l": l, "deltas": list(deltas)},

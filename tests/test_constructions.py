@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,8 +25,8 @@ from mpqc.matrix import Matrix
 
 
 def reference_solve_norms(fld, l, points, r, cap=400000):
-    # kept verbatim from the walk that re-summed every basis row per vector
-    # (the sampled branch past `cap` is unchanged and not copied)
+    # kept verbatim from the walk that re-summed every basis row per vector,
+    # and from the sampler past `cap` that summed every drawn vector in full
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
     n = len(points)
@@ -52,8 +53,16 @@ def reference_solve_norms(fld, l, points, r, cap=400000):
                 v = [add[x][m[y]] for x, y in zip(v, b)]
         return v
 
-    assert l ** len(basis) <= cap
-    for coeffs in itertools.product(range(l), repeat=len(basis)):
+    if l ** len(basis) <= cap:
+        for coeffs in itertools.product(range(l), repeat=len(basis)):
+            if any(coeffs):
+                v = combine(coeffs)
+                if all(v):
+                    return v
+        return None
+    rng = random.Random(0xC0DE)
+    for _ in range(cap):
+        coeffs = [rng.randrange(l) for _ in basis]
         if any(coeffs):
             v = combine(coeffs)
             if all(v):
@@ -188,6 +197,56 @@ def test_norm_walk_matches_reference_at_l5_d5():
         mu = _solve_norms(fld, 5, drops[drop], 4)
         assert mu is not None and all(mu)
         assert mu == reference_solve_norms(fld, 5, drops[drop], 4)
+
+
+def _with_draws(solve, *args):
+    """solve(*args) and the coefficients it drew at random, in order."""
+    draws = []
+
+    class Recording(random.Random):
+        def randrange(self, *a):
+            draws.append(super().randrange(*a))
+            return draws[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random, "Random", Recording)
+        return solve(*args), draws
+
+
+# at l = 7, d = 7 each drop's kernel has dimension 12, so 7^12 is past
+# NORM_SEARCH_CAP and the seeded sampler runs; every one of these drops solves
+_L7_DROPS = [(0, 1), (0, 2), (0, 3), (0, 49), (1, 2), (3, 7), (5, 45), (10, 20), (17, 33), (20, 30), (48, 49)]
+
+
+def test_norm_sampler_matches_the_full_combine_reference_at_l7():
+    fld = square_field(7)
+    drops = dict(_curve_drops(7, 7))
+    for drop in _L7_DROPS:
+        pts = drops[drop]
+        mu, draws = _with_draws(_solve_norms, fld, 7, pts, 6)
+        assert (mu, draws) == _with_draws(reference_solve_norms, fld, 7, pts, 6), drop
+        assert mu is not None and all(mu) and len(draws) % 12 == 0
+
+
+def test_norm_sampler_matches_the_reference_under_a_small_cap(monkeypatch):
+    fld = square_field(7)
+    pts = dict(_curve_drops(7, 7))[(0, 2)]
+    # this drop's first hit is its 64th vector: both sides return None one
+    # vector short of it, and the same mu from it on
+    for cap, hit in [(63, False), (64, True), (200, True)]:
+        monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", cap)
+        mu, draws = _with_draws(_solve_norms, fld, 7, pts, 6)
+        assert (mu, draws) == _with_draws(reference_solve_norms, fld, 7, pts, 6, cap)
+        assert (mu is not None) == hit and len(draws) == 12 * (64 if hit else cap)
+    # at l = 2, d = 2 the kernels have dimension 2 and no vector without a
+    # zero coordinate: three vectors are drawn, one of them all zero, and
+    # that one still counts against the cap on both sides
+    monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", 3)
+    fld = square_field(2)
+    for drop, pts in _curve_drops(2, 2):
+        mu, draws = _with_draws(_solve_norms, fld, 2, pts, 1)
+        assert (mu, draws) == _with_draws(reference_solve_norms, fld, 2, pts, 1, 3), drop
+        assert mu is None and len(draws) == 6 and [0, 0] in (draws[:2], draws[2:4], draws[4:])
 
 
 def test_subfield_decomposition_is_built_once():

@@ -101,6 +101,21 @@ def test_conj_refused_on_odd_degree(F3):
         F3.conj(1)
 
 
+# conj_table is read off exp; square-and-multiply x^l is its reference.
+# GF(37^2) is above TABLE_ORDER_CAP, where add and mul are Zech row objects
+@pytest.mark.parametrize(
+    "pm", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4), (17, 2), (5, 4), (29, 2), (37, 2)]
+)
+def test_conj_table_matches_the_power_map(pm):
+    F = Field(*pm)
+    l = F.subfield_order
+    assert F.conj_table == [F.pow(x, l) for x in range(F.order)]
+    # neg is a permutation of the q element codes, as shared int objects
+    shared = {id(x) for x in F.tables.neg}
+    assert len(shared) == F.order
+    assert {id(x) for x in F.conj_table} <= shared
+
+
 def test_square_field():
     assert square_field(3) is field(3, 2)
     assert square_field(9) is field(3, 4)
