@@ -516,7 +516,7 @@ def _parity_code(fld: Field, rows: list[list[int]], ncols: int) -> LinearCode:
     for r in rows:
         r.reverse()
     pivots, _ = _eliminate(fld, rows, ncols)
-    H = Matrix(fld, [r[::-1] for r in reversed(rows[: len(pivots)])], ncols=ncols)
+    H = Matrix._of(fld, tuple([tuple(r[::-1]) for r in reversed(rows[: len(pivots)])]), ncols)
     return LinearCode(fld, ncols, None, H)
 
 

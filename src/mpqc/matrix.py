@@ -1,14 +1,23 @@
 """Dense exact linear algebra over a Field.
 
-Matrices are immutable grids of element codes.  Every elimination (rref,
-rank, nullspace, det/inverse) runs on one kernel, `_eliminate`: plain
-Gauss-Jordan with first-nonzero pivoting on a list of row lists.  Arithmetic
-is exact, so no pivot strategy beyond that is needed.  The kernel indexes
-the field's operation tables (``Field.tables``) instead of calling a method
-per entry, and a row operation touches only the columns where the pivot row
-is nonzero, all at or right of the pivot column.  Zero-row and zero-column
-shapes are legal everywhere (duals of full spaces come out as 0 x n
-matrices).
+Matrices are immutable grids of element codes, held as a tuple of int
+tuples.  Entries are range-checked once, at the package boundary: the public
+constructor ``Matrix(fld, rows, ncols)`` checks the shape and that every
+entry is an element code, and callers use it for rows that come from outside
+(CLI input, random samples, hand-written tables).  Everything whose entries
+are read from another matrix or from a field table (kernel outputs,
+products, shape surgery, identity and zero matrices) is built by the private
+``Matrix._of``, which trusts its grid and checks nothing.
+
+Every elimination (rref, rank, nullspace, det, det/inverse) runs on one
+kernel, `_eliminate`: plain Gauss-Jordan with first-nonzero pivoting on a
+list of row lists.  Arithmetic is exact, so no pivot strategy beyond that is
+needed.  The kernel indexes the field's operation tables (``Field.tables``)
+instead of calling a method per entry, and a row operation touches only the
+columns where the pivot row is nonzero, all at or right of the pivot column.
+`det` eliminates the bare square; only `det_inverse` carries the augmented
+identity.  Zero-row and zero-column shapes are legal everywhere (duals of
+full spaces come out as 0 x n matrices).
 """
 
 from __future__ import annotations
@@ -81,11 +90,15 @@ class Matrix:
             if r and (min(r) < 0 or max(r) >= q):
                 bad = next(x for x in r if not 0 <= x < q)
                 raise ValueError(f"entry {bad} is not an element code of {fld}")
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "nrows", len(grid))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, fld, grid, ncols)
+
+    @classmethod
+    def _of(cls, fld: Field, grid: tuple[tuple[int, ...], ...], ncols: int) -> "Matrix":
+        """The matrix on `grid`, a tuple of ncols-long tuples of element
+        codes, taken as it is: nothing is checked."""
+        self = object.__new__(cls)
+        _fill(self, fld, grid, ncols)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -94,11 +107,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, fld: Field, n: int) -> "Matrix":
-        return cls(fld, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._of(fld, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, fld: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(fld, [[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(fld, ((0,) * ncols,) * nrows, ncols)
 
     # -- basics --
 
@@ -114,7 +127,7 @@ class Matrix:
         # computed once: `is_nsc`'s cache and code hashing look the same
         # matrix up often
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.field, self.ncols, self.rows)))
+            _set_hash(self, hash((self.field, self.ncols, self.rows)))
         return self._hash
 
     def __repr__(self):
@@ -124,11 +137,9 @@ class Matrix:
     # -- shape surgery --
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        # zip(*rows) of a 0-row matrix would lose its ncols empty columns
+        grid = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
+        return Matrix._of(self.field, grid, self.nrows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """Minor on strictly increasing 0-based index sets."""
@@ -137,19 +148,17 @@ class Matrix:
                 raise IndexError(f"{name} index out of range")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"{name} indices must be strictly increasing")
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            ncols=len(col_idx),
-        )
+        rows = self.rows
+        grid = tuple([tuple([rows[i][j] for j in col_idx]) for i in row_idx])
+        return Matrix._of(self.field, grid, len(col_idx))
 
     def take_rows(self, count: int) -> "Matrix":
-        return Matrix(self.field, self.rows[:count], ncols=self.ncols)
+        return Matrix._of(self.field, self.rows[:count], self.ncols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or other.ncols != self.ncols:
             raise ValueError("stacking shape/field mismatch")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
 
     # -- entrywise maps --
 
@@ -157,15 +166,15 @@ class Matrix:
         """Entrywise x -> x^l over GF(l^2)."""
         if not (self.nrows and self.ncols):
             return self  # no entry, so no conjugation (and no square-order check)
-        conj = self.field.conj_table
-        return Matrix(self.field, [[conj[x] for x in r] for r in self.rows], ncols=self.ncols)
+        conj = self.field.conj_table.__getitem__
+        return Matrix._of(self.field, tuple([tuple(map(conj, r)) for r in self.rows]), self.ncols)
 
     def scale(self, c: int) -> "Matrix":
         """Every entry times the element code c."""
         if not 0 <= c < self.field.order:
             raise ValueError(f"{c} is not an element code of {self.field}")
-        m = self.field.tables.mul[c]
-        return Matrix(self.field, [[m[x] for x in r] for r in self.rows], ncols=self.ncols)
+        m = self.field.tables.mul[c].__getitem__
+        return Matrix._of(self.field, tuple([tuple(map(m, r)) for r in self.rows]), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or self.ncols != other.nrows:
@@ -180,8 +189,8 @@ class Matrix:
                 if a:
                     m = mul[a]
                     acc = [add[x][m[y]] for x, y in zip(acc, brow)]
-            out.append(acc)
-        return Matrix(f, out, ncols=other.ncols)
+            out.append(tuple(acc))
+        return Matrix._of(f, tuple(out), other.ncols)
 
     # -- elimination --
 
@@ -189,7 +198,8 @@ class Matrix:
         """Reduced row-echelon form, rank and pivot columns."""
         rows = [list(r) for r in self.rows]
         pivots, _ = _eliminate(self.field, rows, self.ncols)
-        return Matrix(self.field, rows, ncols=self.ncols), len(pivots), tuple(pivots)
+        R = Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
+        return R, len(pivots), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -246,8 +256,8 @@ class Matrix:
             v[fc] = 1
             for r, pc in zip(self.rows, pivots):
                 v[pc] = neg[r[fc]]
-            basis.append(v)
-        return Matrix(self.field, basis, ncols=self.ncols)
+            basis.append(tuple(v))
+        return Matrix._of(self.field, tuple(basis), self.ncols)
 
     def det_inverse(self) -> tuple[int, "Matrix | None"]:
         """Determinant (an element code) and inverse; the inverse is None
@@ -260,11 +270,31 @@ class Matrix:
         pivots, det = _eliminate(f, aug, n)
         if len(pivots) < n:
             return 0, None
-        return det, Matrix(f, [r[n:] for r in aug], ncols=n)
+        return det, Matrix._of(f, tuple([tuple(r[n:]) for r in aug]), n)
 
     def det(self) -> int:
-        return self.det_inverse()[0]
+        """The determinant alone: one elimination of the bare square."""
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.nrows
+        pivots, det = _eliminate(self.field, [list(r) for r in self.rows], n)
+        return det if len(pivots) == n else 0
 
     def row_space_contains(self, vector: Sequence[int]) -> bool:
         stacked = self.vstack(Matrix(self.field, [vector], ncols=self.ncols))
         return stacked.rank() == self.rank()
+
+
+# the slots' own setters: `__setattr__` refuses, and object.__setattr__ is
+# several times slower per call than these
+_set_field, _set_nrows, _set_ncols, _set_rows, _set_hash = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__
+)
+
+
+def _fill(m: Matrix, fld: Field, grid: tuple, ncols: int) -> None:
+    _set_field(m, fld)
+    _set_nrows(m, len(grid))
+    _set_ncols(m, ncols)
+    _set_rows(m, grid)
+    _set_hash(m, None)

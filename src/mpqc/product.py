@@ -82,10 +82,10 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     rows = []
     for arow, code in zip(A.rows, codes):
         for g in code.gen.rows:
-            rows.append([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)])
+            rows.append(tuple([x for a in arow for x in ([mul[a][y] for y in g] if a else zeros)]))
     if not rows:
         return LinearCode.zero_code(fld, n * A.ncols)
-    return LinearCode.from_generator(Matrix(fld, rows, ncols=n * A.ncols))
+    return LinearCode.from_generator(Matrix._of(fld, tuple(rows), n * A.ncols))
 
 
 def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:

@@ -96,6 +96,7 @@ SELF_ORTHOGONAL_TRIES = 400
 
 def random_self_orthogonal_rows(fld, n: int, dim: int, rng: random.Random):
     """Rows spanning a Hermitian self-orthogonal subspace of dimension <= dim."""
+    add, mul = fld.tables.add, fld.tables.mul
     rows: list[list[int]] = []
     while len(rows) < dim:
         if rows:
@@ -109,7 +110,8 @@ def random_self_orthogonal_rows(fld, n: int, dim: int, rng: random.Random):
             for b in basis:
                 c = rng.randrange(fld.order)
                 if c:
-                    v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, b)]
+                    m = mul[c]
+                    v = [add[x][m[y]] for x, y in zip(v, b)]
             if all(x == 0 for x in v):
                 continue
             if _hermitian_form(fld, v, v) != 0:

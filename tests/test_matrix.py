@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mpqc.gf import field
 from mpqc.matrix import Matrix
+from test_kernel import reference_det_inverse, reference_nullspace, reference_rref
 
 
 def to_lists(M):
@@ -186,3 +187,136 @@ def test_rref_row_space_preserved(rows):
     # every original row is a combination of rref rows and vice versa
     stacked = M.vstack(R)
     assert stacked.rank() == rank
+
+
+# ---------------------------------------------------------------------------
+# trusted kernel outputs against the validating constructor at the boundary
+
+# the 0-row shapes are where a zip(*rows) transpose would lose its columns
+SHAPES = [(0, 0), (0, 1), (0, 4), (1, 0), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (3, 5)]
+
+
+def boundary_twin(M):
+    """`M` checked as it leaves a method: a tuple of int tuples of its
+    shape, equal and hash-equal to the same rows through the validating
+    constructor."""
+    assert type(M.rows) is tuple and len(M.rows) == M.nrows
+    assert all(type(r) is tuple and len(r) == M.ncols for r in M.rows)
+    assert all(type(x) is int and 0 <= x < M.field.order for r in M.rows for x in r)
+    twin = Matrix(M.field, M.rows, ncols=M.ncols)
+    assert (twin.nrows, twin.ncols) == (M.nrows, M.ncols)
+    assert twin == M and hash(twin) == hash(M)
+    return twin
+
+
+def random_subset(n, rng):
+    return tuple(i for i in range(n) if rng.random() < 0.6)
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 2), (7, 2)])
+def test_every_matrix_method_matches_the_validating_constructor(pm, rng):
+    fld = field(*pm)
+    for nr, nc in SHAPES * 3:
+        M = random_matrix(fld, nr, nc, rng)
+        rows = M.rows
+        # each method's result, and the same matrix built the checked way
+        # from rows formed entry by entry through the field's methods
+        eye = [[int(i == j) for j in range(nc)] for i in range(nc)]
+        pairs = [
+            (Matrix.identity(fld, nc), Matrix(fld, eye, nc)),
+            (Matrix.zeros(fld, nr, nc), Matrix(fld, [[0] * nc for _ in range(nr)], nc)),
+            (M.transpose(), Matrix(fld, [[rows[i][j] for i in range(nr)] for j in range(nc)], nr)),
+            (M.conjugate(), Matrix(fld, [[fld.conj(x) for x in r] for r in rows], nc)),
+        ]
+        ri, ci = random_subset(nr, rng), random_subset(nc, rng)
+        minor = [[rows[i][j] for j in ci] for i in ri]
+        pairs.append((M.submatrix(ri, ci), Matrix(fld, minor, len(ci))))
+        k = rng.randint(0, nr)
+        pairs.append((M.take_rows(k), Matrix(fld, rows[:k], nc)))
+        N = random_matrix(fld, rng.randint(0, 3), nc, rng)
+        pairs.append((M.vstack(N), Matrix(fld, list(rows) + list(N.rows), nc)))
+        c = rng.randrange(fld.order)
+        pairs.append((M.scale(c), Matrix(fld, [[fld.mul(c, x) for x in r] for r in rows], nc)))
+        P = random_matrix(fld, nc, rng.randint(0, 4), rng)
+        prod = [[0] * P.ncols for _ in range(nr)]
+        for i in range(nr):
+            for j in range(P.ncols):
+                for t in range(nc):
+                    prod[i][j] = fld.add(prod[i][j], fld.mul(rows[i][t], P.rows[t][j]))
+        pairs.append((M @ P, Matrix(fld, prod, P.ncols)))
+        R, rank, pivots = M.rref()
+        assert (R, rank, pivots) == reference_rref(M)
+        pairs.append((R, reference_rref(M)[0]))
+        pairs.append((M.nullspace(), reference_nullspace(M)))
+        pairs.append((R.rref_nullspace(pivots), reference_nullspace(M)))
+        S = random_matrix(fld, nr, nr, rng)
+        det, inv = S.det_inverse()
+        ref_det, ref_inv = reference_det_inverse(S)
+        assert det == ref_det and (inv is None) == (ref_inv is None)
+        if inv is not None:
+            pairs.append((inv, ref_inv))
+        for got, want in pairs:
+            assert boundary_twin(got) == want and hash(got) == hash(want)
+
+
+def raised(exc_type, call):
+    with pytest.raises(exc_type) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 2), (7, 2)])
+def test_the_boundary_keeps_its_error_texts(pm):
+    fld = field(*pm)
+    q = fld.order
+    assert raised(ValueError, lambda: Matrix(fld, [[1, 2], [1]], ncols=2)) == "ragged rows"
+    assert raised(ValueError, lambda: Matrix(fld, [[1, 2], [1]])) == "ragged rows"
+    width = "rows of length 2 given with ncols=5"
+    assert raised(ValueError, lambda: Matrix(fld, [[1, 2]], ncols=5)) == width
+    empty = "empty matrix needs an explicit column count"
+    assert raised(ValueError, lambda: Matrix(fld, [])) == empty
+    for bad in (-1, q):
+        text = f"entry {bad} is not an element code of {fld}"
+        assert raised(ValueError, lambda: Matrix(fld, [[0, 1], [bad, 0]])) == text
+        assert raised(ValueError, lambda: Matrix(fld, [[bad]], ncols=1)) == text
+        M = Matrix.identity(fld, 2)
+        assert raised(ValueError, lambda: M.scale(bad)) == f"{bad} is not an element code of {fld}"
+        # row_space_contains takes its vector from outside too
+        assert raised(ValueError, lambda: M.row_space_contains([0, bad])) == text
+    M = Matrix.identity(fld, 3)
+    for rows, cols, exc, text in [
+        ((0, 3), (0, 1), IndexError, "row index out of range"),
+        ((-1, 0), (0, 1), IndexError, "row index out of range"),
+        ((0, 1), (1, 3), IndexError, "column index out of range"),
+        ((0, 1), (-1,), IndexError, "column index out of range"),
+        ((1, 0), (0, 1), ValueError, "row indices must be strictly increasing"),
+        ((1, 1), (0, 1), ValueError, "row indices must be strictly increasing"),
+        ((0, 1), (2, 0), ValueError, "column indices must be strictly increasing"),
+        ((0, 1), (2, 2), ValueError, "column indices must be strictly increasing"),
+    ]:
+        assert raised(exc, lambda: M.submatrix(rows, cols)) == text
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (5, 2), (7, 2)])
+def test_det_alone_matches_det_inverse_and_the_reference(pm, rng):
+    fld = field(*pm)
+    singular = 0
+    for n in range(6):
+        for _ in range(12):
+            M = random_matrix(fld, n, n, rng)
+            if n >= 2 and rng.random() < 0.4:
+                # a row that is a multiple of another: singular
+                rows = [list(r) for r in M.rows]
+                i, j = rng.sample(range(n), 2)
+                c = rng.randrange(fld.order)
+                rows[i] = [fld.mul(c, x) for x in rows[j]]
+                M = Matrix(fld, rows, ncols=n)
+            det = M.det()
+            assert det == M.det_inverse()[0] == reference_det_inverse(M)[0]
+            singular += det == 0
+    assert singular > 0
+    assert Matrix.zeros(fld, 0, 0).det() == 1
+    for nr, nc in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        M = random_matrix(fld, nr, nc, rng)
+        assert raised(ValueError, M.det) == "determinant of a non-square matrix"
+        assert raised(ValueError, M.det_inverse) == "determinant of a non-square matrix"

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpqc import code as code_module
-from mpqc import constructions, negacyclic, product
+from mpqc import constructions, negacyclic, product, verify
 from mpqc.cli import cmd_example
 from mpqc.code import LinearCode
 from mpqc.gf import Field, field, square_field
@@ -796,3 +796,47 @@ def test_a_component_parity_corrupted_before_assembly_is_caught(F25):
     object.__setattr__(C, "_parity", Matrix(F25, [H.rows[0]] * H.nrows, ncols=C.n))
     with pytest.raises(ConsistencyError, match="lost rank"):
         got.parity
+
+
+# ---------------------------------------------------------------------------
+# entries are range-checked at the boundary only
+
+
+def _count_validated(monkeypatch):
+    """Count the calls of the validating constructor from here on."""
+    calls = []
+    init = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    return calls
+
+
+def test_kernel_and_code_paths_build_no_validated_matrix(F25, monkeypatch):
+    rng = random.Random(5)
+    wide = Matrix(F25, [[rng.randrange(25) for _ in range(8)] for _ in range(3)], ncols=8)
+    tall = Matrix(F25, [[rng.randrange(25) for _ in range(8)] for _ in range(6)], ncols=8)
+    square = random_nonsingular(F25, 3, rng)
+    codes = [random_code(F25, 4, rng.randint(1, 3), rng) for _ in range(3)]
+    calls = _count_validated(monkeypatch)
+    for M in (wide, tall, Matrix.zeros(F25, 0, 8), Matrix.identity(F25, 8)):
+        for C in (LinearCode.from_generator(M), LinearCode.from_parity(M)):
+            for dual in (C.euclidean_dual(), C.hermitian_dual()):
+                assert (dual.gen.nrows, dual.parity.nrows) == (dual.k, dual.n - dual.k)
+        assert M.rank() + M.nullspace().nrows == M.ncols
+    assert square.det() != 0 and square.submatrix((0, 1), (1, 2)).det() is not None
+    P = matrix_product_code(codes, square)
+    assert product_dual(codes, square).k == P.n - P.k
+    assert calls == []
+
+
+def test_verify_at_the_bench_seeds_stays_within_its_boundary_count(monkeypatch, fresh_families):
+    # the samplers' random rows and the hand-written tables are the only
+    # validated constructions; every kernel output is trusted (37,928
+    # validated constructions over these seeds when every matrix was checked)
+    calls = _count_validated(monkeypatch)
+    assert all(verify.run_suites("all", s)["passed"] for s in range(1, 6))
+    assert len(calls) <= 6088
