@@ -13,8 +13,9 @@ compare equal as objects; == and hash read G.
 A code may also be stored by neither form, with k and one builder that
 returns an equal code stored by G or H; the builder runs on the first read
 of `gen` or `parity` (and so on the first == or hash).  Negacyclic codes
-defer their systematic G this way and dual-containing matrix product codes
-their parity-side assembly (see `negacyclic` and `product`).
+defer their parity check this way, the deg g shifts of h* right-reduced,
+and dual-containing matrix product codes their parity-side assembly (see
+`negacyclic` and `product`).
 Every containment fact is a product with H (w in C iff H w^T = 0; C in D iff
 H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0; C's
 Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the cross-Gram a matrix

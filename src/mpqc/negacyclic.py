@@ -25,12 +25,14 @@ h = (x^n + 1)/g; the code also carries conj(h*), h* the reciprocal of h,
 which generates its Hermitian dual.  Its containment facts are then
 polynomial divisions (see `code`), and no matrix is written for them.
 
-The generator matrix is written only when something reads it, in reduced
-row-echelon form, with no elimination: with r = deg g, row i is
-x^i - x^k (x^(i-k) mod g), stepped out by the x^-1 recurrence, so the
-pivots are 0..k-1 (any k consecutive positions are an information set).
-Every row is then checked against the remainder matrix, whose column j is
-x^j mod g from the forward recurrence.
+The matrices are written only when something reads them.  With r = deg g,
+the code is stored by its parity check: the rows x^i h*, i < r, right-
+reduced, from which G is read off like any code stored by H (see `code`).
+A word of <g> is c = a g with deg a < k, so c h = a (x^n + 1) has no term
+x^k..x^(n-1), and row i of those shifts reads the term x^(k+i) (Kai & Zhu,
+IEEE Trans. Inf. Theory 59(2), 2013).  The code they check is confirmed to
+be exactly <g>: its k must be n - r, and every shift x^i g, i < k, must lie
+in it, tested by the scan behind `LinearCode.contains_word`.
 
 `negacyclic_code` keeps each verified code per (n, field, defining set)
 through ``functools.cache`` on its builder, so a chain that reuses a
@@ -42,9 +44,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .code import DistanceReport, LinearCode, _Record
+from .code import DistanceReport, LinearCode, _dots_vanish, _parity_code, _Record
 from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, primitive_root_of_unity
-from .matrix import Matrix
 
 
 class NegacyclicError(ValueError):
@@ -134,10 +135,10 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     Checks performed: gamma has order exactly 2n, the generator polynomial
     has every coefficient in GF(q), vanishes at gamma^j for each j in the
     defining set and divides x^n + 1 exactly, and the code has dimension
-    n - |Z|; when the generator matrix is first read, every row is checked
-    to be a multiple of it.  Any failure is an internal consistency error.
-    The checks run once per distinct code: a repeated call returns the same
-    object, with the facts it has kept.
+    n - |Z|; when a matrix is first read, the code the h* shifts check has
+    k = n - deg g and holds every shift of g.  Any failure is an internal
+    consistency error.  The checks run once per distinct code: a repeated
+    call returns the same object, with the facts it has kept.
     """
     if defining.n != n or defining.q != fld.order:
         raise NegacyclicError("defining set was built for different (n, q)")
@@ -163,28 +164,28 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
         n,
         None,
         k=n - len(coeffs) + 1,
-        build=functools.partial(_systematic_code, n, fld, coeffs),
+        build=functools.partial(_parity_side, n, fld, coeffs, h),
         genpoly=tuple(coeffs),
         hermitian_dual_genpoly=dual,
     )
 
 
-def _systematic_code(n: int, fld: Field, coeffs: list[int]) -> LinearCode:
-    """<g> stored by its systematic RREF, each row checked to be 0 mod g:
-    row i = x^i - x^k (x^(i-k) mod g), pivots 0..k-1."""
-    r = len(coeffs) - 1
+def _parity_side(n: int, fld: Field, g: list[int], h: list[int]) -> LinearCode:
+    """<g> stored by the right-reduced shifts x^i h*, i < r = deg g, checked
+    to be exactly <g>: k = n - r, and every shift x^i g, i < k, is a word of
+    the code."""
+    r = len(g) - 1
     k = n - r
-    if not r:
-        return LinearCode.full_space(fld, n)
-    neg = fld.tables.neg
-    tails = []
-    s = [1] + [0] * (r - 1)
-    for _ in range(k):
-        s = _times_inverse_x_mod(fld, s, coeffs)
-        tails.append([neg[x] for x in s])
-    rows = [[0] * i + [1] + [0] * (k - 1 - i) + tails[k - 1 - i] for i in range(k)]
-    _check_remainders(fld, n, coeffs, rows)
-    return LinearCode(fld, n, Matrix(fld, rows, ncols=n))
+    hstar = h[::-1]
+    C = _parity_code(fld, [[0] * i + hstar + [0] * (r - 1 - i) for i in range(r)], n)
+    add, mul = fld.tables.add, fld.tables.mul
+    support = [(t, mul[c]) for t, c in enumerate(g) if c]
+    H = C.parity.rows
+    if C.k != k or not all(
+        _dots_vanish(add, [(t + i, m) for t, m in support], H) for i in range(k)
+    ):
+        raise NegacyclicError("the h* shifts do not check exactly <g>")
+    return C
 
 
 def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int]:
@@ -209,44 +210,6 @@ def _root_of_unity(fld: Field, two_n: int) -> tuple[SubfieldEmbedding, int]:
     ``primitive_root_of_unity``; kept per (field, 2n), so every code of
     length n reads the same gamma."""
     return primitive_root_of_unity(fld, two_n)
-
-
-def _times_x_mod(fld: Field, s: list[int], monic: list[int]) -> list[int]:
-    """x s mod f for a monic f of degree r and s of length r."""
-    add, mul, neg, _ = fld.tables
-    m = mul[neg[s[-1]]]
-    return [add[x][m[c]] for x, c in zip([0] + s[:-1], monic)]
-
-
-def _times_inverse_x_mod(fld: Field, s: list[int], monic: list[int]) -> list[int]:
-    """x^-1 s mod f for a monic f of degree r with f(0) != 0, s of length r:
-    clear the constant term with a multiple of f, then shift down."""
-    add, mul, neg, inv = fld.tables
-    m = mul[neg[mul[s[0]][inv[monic[0]]]]]
-    return [add[x][m[c]] for x, c in zip(s[1:] + [0], monic[1:])]
-
-
-def _check_remainders(fld: Field, n: int, g: list[int], rows: list[list[int]]) -> None:
-    """Every row is 0 mod g.
-
-    Column j of the remainder matrix is x^j mod g (the forward recurrence);
-    row i is [e_i | tail] with pivots 0..k-1, so its residue is column i plus
-    the tail's combination of columns k..n-1, O(r^2) per row.
-    """
-    add, mul, _, _ = fld.tables
-    r = len(g) - 1
-    k = n - r
-    cols = [[1] + [0] * (r - 1)]
-    for _ in range(n - 1):
-        cols.append(_times_x_mod(fld, cols[-1], g))
-    for i, row in enumerate(rows):
-        acc = cols[i]
-        for c, v in zip(cols[k:], row[k:]):
-            if v:
-                m = mul[v]
-                acc = [add[a][m[b]] for a, b in zip(acc, c)]
-        if any(acc):
-            raise NegacyclicError(f"generator row {i} is not a multiple of g")
 
 
 def negacyclic_shift(fld: Field, word: list[int]) -> list[int]:

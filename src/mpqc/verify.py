@@ -84,9 +84,11 @@ def random_nsc_upper_triangular(fld, s: int, rng: random.Random) -> Matrix:
 
 
 def _hermitian_form(fld, u: Sequence[int], v: Sequence[int]) -> int:
+    add, mul = fld.tables.add, fld.tables.mul
+    conj = fld.conj_table
     acc = 0
     for a, b in zip(u, v):
-        acc = fld.add(acc, fld.mul(a, fld.conj(b)))
+        acc = add[acc][mul[a][conj[b]]]
     return acc
 
 
@@ -167,9 +169,8 @@ def random_diagonal_condition_matrix(fld, rng: random.Random) -> Matrix:
     perm = list(range(s))
     rng.shuffle(perm)
     scales = [rng.randrange(1, fld.order) for _ in range(s)]
-    rows = [
-        [fld.mul(scales[i], A.rows[i][perm[j]]) for j in range(s)] for i in range(s)
-    ]
+    mul = fld.tables.mul
+    rows = [[mul[scales[i]][A.rows[i][perm[j]]] for j in range(s)] for i in range(s)]
     return Matrix(fld, rows, ncols=s)
 
 

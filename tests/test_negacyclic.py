@@ -293,8 +293,17 @@ def _small_sets(n, q, max_seeds=3):
                 yield Z
 
 
+def _assert_cold_reads_match_the_reference(C):
+    """A code that has written no matrix reads H and then G equal to the
+    reference code's."""
+    assert C._gen is None and C._parity is None
+    ref = reference_code(C.field, C.n, C._genpoly)
+    assert C.parity.rows == ref.parity.rows
+    assert C.gen.rows == ref.gen.rows
+
+
 @pytest.mark.parametrize("l", [5, 9, 13, 17, 7, 11])
-def test_remainder_rref_matches_row_reduced_shifts(l):
+def test_remainder_rref_matches_row_reduced_shifts(l, cold_roots):
     fld = square_field(l)
     families = _family_sets(l)
     if l in (7, 11):  # half-length depths only
@@ -304,18 +313,20 @@ def test_remainder_rref_matches_row_reduced_shifts(l):
     assert families
     for n, Z in families:
         C = negacyclic_code(n, fld, Z)
+        _assert_cold_reads_match_the_reference(C)
         assert C == reference_code(fld, n, C._genpoly)
         assert C.k == n - len(Z)
 
 
 @pytest.mark.parametrize("pm,n,e", [((3, 2), 5, 2), ((3, 2), 7, 3), ((5, 2), 3, 1)])
-def test_remainder_rref_on_the_battery_pairs(pm, n, e):
+def test_remainder_rref_on_the_battery_pairs(pm, n, e, cold_roots):
     # the verify battery's (n, q) pairs: gamma lives in GF(q^e)
     fld = field(*pm)
     assert multiplicative_order(fld.order, 2 * n) == e
     count = 0
     for Z in _small_sets(n, fld.order):
         C = negacyclic_code(n, fld, Z)
+        _assert_cold_reads_match_the_reference(C)
         assert C == reference_code(fld, n, C._genpoly)
         assert list(C._genpoly) == reference_genpoly(n, fld, Z)
         assert root_exponents(n, fld, C._genpoly) == Z.residues
@@ -645,6 +656,41 @@ def test_deferred_component_gen_is_the_systematic_rref(l):
         assert G.rows == reference_code(fld, n, C._genpoly).gen.rows
         assert G.leading_columns() == list(range(C.k))  # systematic: pivots 0..k-1
     negacyclic._build_negacyclic.cache_clear()
+
+
+@pytest.mark.parametrize("l", [5, 7, 9])
+def test_a_cold_parity_read_writes_no_generator(l, cold_roots):
+    fld = square_field(l)
+    for n, Z in _family_sets(l):
+        C = negacyclic_code(n, fld, Z)
+        H = C.parity
+        assert C._build is None and C._gen is None
+        assert H.nrows == len(C._genpoly) - 1 == len(Z)
+        assert H.trailing_columns() == list(range(C.k, n))  # right-reduced: [-P^T | I]
+
+
+@pytest.mark.parametrize(
+    "l,n,Z",
+    [
+        (3, 2, defining_set_from_residues(2, 9, [1])),  # k = 1: a single shift of g
+        (5, 26, centered_defining_set(5, 1)),
+        (5, 26, centered_defining_set(5, 2)),
+        (7, 25, half_length_defining_set(7, 1)),
+    ],
+)
+def test_the_parity_side_refuses_a_corrupted_h_or_g(l, n, Z):
+    fld = square_field(l)
+    g = list(negacyclic_code(n, fld, Z)._genpoly)
+    h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], g)
+    assert not rem
+    assert negacyclic._parity_side(n, fld, g, h) == reference_code(fld, n, g)
+    for poly in (g, h):
+        for j in range(len(poly)):
+            saved = poly[j]
+            poly[j] = fld.add(saved, 1)
+            with pytest.raises(NegacyclicError, match="^the h\\* shifts do not check exactly <g>$"):
+                negacyclic._parity_side(n, fld, g, h)
+            poly[j] = saved
 
 
 WIDTH_GUARD = """

@@ -839,4 +839,4 @@ def test_verify_at_the_bench_seeds_stays_within_its_boundary_count(monkeypatch, 
     # validated constructions over these seeds when every matrix was checked)
     calls = _count_validated(monkeypatch)
     assert all(verify.run_suites("all", s)["passed"] for s in range(1, 6))
-    assert len(calls) <= 6088
+    assert len(calls) <= 6073
