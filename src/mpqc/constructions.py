@@ -122,23 +122,23 @@ def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
 def _subfield_decomposition(fld: Field, sub: Field):
     """Write GF(l^2) as a 2-dim vector space over its GF(l) subfield.
 
-    Returns (embedding image list, decompose) where decompose(x) gives the
-    two GF(l)-codes of x over the basis {1, zeta}, zeta the field generator.
-    Built once per (field, subfield) pair.
+    Returns (embedding, decompose) where decompose(x) gives the two
+    GF(l)-codes of x over the basis {1, zeta}, zeta the field generator.
+    The table is read off the field's tables, a + b zeta for each of the
+    l^2 pairs, which must reach every code.  Built once per (field,
+    subfield) pair.
     """
     emb = SubfieldEmbedding(sub, fld)
+    add, mul, _, _ = fld.tables
+    by_zeta = mul[fld.generator]
     image = emb._img
-    in_img = emb._pre
-    zeta = fld.generator
-    table = {}
-    for x in range(fld.order):
-        for b_img in image:
-            a_img = fld.sub(x, fld.mul(b_img, zeta))
-            if a_img in in_img:
-                table[x] = (in_img[a_img], in_img[b_img])
-                break
-        else:
-            raise FieldError("subfield decomposition failed")
+    table = {
+        add[a_img][by_zeta[b_img]]: (a, b)
+        for b, b_img in enumerate(image)
+        for a, a_img in enumerate(image)
+    }
+    if len(table) != fld.order:
+        raise FieldError("subfield decomposition failed")
     return emb, lambda x: table[x]
 
 

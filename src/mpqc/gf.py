@@ -2,13 +2,24 @@
 
 Elements are represented as integer codes in [0, p^m): the base-p digits of
 a code are the coefficients of the element in the polynomial basis, constant
-term first.  Each field carries exp/log tables over a canonical generator of
-the multiplicative group plus a Zech logarithm table, so that addition,
-multiplication and inversion are all O(1) table lookups.  The exp table is
-stepped out by the packed multiply of ``RawField`` (below), one int product
-and fold per element; log and Zech are read off it by a sort and two maps.
-Fields, and the extensions that ``primitive_root_of_unity`` reaches, are
-refused above DEFAULT_ORDER_CAP.
+term first.  One class, ``Field``, models every GF(p^m), one shared instance
+per (p, m) (``field``).  Setting one up pins its modulus and its packed
+form: Kronecker-packed multiply and reduce, a GF(p)-linear Frobenius map,
+and from them ``pow``, ``frobenius``, the norm-first generator search (the
+norm N(g) = Res(modulus, g) must be a primitive root of GF(p), which settles
+every prime of p^m - 1 that divides p - 1 with one resultant; only the
+other primes need full powers) and the smallest-root rule that pins
+``SubfieldEmbedding``.  Fields are refused above DEFAULT_ORDER_CAP, and so
+are the extensions that ``primitive_root_of_unity`` would reach.
+
+Built on first read: the exp/log lists over the generator and a Zech
+logarithm list, so that addition, multiplication and inversion are O(1)
+lookups.  The exp list is stepped out by the packed multiply, one int
+product and fold per element; log and Zech are read off it by a sort and
+two maps.  The GF(q^e) of ``primitive_root_of_unity`` is never tabulated:
+the negacyclic builder only takes packed powers there, and
+``SubfieldEmbedding.poly_from_roots`` multiplies out prod (x - r) in the
+packed form and restricts the result to the base field.
 
 ``Field.tables`` gives ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
 ``inv[a]``, built on first use with no Python loop per entry: mul, neg and
@@ -26,18 +37,6 @@ vector encodes the smallest integer (constant term = least significant
 digit) is chosen.  The generator is pinned the same way: the smallest code
 g >= 2 of multiplicative order p^m - 1.  Two processes therefore always
 agree on every element code and every table.
-
-``RawField`` is the one table-free implementation of GF(p^m), one shared
-instance per (p, m) (``raw_field``): Kronecker-packed multiply and reduce,
-a GF(p)-linear Frobenius map, the norm-first generator search (the norm
-N(g) = Res(modulus, g) must be a primitive root of GF(p), which settles
-every prime of p^m - 1 that divides p - 1 with one resultant; only the
-other primes need full powers) and the smallest-root rule that pins
-``SubfieldEmbedding``.  A Field bootstraps its tables from one, and
-``primitive_root_of_unity`` returns its extension as one, so the negacyclic
-builder works in GF(l^4) without tabulating it:
-``SubfieldEmbedding.poly_from_roots`` multiplies out prod (x - r) in the
-packed form and restricts the result to the base field.
 
 The package's one set of polynomial helpers over a Field (``poly_divmod``,
 ``poly_eval``) lives here too, beside the resultant over GF(p).
@@ -231,166 +230,6 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# table-free arithmetic
-
-
-class RawField:
-    """GF(p^m) arithmetic on element codes with no tables.
-
-    Inside, an element is packed: its base-p coefficients are the slots of
-    one int, slot i at bit W*i (Kronecker packing), with W wide enough that
-    no slot of an unreduced product, fold or short sum spills into the next.
-    A product is one int multiply, a fold of the high slots m..2m-2 through
-    the packed residues of x^m..x^(2m-2), and one reduction of every slot
-    mod p at once: the quotients are read off (slots * magic) >> k, so no
-    slot is visited.  A packed element reads back as its code by one
-    remainder, since 2^W = p modulo 2^W - p.  The Frobenius map a -> a^p is
-    the GF(p)-linear map given by the packed images of the basis monomials.
-    Each Field steps its exp table in this form, and
-    ``primitive_root_of_unity`` builds its extension as one of these.
-
-    The canonical generator is the smallest code g >= 2 of multiplicative
-    order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
-    product of g's m conjugates, is the resultant of the modulus and g's
-    digits, and it is a primitive root of GF(p) exactly when
-    g^((Q-1)/r) != 1 for every prime r | p - 1, so only the primes of Q - 1
-    that do not divide p - 1 need full powers.  The test is the same as
-    checking every prime of Q - 1, so is the generator it finds.
-    """
-
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-        self.order = p**m
-        self.modulus: tuple[int, ...] = smallest_irreducible(p, m)
-        # the largest slot ever reduced: a fold of a product, or a short sum
-        top = (m + 1) * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
-        # floor(s * magic / 2^k) = floor(s / p) for every s <= top
-        self._k = (top * p).bit_length()
-        self._magic = -(-(1 << self._k) // p)
-        w = max((top * self._magic).bit_length(), (self.order + p).bit_length())
-        self._shifts = [w * i for i in range(m)]
-        self._slot = (1 << w) - 1
-        self._low = (1 << w * m) - 1
-        self._quotients = sum(((1 << w - self._k) - 1) << s for s in self._shifts)
-        self._to_code = (1 << w) - p
-        # packed residues of x^m .. x^(2m-2), each one x times the last
-        red = sum((-c % p) << s for c, s in zip(self.modulus, self._shifts))
-        self._fold = []
-        for k in range(m, 2 * m - 1):
-            self._fold.append((w * k, red))
-            red = self._reduce(((red << w) & self._low) + (red >> w * (m - 1)) * self._fold[0][1])
-        # Frobenius images of 1, x, ..., x^(m-1)
-        self._frob = [self._pow(1 << s, p) for s in self._shifts]
-
-    def __repr__(self):
-        return f"table-free GF({self.p}^{self.m})"
-
-    # -- packed form --
-
-    def _pack(self, a: int) -> int:
-        v = 0
-        for s in self._shifts:
-            a, c = divmod(a, self.p)
-            v |= c << s
-        return v
-
-    def _reduce(self, v: int) -> int:
-        return v - (v * self._magic >> self._k & self._quotients) * self.p
-
-    def _mul(self, u: int, v: int) -> int:
-        w = u * v
-        r = w & self._low
-        for s, red in self._fold:
-            r += (w >> s & self._slot) * red
-        # _reduce, inlined on the hot path
-        return r - (r * self._magic >> self._k & self._quotients) * self.p
-
-    def _pow(self, v: int, e: int) -> int:
-        if not e:
-            return 1
-        r = v
-        for bit in bin(e)[3:]:
-            r = self._mul(r, r)
-            if bit == "1":
-                r = self._mul(r, v)
-        return r
-
-    def _frobenius(self, v: int) -> int:
-        return self._reduce(sum((v >> s & self._slot) * f for s, f in zip(self._shifts, self._frob)))
-
-    # -- element codes --
-
-    def add(self, a: int, b: int) -> int:
-        return self._reduce(self._pack(a) + self._pack(b)) % self._to_code
-
-    def neg(self, a: int) -> int:
-        return self._reduce(self._pack(a) * (self.p - 1)) % self._to_code
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul(self._pack(a), self._pack(b)) % self._to_code
-
-    def pow(self, a: int, e: int) -> int:
-        return self._pow(self._pack(a), e) % self._to_code
-
-    def frobenius(self, a: int) -> int:
-        """a^p, one pass of the linear map."""
-        return self._frobenius(self._pack(a)) % self._to_code
-
-    @functools.cached_property
-    def generator(self) -> int:
-        q, p = self.order, self.p
-        if q == 2:
-            return 1
-        base_checks = [(p - 1) // r for r in prime_factors(p - 1)]
-        full_checks = [(q - 1) // r for r in prime_factors(q - 1) if (p - 1) % r]
-        for g in range(2, q):
-            # the norm is a prime-field code, so the residue test is integer pow
-            nm = _resultant(self.modulus, _decode_coeffs(g, p, self.m), p)
-            if any(pow(nm, e, p) == 1 for e in base_checks):
-                continue
-            v = self._pack(g)
-            if all(self._pow(v, e) != 1 for e in full_checks):
-                return g
-        raise FieldError("no generator found")  # unreachable for true fields
-
-    def smallest_root(self, f: Sequence[int]) -> int:
-        """Smallest code among the roots of f, a monic irreducible over GF(p)
-        whose degree d divides m.
-
-        The roots are the d Frobenius conjugates of any one of them, and they
-        lie in the order-(p^d - 1) subgroup, which is walked from 1 until the
-        first root.
-        """
-        d = len(f) - 1
-        sub_order = self.p**d - 1
-        if (self.order - 1) % sub_order:
-            raise FieldError(f"GF({self.p}^{d}) is not a subfield of GF({self.p}^{self.m})")
-        w = self._pow(self._pack(self.generator), (self.order - 1) // sub_order)
-        x = 1
-        for _ in range(sub_order):
-            # f(x) = sum f_j x^j, its coefficients prime-field codes
-            acc, xj = 0, 1
-            for c in f[:-1]:
-                acc += c * xj
-                xj = self._mul(xj, x)
-            if not self._reduce(acc + xj):
-                roots = [x]
-                for _ in range(d - 1):
-                    roots.append(self._frobenius(roots[-1]))
-                return min(r % self._to_code for r in roots)
-            x = self._mul(x, w)
-        raise FieldError("polynomial has no root in the field")  # f was not irreducible
-
-
-@functools.cache
-def raw_field(p: int, m: int) -> RawField:
-    """The one shared RawField per (p, m): Field.raw and the extensions of
-    ``primitive_root_of_unity`` both come from here."""
-    return RawField(p, m)
-
-
-# ---------------------------------------------------------------------------
 # operation tables
 
 
@@ -469,7 +308,35 @@ def _digit_sum_rows(codes: list[int], p: int, m: int) -> list[list[int]]:
 
 
 class Field:
-    """GF(p^m) with table-backed arithmetic on integer element codes."""
+    """GF(p^m) on integer element codes.
+
+    Set-up pins the modulus and the packed form; everything else is built
+    on first read.  Inside, an element is packed: its base-p coefficients
+    are the slots of one int, slot i at bit W*i (Kronecker packing), with W
+    wide enough that no slot of an unreduced product, fold or short sum
+    spills into the next.  A product is one int multiply, a fold of the high
+    slots m..2m-2 through the packed residues of x^m..x^(2m-2), and one
+    reduction of every slot mod p at once: the quotients are read off
+    (slots * magic) >> k, so no slot is visited.  A packed element reads
+    back as its code by one remainder, since 2^W = p modulo 2^W - p.  The
+    Frobenius map a -> a^p is the GF(p)-linear map given by the packed
+    images of the basis monomials.  ``pow`` and ``frobenius`` run in this
+    form, as do the generator search, ``smallest_root`` and the stepping of
+    the exp list.
+
+    The exp/log/Zech lists, and from them ``add``, ``neg``, ``sub``, ``mul``,
+    ``inv``, ``tables`` and ``conj_table``, are built on first read, so a
+    field that only powers and embeds, such as the GF(q^e) of
+    ``primitive_root_of_unity``, never tabulates.
+
+    The canonical generator is the smallest code g >= 2 of multiplicative
+    order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
+    product of g's m conjugates, is the resultant of the modulus and g's
+    digits, and it is a primitive root of GF(p) exactly when
+    g^((Q-1)/r) != 1 for every prime r | p - 1, so only the primes of Q - 1
+    that do not divide p - 1 need full powers.  The test is the same as
+    checking every prime of Q - 1, so is the generator it finds.
+    """
 
     def __init__(self, p: int, m: int):
         if not is_prime(p):
@@ -482,36 +349,135 @@ class Field:
         self.p = p
         self.m = m
         self.order = order
-        # the table-free arithmetic pins the modulus and the generator and
-        # steps out the exp table below
-        self.raw = raw_field(p, m)
-        self.modulus: tuple[int, ...] = self.raw.modulus
-        self.generator: int = self.raw.generator
-        self._build_logs()
+        self.modulus: tuple[int, ...] = smallest_irreducible(p, m)
+        self._neg_shift = (order - 1) // 2 if p != 2 else 0
+        # the largest slot ever reduced: a fold of a product, or a short sum
+        top = (m + 1) * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+        # floor(s * magic / 2^k) = floor(s / p) for every s <= top
+        self._k = (top * p).bit_length()
+        self._magic = -(-(1 << self._k) // p)
+        w = max((top * self._magic).bit_length(), (order + p).bit_length())
+        self._shifts = [w * i for i in range(m)]
+        self._slot = (1 << w) - 1
+        self._low = (1 << w * m) - 1
+        self._quotients = sum(((1 << w - self._k) - 1) << s for s in self._shifts)
+        self._to_code = (1 << w) - p
+        # packed residues of x^m .. x^(2m-2), each one x times the last
+        red = sum((-c % p) << s for c, s in zip(self.modulus, self._shifts))
+        self._fold = []
+        for k in range(m, 2 * m - 1):
+            self._fold.append((w * k, red))
+            red = self._reduce(((red << w) & self._low) + (red >> w * (m - 1)) * self._fold[0][1])
+        # Frobenius images of 1, x, ..., x^(m-1)
+        self._frob = [self._pow(1 << s, p) for s in self._shifts]
 
-    # -- construction internals --
+    # -- packed form --
 
-    def _build_logs(self):
-        q, p, raw = self.order, self.p, self.raw
-        n1 = q - 1
+    def _pack(self, a: int) -> int:
+        v = 0
+        for s in self._shifts:
+            a, c = divmod(a, self.p)
+            v |= c << s
+        return v
+
+    def _reduce(self, v: int) -> int:
+        return v - (v * self._magic >> self._k & self._quotients) * self.p
+
+    def _mul(self, u: int, v: int) -> int:
+        w = u * v
+        r = w & self._low
+        for s, red in self._fold:
+            r += (w >> s & self._slot) * red
+        # _reduce, inlined on the hot path
+        return r - (r * self._magic >> self._k & self._quotients) * self.p
+
+    def _pow(self, v: int, e: int) -> int:
+        if not e:
+            return 1
+        r = v
+        for bit in bin(e)[3:]:
+            r = self._mul(r, r)
+            if bit == "1":
+                r = self._mul(r, v)
+        return r
+
+    def _frobenius(self, v: int) -> int:
+        return self._reduce(sum((v >> s & self._slot) * f for s, f in zip(self._shifts, self._frob)))
+
+    @functools.cached_property
+    def generator(self) -> int:
+        q, p = self.order, self.p
+        if q == 2:
+            return 1
+        base_checks = [(p - 1) // r for r in prime_factors(p - 1)]
+        full_checks = [(q - 1) // r for r in prime_factors(q - 1) if (p - 1) % r]
+        for g in range(2, q):
+            # the norm is a prime-field code, so the residue test is integer pow
+            nm = _resultant(self.modulus, _decode_coeffs(g, p, self.m), p)
+            if any(pow(nm, e, p) == 1 for e in base_checks):
+                continue
+            v = self._pack(g)
+            if all(self._pow(v, e) != 1 for e in full_checks):
+                return g
+        raise FieldError("no generator found")  # unreachable for true fields
+
+    def smallest_root(self, f: Sequence[int]) -> int:
+        """Smallest code among the roots of f, a monic irreducible over GF(p)
+        whose degree d divides m.
+
+        The roots are the d Frobenius conjugates of any one of them, and they
+        lie in the order-(p^d - 1) subgroup, which is walked from 1 until the
+        first root.
+        """
+        d = len(f) - 1
+        sub_order = self.p**d - 1
+        if (self.order - 1) % sub_order:
+            raise FieldError(f"GF({self.p}^{d}) is not a subfield of GF({self.p}^{self.m})")
+        w = self._pow(self._pack(self.generator), (self.order - 1) // sub_order)
+        x = 1
+        for _ in range(sub_order):
+            # f(x) = sum f_j x^j, its coefficients prime-field codes
+            acc, xj = 0, 1
+            for c in f[:-1]:
+                acc += c * xj
+                xj = self._mul(xj, x)
+            if not self._reduce(acc + xj):
+                roots = [x]
+                for _ in range(d - 1):
+                    roots.append(self._frobenius(roots[-1]))
+                return min(r % self._to_code for r in roots)
+            x = self._mul(x, w)
+        raise FieldError("polynomial has no root in the field")  # f was not irreducible
+
+    # -- exp/log/Zech lists, built on first read --
+
+    @functools.cached_property
+    def _exp(self) -> list[int]:
+        """2q entries, exp[i] = g^(i mod (q-1)), stepped by the packed multiply."""
+        n1 = self.order - 1
         exp = [1] * n1
-        g, mul, to_code = raw._pack(self.generator), raw._mul, raw._to_code
+        g, mul, to_code = self._pack(self.generator), self._mul, self._to_code
         v = 1
         for i in range(n1):
             exp[i] = v % to_code
             v = mul(v, g)
         exp *= 2
-        exp += exp[:2]  # 2q entries, exp[i] = g^(i mod (q-1))
-        # log[exp[i]] = i: the exp codes are 1..q-1, each once
-        log = [-1] + sorted(range(n1), key=exp.__getitem__)
-        # zech[k] = log(1 + g^k), or -1 (log[0]) when 1 + g^k = 0; adding 1
-        # steps the lowest base-p digit
+        exp += exp[:2]
+        return exp
+
+    @functools.cached_property
+    def _log(self) -> list[int]:
+        """log[exp[i]] = i: the exp codes are 1..q-1, each once; log[0] = -1."""
+        return [-1] + sorted(range(self.order - 1), key=self._exp.__getitem__)
+
+    @functools.cached_property
+    def _zech(self) -> list[int]:
+        """zech[k] = log(1 + g^k), or -1 (log[0]) when 1 + g^k = 0; adding 1
+        steps the lowest base-p digit."""
+        q, p = self.order, self.p
         plus_one = list(range(1, q + 1))
         plus_one[p - 1 :: p] = range(0, q, p)
-        self._exp = exp
-        self._log = log
-        self._zech = list(map(log.__getitem__, map(plus_one.__getitem__, exp[:n1])))
-        self._neg_shift = n1 // 2 if p != 2 else 0
+        return list(map(self._log.__getitem__, map(plus_one.__getitem__, self._exp[: q - 1])))
 
     @functools.cached_property
     def _codes(self) -> list[int]:
@@ -603,20 +569,17 @@ class Field:
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; negative exponents invert first."""
+        """a^e by packed square-and-multiply; a negative e is reduced mod
+        q - 1, and inverting 0 raises."""
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            if a == 0:
+                raise FieldError("inversion of zero")
+            e %= self.order - 1
+        return self._pow(self._pack(a), e) % self._to_code
 
     def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
+        """a^p, one pass of the packed linear map."""
+        return self._frobenius(self._pack(a)) % self._to_code
 
     # -- conjugation x -> x^l for q = l^2 --
 
@@ -666,43 +629,41 @@ class SubfieldEmbedding:
 
     The canonical basis element x of the base field is sent to the smallest
     (by code) root of the base modulus inside the extension
-    (``RawField.smallest_root``), which pins one embedding among the m
-    conjugate choices.  The extension is a Field or a RawField: the image
-    table is spanned GF(p)-linearly from the powers of that root, so an
-    untabulated GF(l^4) embeds GF(l^2) as cheaply as a tabulated one.
+    (``Field.smallest_root``), which pins one embedding among the m
+    conjugate choices.  The image table is spanned GF(p)-linearly from the
+    powers of that root in the extension's packed form, so embedding reads
+    none of the extension's lists or tables.
     """
 
-    def __init__(self, base: Field, ext: "Field | RawField"):
+    def __init__(self, base: Field, ext: Field):
         if ext.p != base.p or ext.m % base.m != 0:
             raise FieldError(f"{ext} is not an extension of {base}")
         self.base = base
         self.ext = ext
         self.degree = ext.m // base.m
-        raw = ext if isinstance(ext, RawField) else ext.raw
-        self._raw = raw
-        root = self._modulus_root(raw)
+        root = self._modulus_root()
         self._root = root
         # a = sum c_i x^i maps to sum c_i root^i: span the packed images
         # one base digit at a time (code c + p^i d gets image(c) + d root^i),
         # then reduce each once
-        images, power, packed_root = [0], 1, raw._pack(root)
+        images, power, packed_root = [0], 1, ext._pack(root)
         for _ in range(base.m):
             images = [v + d * power for d in range(base.p) for v in images]
-            power = raw._mul(power, packed_root)
-        img = [raw._reduce(v) % raw._to_code for v in images]
+            power = ext._mul(power, packed_root)
+        img = [ext._reduce(v) % ext._to_code for v in images]
         self._img = img
         self._pre = dict(zip(img, range(base.order)))
         if len(self._pre) != base.order:
             raise FieldError("embedding is not injective")  # would mean a broken modulus
 
-    def _modulus_root(self, raw: RawField) -> int:
+    def _modulus_root(self) -> int:
         base = self.base
         if base.m == 1:
             return 0  # degenerate modulus "x"; constants embed as themselves
         if base.m == self.ext.m:
             return base.from_coeffs([0, 1])
         # the modulus coefficients are prime-subfield constants, which share codes
-        return raw.smallest_root(base.modulus)
+        return self.ext.smallest_root(base.modulus)
 
     def embed(self, a: int) -> int:
         return self._img[a]
@@ -731,16 +692,16 @@ class SubfieldEmbedding:
         FieldError.  The restricted polynomial, embedded again, must vanish
         at every given root.
         """
-        raw = self._raw
-        pack, mul, reduce = raw._pack, raw._mul, raw._reduce
+        ext = self.ext
+        pack, mul, reduce = ext._pack, ext._mul, ext._reduce
         packed = [pack(r) for r in roots]
         g = [1]
         for r in packed:
-            minus_r = reduce(r * (raw.p - 1))
+            minus_r = reduce(r * (ext.p - 1))
             # (x - r) g: coefficient i is g_(i-1) - r g_i
             g = [reduce(lo + mul(minus_r, hi)) for lo, hi in zip([0] + g, g + [0])]
         try:
-            coeffs = [self.restrict(v % raw._to_code) for v in g]
+            coeffs = [self.restrict(v % ext._to_code) for v in g]
         except FieldError as exc:
             raise FieldError("the product escaped the base field; "
                              "its roots are not closed under Frobenius") from exc
@@ -771,8 +732,9 @@ def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int
     multiplicative order exactly n, together with that element.
 
     e = ord_n(q); refused when n and q share a factor or when q^e exceeds
-    the cap.  The extension is a table-free RawField, so no GF(q^e) table
-    is built.  gamma is g^((q^e - 1)/n) for the canonical generator g of
+    the cap.  The extension is the shared field(p, m e), and only its
+    packed powers are taken, so none of its lists or tables is built.
+    gamma is g^((q^e - 1)/n) for the canonical generator g of
     the extension, so repeated calls agree; its order is checked to be
     exactly n: gamma^n = 1, and gamma^(n/r) != 1 for each prime r | n.
     """
@@ -782,7 +744,7 @@ def primitive_root_of_unity(base: Field, n: int) -> tuple[SubfieldEmbedding, int
     e = multiplicative_order(q, n)
     if q**e > DEFAULT_ORDER_CAP:
         raise FieldError(f"extension order {q}^{e} exceeds cap {DEFAULT_ORDER_CAP}")
-    ext = raw_field(base.p, base.m * e)
+    ext = field(base.p, base.m * e)
     gamma = ext.pow(ext.generator, (ext.order - 1) // n)
     if ext.pow(gamma, n) != 1 or any(ext.pow(gamma, n // r) == 1 for r in prime_factors(n)):
         raise FieldError(f"gamma = {gamma} does not have multiplicative order {n}")

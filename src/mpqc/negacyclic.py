@@ -10,9 +10,9 @@ unity gamma living in GF(q^e), e = ord_2n(q).  The canonical gamma is
 gen^((q^e - 1)/2n) for the canonical generator gen of the extension, so
 every run builds the identical code.
 
-The extension is never tabulated.  ``gf.primitive_root_of_unity`` gives
-gamma in a table-free GF(q^e), with its order checked to be exactly 2n, and
-it is kept once per (field, 2n).  g is multiplied out there by
+``gf.primitive_root_of_unity`` gives gamma in a GF(q^e) that is never
+tabulated, with its order checked to be exactly 2n, and it is kept once
+per (field, 2n).  g is multiplied out there by
 ``SubfieldEmbedding.poly_from_roots``, and each of its coefficients must
 restrict to GF(q) (coset closure of Z is what makes them land there, and
 the landing is asserted rather than assumed); the restricted g must vanish

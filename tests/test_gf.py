@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mpqc.gf import (
     Field,
     FieldError,
-    RawField,
     SubfieldEmbedding,
     _decode_coeffs,
     _encode_coeffs,
@@ -19,7 +18,6 @@ from mpqc.gf import (
     poly_divmod,
     poly_eval,
     primitive_root_of_unity,
-    raw_field,
     smallest_irreducible,
     square_field,
 )
@@ -453,7 +451,7 @@ def test_embedding_tables_match_the_horner_loops(base, ext):
 
 
 class SchoolbookField:
-    """The table-free multiply RawField ran before packing, kept verbatim:
+    """The table-free multiply the fields ran before packing, kept verbatim:
     decode both codes to digit lists, multiply schoolbook, reduce through
     the residues of x^m .. x^(2m-2), encode."""
 
@@ -514,8 +512,8 @@ class ReferenceGeneratorSearch(SchoolbookField):
     """The search Field ran before the norm test, kept verbatim: every prime
     of q - 1 by a full square-and-multiply power."""
 
-    def __init__(self, raw: RawField):
-        super().__init__(raw.p, raw.m, raw.modulus)
+    def __init__(self, fld: Field):
+        super().__init__(fld.p, fld.m, fld.modulus)
 
     def _find_generator(self) -> int:
         q = self.order
@@ -540,49 +538,58 @@ def test_norm_first_generator_matches_the_full_power_search():
     cases = list(_prime_powers(2**16)) + [(3, 8), (17, 4), (29, 4)]
     assert len(cases) > 6000
     for p, m in cases:
-        raw = RawField(p, m)
-        assert raw.generator == ReferenceGeneratorSearch(raw)._find_generator(), (p, m)
+        F = Field(p, m)
+        assert F.generator == ReferenceGeneratorSearch(F)._find_generator(), (p, m)
 
 
 @pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 4), (5, 2), (3, 3), (17, 4), (7, 6)])
 def test_raw_frobenius_and_norm(pm):
     # the norm is the resultant of the modulus and a's digits, zero included
-    raw = RawField(*pm)
-    ref = SchoolbookField(raw.p, raw.m, raw.modulus)
-    p, q = raw.p, raw.order
+    F = Field(*pm)
+    ref = SchoolbookField(F.p, F.m, F.modulus)
+    p, q = F.p, F.order
     for a in list(range(min(q, 60))) + [q - 1]:
-        assert raw.frobenius(a) == raw.pow(a, p) == ref._pow_raw(a, p)
-        nm = _resultant(raw.modulus, _decode_coeffs(a, p, raw.m), p)
+        assert F.frobenius(a) == F.pow(a, p) == ref._pow_raw(a, p)
+        nm = _resultant(F.modulus, _decode_coeffs(a, p, F.m), p)
         assert nm < p and nm == ref._pow_raw(a, (q - 1) // (p - 1))
 
 
-_PACKED_FIELDS = [(2, 1), (2, 9), (3, 8), (5, 4), (7, 6), (17, 4), (61, 4)]
+# (31, 4), 923,521 elements, is the largest m = 4 prime order under the cap
+_PACKED_FIELDS = [(2, 1), (2, 9), (3, 8), (5, 4), (7, 6), (17, 4), (31, 4)]
+
+
+def test_the_order_cap_holds_for_every_field():
+    with pytest.raises(FieldError, match="^field order 13845841 exceeds cap 1048576$"):
+        Field(61, 4)
 
 
 @pytest.mark.parametrize("pm", _PACKED_FIELDS)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_arithmetic_matches_the_schoolbook_multiply(pm, data):
-    raw = raw_field(*pm)
-    ref = SchoolbookField(raw.p, raw.m, raw.modulus)
-    p, m, q = raw.p, raw.m, raw.order
+    F = field(*pm)
+    ref = SchoolbookField(F.p, F.m, F.modulus)
+    p, m, q = F.p, F.m, F.order
     # the extreme codes and the monomials x^i, then arbitrary ones
     special = st.sampled_from([0, 1, p - 1, q - 1] + [p**i for i in range(m)])
     element = st.one_of(special, st.integers(0, q - 1))
     a, b = data.draw(element), data.draw(element)
     e = data.draw(st.integers(0, 2 * q))
-    assert raw.mul(a, b) == ref._mul_codes_raw(a, b)
-    assert raw.pow(a, e) == ref._pow_raw(a, e)
-    assert raw.frobenius(a) == ref._pow_raw(a, p)
+    # the packed forms themselves: add, neg and mul are the Zech methods,
+    # which would tabulate the field
+    code = lambda v: v % F._to_code
+    pa, pb = F._pack(a), F._pack(b)
+    assert code(F._mul(pa, pb)) == ref._mul_codes_raw(a, b)
+    assert F.pow(a, e) == ref._pow_raw(a, e)
+    assert F.frobenius(a) == ref._pow_raw(a, p)
     digits = lambda c: _decode_coeffs(c, p, m)
-    assert digits(raw.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
-    assert raw.add(a, raw.neg(a)) == 0
+    assert digits(code(F._reduce(pa + pb))) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+    assert F._reduce(pa + F._reduce(pa * (p - 1))) == 0
 
 
 def test_one_raw_field_per_order_is_shared():
-    assert field(17, 2).raw is raw_field(17, 2)
     emb, _ = primitive_root_of_unity(field(17, 2), 2 * 290)
-    assert emb.ext is raw_field(17, 4)
+    assert emb.ext is field(17, 4)
 
 
 @pytest.mark.parametrize("pm", [(3, 8), (2, 9)])
@@ -590,12 +597,38 @@ def test_smallest_irreducible_matches_the_integer_search_at_higher_degree(pm):
     assert smallest_irreducible(*pm) == reference_smallest_irreducible(*pm)
 
 
+# what a field builds on first read
+_TABULATED = {"_exp", "_log", "_zech", "tables", "conj_table"}
+
+
 @pytest.mark.parametrize("base,ext", [((3, 2), (3, 4)), ((5, 2), (5, 4)), ((2, 2), (2, 6)), ((7, 2), (7, 4))])
 def test_table_free_embedding_matches_the_tabulated_one(base, ext):
-    base = field(*base)
-    tabled = SubfieldEmbedding(base, field(*ext))
-    untabled = SubfieldEmbedding(base, RawField(*ext))
-    assert untabled._root == tabled._root
-    assert untabled._img == tabled._img
-    for b in range(0, field(*ext).order, 7):
-        assert untabled.in_image(b) == tabled.in_image(b)
+    # an embedding into a fresh field reads none of its lists, and agrees
+    # with the Zech arithmetic and the logs of the shared, tabulated one
+    base, tabled = field(*base), field(*ext)
+    fresh = Field(*ext)
+    emb = SubfieldEmbedding(base, fresh)
+    for a in range(base.order):
+        for b in range(base.order):
+            assert emb.embed(base.add(a, b)) == tabled.add(emb.embed(a), emb.embed(b))
+            assert emb.embed(base.mul(a, b)) == tabled.mul(emb.embed(a), emb.embed(b))
+    # the image is 0 and the subgroup of order q - 1
+    step = (tabled.order - 1) // (base.order - 1)
+    for b in range(0, tabled.order, 7):
+        assert emb.in_image(b) == (b == 0 or tabled._log[b] % step == 0)
+    assert not _TABULATED & set(vars(fresh))
+
+
+@pytest.mark.parametrize("l,n", [(3, 16), (17, 580)])
+def test_negative_powers_invert_on_an_untabulated_extension(l, n):
+    # GF(3^4) and GF(17^4) as primitive_root_of_unity hands them out; the
+    # products are packed, so the check reads none of the field's lists
+    ext = primitive_root_of_unity(square_field(l), n)[0].ext
+    assert ext.order == l**4
+    packed_mul = lambda x, y: ext._mul(ext._pack(x), ext._pack(y)) % ext._to_code
+    elements = [1, 2, ext.p, ext.generator, ext.order - 1] + list(range(3, ext.order, ext.order // 50))
+    for a in elements:
+        for e in [1, 2, 5, ext.order - 2, ext.order]:
+            assert packed_mul(ext.pow(a, -e), ext.pow(a, e)) == 1, (a, e)
+    with pytest.raises(FieldError, match="^inversion of zero$"):
+        ext.pow(0, -1)

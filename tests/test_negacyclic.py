@@ -264,10 +264,11 @@ def reference_genpoly(n, fld, defining):
     """g through a tabulated extension, as the builder computed it before."""
     emb = tabulated_embedding(fld, multiplicative_order(fld.order, 2 * n))
     ext = emb.ext
-    gamma = ext.pow(ext.generator, (ext.order - 1) // (2 * n))
+    # gamma^j = g^(step j), read off the exp list, not the engine's pow
+    step = (ext.order - 1) // (2 * n)
     g = [1]
     for j in defining.residues:
-        root = ext.pow(gamma, j)
+        root = ext._exp[step * j % (ext.order - 1)]
         g = poly_mul(ext, g, [ext.neg(root), 1])
     return [emb.restrict(c) for c in g]
 
@@ -343,13 +344,6 @@ def test_table_free_genpoly_matches_the_tabulated_extension():
     tabulated_embedding.cache_clear()
 
 
-def test_primitive_root_extension_is_not_tabulated():
-    emb, gamma = primitive_root_of_unity(square_field(17), 2 * 290)
-    assert isinstance(emb.ext, gf.RawField)
-    assert emb.ext.order == 17**4
-    assert emb.ext.pow(gamma, 290) == emb.ext.neg(1)
-
-
 def test_escaping_generator_is_rejected(F25):
     # residue 1 alone is not closed under *25 mod 52 (its coset is {1, 25});
     # bypass the defining-set validation to reach the landing check
@@ -390,10 +384,11 @@ def cold_roots():
 def test_a_root_of_unity_of_the_wrong_order_is_refused(F9, cold_roots, monkeypatch):
     # a stand-in GF(81) whose generator is the square of the true one, of
     # order 40: gamma = g^(80/10) then has order 5, not 2n = 10
-    true = gf.raw_field(3, 4)
-    fake = gf.RawField(3, 4)
+    true = gf.field(3, 4)
+    fake = gf.Field(3, 4)
     fake.generator = true.pow(true.generator, 2)
-    monkeypatch.setattr(gf, "raw_field", lambda p, m: fake)
+    real_field = gf.field
+    monkeypatch.setattr(gf, "field", lambda p, m=1: fake if (p, m) == (3, 4) else real_field(p, m))
     with pytest.raises(FieldError, match="does not have multiplicative order 10$"):
         negacyclic_code(5, F9, defining_set_from_residues(5, 9, [1]))
 
@@ -442,12 +437,24 @@ matrix.Matrix.__matmul__ = refuse
 from mpqc.quantum import build_chain
 
 cb = build_chain(17, (1, 2, 3))
-print(json.dumps({"orders": orders, "wide": wide, "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower]}))
+# gamma^290 = -1, with -1 taken in GF(289), so GF(17^4) builds no list here
+fld = gf.square_field(17)
+emb, gamma = gf.primitive_root_of_unity(fld, 2 * 290)
+ext = emb.ext
+print(json.dumps({
+    "orders": orders,
+    "wide": wide,
+    "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower],
+    "shared": ext is gf.field(17, 4),
+    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.neg(1)),
+    "tabulated": sorted({"_exp", "_log", "_zech", "tables", "conj_table"} & set(vars(ext))),
+}))
 """
 
 
 def test_chain_components_need_no_extension_field_and_no_elimination():
-    # a fresh interpreter, so every cache is cold
+    # a fresh interpreter, so every cache is cold, and no other test has
+    # read the lists of the shared GF(17^4)
     src = os.path.dirname(os.path.dirname(mpqc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -456,8 +463,10 @@ def test_chain_components_need_no_extension_field_and_no_elimination():
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["params"] == [870, 840, 8]
-    assert 17**4 not in doc["orders"]
-    assert sorted(doc["orders"]) == [17, 17**2]
+    # GF(17^4) is set up once, shared, and never tabulated
+    assert sorted(doc["orders"]) == [17, 17**2, 17**4]
+    assert doc["shared"] and doc["minus_one"]
+    assert doc["tabulated"] == []
     assert doc["wide"] == []  # the [870,855] product is never written as its generator
 
 
@@ -466,19 +475,19 @@ import json
 import mpqc.gf as gf
 
 built, searched = [], []
-raw_init = gf.RawField.__init__
-search = gf.RawField.__dict__["generator"]
+field_init = gf.Field.__init__
+search = gf.Field.__dict__["generator"]
 find = search.func
 
 def counting_init(self, p, m):
     built.append(p**m)
-    raw_init(self, p, m)
+    field_init(self, p, m)
 
 def counting_find(self):
     searched.append(self.order)
     return find(self)
 
-gf.RawField.__init__ = counting_init
+gf.Field.__init__ = counting_init
 search.func = counting_find
 import mpqc.negacyclic as negacyclic
 from mpqc.quantum import build_chain
@@ -490,7 +499,7 @@ print(json.dumps({"built": built, "searched": searched, "steps": [info.misses, i
 
 
 def test_a_cold_chain_sets_up_each_field_once():
-    # a fresh interpreter, so every cache is cold: one table-free GF(17^4),
+    # a fresh interpreter, so every cache is cold: one GF(17^4) set up,
     # one generator search on it, and gamma formed once for the three
     # components
     src = os.path.dirname(os.path.dirname(mpqc.__file__))
