@@ -470,6 +470,37 @@ def test_chain_components_need_no_extension_field_and_no_elimination():
     assert doc["wide"] == []  # the [870,855] product is never written as its generator
 
 
+ROOT_GUARD = """
+import json
+import mpqc.gf as gf
+
+fld = gf.square_field(17)
+emb, gamma = gf.primitive_root_of_unity(fld, 2 * 290)
+ext = emb.ext
+print(json.dumps({
+    "shared": ext is gf.field(17, 4),
+    "order": ext.order,
+    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.neg(1)),
+    "tabulated": sorted({"_exp", "_log", "_zech", "tables", "conj_table"} & set(vars(ext))),
+}))
+"""
+
+
+def test_primitive_root_extension_is_not_tabulated():
+    # a fresh interpreter: in this one other tests tabulate the cached GF(17^4)
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", ROOT_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["shared"]
+    assert doc["order"] == 17**4
+    assert doc["minus_one"]
+    assert doc["tabulated"] == []
+
+
 SETUP_GUARD = """
 import json
 import mpqc.gf as gf
