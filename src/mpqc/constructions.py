@@ -94,20 +94,22 @@ def window_grs_spec(fld: Field, b: int, k: int) -> GrsSpec:
     alpha = fld.generator
     n = fld.order - 1
     step = fld.pow(alpha, b)
+    by_alpha, by_step = fld.tables.mul[alpha], fld.tables.mul[step]
     points, mults = [1], [1]
     for _ in range(n - 1):
-        points.append(fld.mul(points[-1], alpha))
-        mults.append(fld.mul(mults[-1], step))
+        points.append(by_alpha[points[-1]])
+        mults.append(by_step[mults[-1]])
     return GrsSpec(points=tuple(points), multipliers=tuple(mults), k=k)
 
 
 def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
     """Rows v_j * a_j^i for i < k.  Always [n, k, n-k+1]."""
+    mul = fld.tables.mul
     rows = []
     powers = [1] * len(spec.points)
     for _ in range(spec.k):
-        rows.append([fld.mul(v, p) for v, p in zip(spec.multipliers, powers)])
-        powers = [fld.mul(p, a) for p, a in zip(powers, spec.points)]
+        rows.append([mul[v][p] for v, p in zip(spec.multipliers, powers)])
+        powers = [mul[p][a] for p, a in zip(powers, spec.points)]
     code = LinearCode.from_generator(Matrix(fld, rows, ncols=len(spec.points)))
     if code.k != spec.k:
         raise ConstructionError("GRS generator lost rank")  # distinct points forbid this
@@ -162,12 +164,13 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
     n = len(points)
+    mul, conj = fld.tables.mul, fld.conj_table
     cols = []
     for g in points:
         ent = []
         for a in range(r):
             for b in range(a, r):
-                va, vb = decomp(fld.mul(g[a], fld.conj(g[b])))
+                va, vb = decomp(mul[g[a]][conj[g[b]]])
                 ent.append(va)
                 ent.append(vb)
         cols.append(ent)
@@ -226,22 +229,24 @@ def _norm_scaled_code(fld: Field, l: int, points, r: int) -> LinearCode | None:
     if mu is None:
         return None
     sub_emb, _ = _subfield_decomposition(fld, field(*split_prime_power(l)))
-    # per-column scalars nu with nu^(l+1) = mu (norms are onto GF(l)*)
+    # per-column scalars nu with nu^(l+1) = nu conj(nu) = mu (norms are onto GF(l)*)
+    mul, conj = fld.tables.mul, fld.conj_table
     nu_for = {}
     for target in set(mu):
         timg = sub_emb.embed(target)
-        nu_for[target] = next(x for x in range(1, fld.order) if fld.pow(x, l + 1) == timg)
-    G = [[fld.mul(points[j][a], nu_for[mu[j]]) for j in range(len(points))] for a in range(r)]
+        nu_for[target] = next(x for x in range(1, fld.order) if mul[x][conj[x]] == timg)
+    G = [[mul[points[j][a]][nu_for[mu[j]]] for j in range(len(points))] for a in range(r)]
     code = LinearCode.from_generator(Matrix(fld, G, ncols=len(points)))
     return code if code.k == r else None
 
 
 def _rational_curve_points(fld: Field, r: int) -> list[tuple[int, ...]]:
+    mul = fld.tables.mul
     pts = []
     for t in range(fld.order):
         row = [1]
         for _ in range(r - 1):
-            row.append(fld.mul(row[-1], t))
+            row.append(mul[row[-1]][t])
         pts.append(tuple(row))
     pts.append(tuple([0] * (r - 1) + [1]))
     return pts

@@ -5,21 +5,21 @@ a code are the coefficients of the element in the polynomial basis, constant
 term first.  One class, ``Field``, models every GF(p^m), one shared instance
 per (p, m) (``field``).  Setting one up pins its modulus and its packed
 form: Kronecker-packed multiply and reduce, a GF(p)-linear Frobenius map,
-and from them ``pow``, ``frobenius``, the norm-first generator search (the
-norm N(g) = Res(modulus, g) must be a primitive root of GF(p), which settles
+and from them ``pow``, the norm-first generator search (the norm
+N(g) = Res(modulus, g) must be a primitive root of GF(p), which settles
 every prime of p^m - 1 that divides p - 1 with one resultant; only the
 other primes need full powers) and the smallest-root rule that pins
 ``SubfieldEmbedding``.  Fields are refused above DEFAULT_ORDER_CAP, and so
 are the extensions that ``primitive_root_of_unity`` would reach.
 
 Built on first read: the exp/log lists over the generator and a Zech
-logarithm list, so that addition, multiplication and inversion are O(1)
-lookups.  The exp list is stepped out by the packed multiply, one int
-product and fold per element; log and Zech are read off it by a sort and
-two maps.  The GF(q^e) of ``primitive_root_of_unity`` is never tabulated:
-the negacyclic builder only takes packed powers there, and
-``SubfieldEmbedding.poly_from_roots`` multiplies out prod (x - r) in the
-packed form and restricts the result to the base field.
+logarithm list, and from them the operation tables.  The exp list is
+stepped out by the packed multiply, one int product and fold per element;
+log and Zech are read off it by a sort and two maps.  The GF(q^e) of
+``primitive_root_of_unity`` is never tabulated: the negacyclic builder only
+takes packed powers there, and ``SubfieldEmbedding.poly_from_roots``
+multiplies out prod (x - r) in the packed form and restricts the result to
+the base field.
 
 ``Field.tables`` gives ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and
 ``inv[a]``, built on first use with no Python loop per entry: mul, neg and
@@ -29,7 +29,9 @@ mul are nested lists; above it their rows are objects that read each entry
 through the Zech path.  Bulk loops such as the elimination kernel in
 ``matrix.py`` index them directly instead of calling a method per entry.
 ``Field.conj_table``, x -> x^l on GF(l^2), is one more window of exp read
-the same way.
+the same way.  Sums, products, negatives, inverses and conjugates have no
+other implementation: ``Field.add`` and ``Field.mul`` are single reads of
+the tables, and ``verify`` audits the tables against the packed form.
 
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
@@ -151,9 +153,11 @@ def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], li
 
 
 def poly_eval(fld: "Field", c: Sequence[int], x: int) -> int:
+    """c(x) by Horner's rule on the field's tables."""
+    add, by_x = fld.tables.add, fld.tables.mul[x]
     acc = 0
     for ci in reversed(c):
-        acc = fld.add(fld.mul(acc, x), ci)
+        acc = add[by_x[acc]][ci]
     return acc
 
 
@@ -320,14 +324,13 @@ class Field:
     (slots * magic) >> k, so no slot is visited.  A packed element reads
     back as its code by one remainder, since 2^W = p modulo 2^W - p.  The
     Frobenius map a -> a^p is the GF(p)-linear map given by the packed
-    images of the basis monomials.  ``pow`` and ``frobenius`` run in this
-    form, as do the generator search, ``smallest_root`` and the stepping of
-    the exp list.
+    images of the basis monomials.  ``pow`` runs in this form, as do the
+    generator search, ``smallest_root`` and the stepping of the exp list.
 
-    The exp/log/Zech lists, and from them ``add``, ``neg``, ``sub``, ``mul``,
-    ``inv``, ``tables`` and ``conj_table``, are built on first read, so a
-    field that only powers and embeds, such as the GF(q^e) of
-    ``primitive_root_of_unity``, never tabulates.
+    The exp/log/Zech lists, and from them ``tables`` and ``conj_table``, are
+    built on first read, so a field that only powers and embeds, such as the
+    GF(q^e) of ``primitive_root_of_unity``, never tabulates.  ``add`` and
+    ``mul`` read one table entry each.
 
     The canonical generator is the smallest code g >= 2 of multiplicative
     order p^m - 1.  The norm is tested first: N(g) = g^((Q-1)/(p-1)), the
@@ -539,34 +542,10 @@ class Field:
     # -- arithmetic on codes --
 
     def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log = self._log
-        la, lb = log[a], log[b]
-        if la > lb:
-            la, lb = lb, la
-        z = self._zech[lb - la]
-        return 0 if z < 0 else self._exp[la + z]
-
-    def neg(self, a: int) -> int:
-        if a == 0 or self.p == 2:
-            return a
-        return self._exp[self._log[a] + self._neg_shift]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.tables.add[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("inversion of zero")
-        return self._exp[self.order - 1 - self._log[a]]
+        return self.tables.mul[a][b]
 
     def pow(self, a: int, e: int) -> int:
         """a^e by packed square-and-multiply; a negative e is reduced mod
@@ -576,10 +555,6 @@ class Field:
                 raise FieldError("inversion of zero")
             e %= self.order - 1
         return self._pow(self._pack(a), e) % self._to_code
-
-    def frobenius(self, a: int) -> int:
-        """a^p, one pass of the packed linear map."""
-        return self._frobenius(self._pack(a)) % self._to_code
 
     # -- conjugation x -> x^l for q = l^2 --
 
@@ -606,10 +581,6 @@ class Field:
         window = list(itertools.chain.from_iterable(exp[a::l] for a in range(l)))
         window[-1] = 0
         return list(operator.itemgetter(*self._log)(window))
-
-    def conj(self, a: int) -> int:
-        """a^l, the involution fixing the index-2 subfield GF(l)."""
-        return self.conj_table[a]
 
 
 @functools.cache

@@ -214,7 +214,7 @@ def _root_of_unity(fld: Field, two_n: int) -> tuple[SubfieldEmbedding, int]:
 
 def negacyclic_shift(fld: Field, word: list[int]) -> list[int]:
     """Cyclic shift with the wraparound entry negated."""
-    return [fld.neg(word[-1])] + word[:-1]
+    return [fld.tables.neg[word[-1]]] + word[:-1]
 
 
 def distance_report(defining: DefiningSet) -> DistanceReport:

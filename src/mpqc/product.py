@@ -322,7 +322,7 @@ def character_matrix(fld: Field, r: int) -> Matrix:
     if fld.p == 2:
         raise ValueError("characteristic 2 collapses the two signs")
     s = 1 << r
-    minus = fld.neg(1)
+    minus = fld.tables.neg[1]
 
     def rev(i: int) -> int:
         return int(format(i, f"0{r}b")[::-1], 2)

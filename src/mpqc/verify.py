@@ -215,41 +215,49 @@ def suite_fields(seed: int) -> dict:
     b = Battery("fields", seed)
 
     def axioms():
+        # the tables the kernel indexes; each sampled sum and product is also
+        # taken in the packed form, which reads none of the exp/log lists
         count = 0
         for fp in [(3, 2), (5, 2), (7, 2), (3, 4)]:
             fld = field(*fp)
+            add, mul, neg, inv = fld.tables
+            pack, to_code = fld._pack, fld._to_code
+            # Frobenius x -> x^p, by p table products
+            frob = []
+            for x in range(fld.order):
+                v = 1
+                for _ in range(fld.p):
+                    v = mul[v][x]
+                frob.append(v)
             rng = _rng(seed, fld.order)
             for _ in range(120):
                 x, y, z = (rng.randrange(fld.order) for _ in range(3))
-                _assert(fld.add(x, fld.add(y, z)) == fld.add(fld.add(x, y), z), "add assoc")
-                _assert(fld.mul(x, fld.mul(y, z)) == fld.mul(fld.mul(x, y), z), "mul assoc")
-                _assert(fld.add(x, y) == fld.add(y, x), "add comm")
-                _assert(fld.mul(x, y) == fld.mul(y, x), "mul comm")
-                _assert(
-                    fld.mul(x, fld.add(y, z)) == fld.add(fld.mul(x, y), fld.mul(x, z)),
-                    "distributivity",
-                )
-                _assert(
-                    fld.frobenius(fld.add(x, y)) == fld.add(fld.frobenius(x), fld.frobenius(y)),
-                    "frobenius additive",
-                )
-                _assert(
-                    fld.frobenius(fld.mul(x, y)) == fld.mul(fld.frobenius(x), fld.frobenius(y)),
-                    "frobenius multiplicative",
-                )
+                _assert(add[x][add[y][z]] == add[add[x][y]][z], "add assoc")
+                _assert(mul[x][mul[y][z]] == mul[mul[x][y]][z], "mul assoc")
+                _assert(add[x][y] == add[y][x], "add comm")
+                _assert(mul[x][y] == mul[y][x], "mul comm")
+                _assert(mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]], "distributivity")
+                _assert(frob[add[x][y]] == add[frob[x]][frob[y]], "frobenius additive")
+                _assert(frob[mul[x][y]] == mul[frob[x]][frob[y]], "frobenius multiplicative")
+                px, py = pack(x), pack(y)
+                _assert(add[x][y] == fld._reduce(px + py) % to_code, "sum vs packed")
+                _assert(mul[x][y] == fld._mul(px, py) % to_code, "product vs packed")
                 count += 1
-            for x in range(1, fld.order):
-                _assert(fld.mul(x, fld.inv(x)) == 1, "x * 1/x")
+            for x in range(fld.order):
+                _assert(add[x][neg[x]] == 0, "x + -x")
+                if x:
+                    _assert(mul[x][inv[x]] == 1, "x * 1/x")
         return f"{count} sampled triples plus exhaustive inverses"
 
     def involution():
         for fp in [(3, 2), (5, 2), (3, 4)]:
             fld = field(*fp)
             l = fld.subfield_order
+            conj = fld.conj_table
             fixed = 0
             for x in range(fld.order):
-                _assert(fld.conj(fld.conj(x)) == x, "conj involution")
-                if fld.conj(x) == x:
+                _assert(conj[conj[x]] == x, "conj involution")
+                if conj[x] == x:
                     fixed += 1
             _assert(fixed == l, f"conj fixes {fixed}, expected {l}")
         return "involution and fixed-subfield size on three fields"
@@ -268,16 +276,21 @@ def suite_fields(seed: int) -> dict:
     def embeddings():
         for q_spec, n in [((3, 2), 16), ((5, 2), 52)]:
             fld = field(*q_spec)
+            add, mul = fld.tables.add, fld.tables.mul
             emb, _ = primitive_root_of_unity(fld, n)
             ext = emb.ext
+            # the images compared in the extension's packed form, as
+            # SubfieldEmbedding builds them, so the extension is not tabulated
+            packed = [ext._pack(emb.embed(a)) for a in range(fld.order)]
+            to_code = ext._to_code
             for a in range(fld.order):
                 for bb in range(fld.order):
                     _assert(
-                        emb.embed(fld.add(a, bb)) == ext.add(emb.embed(a), emb.embed(bb)),
+                        emb.embed(add[a][bb]) == ext._reduce(packed[a] + packed[bb]) % to_code,
                         "embed add",
                     )
                     _assert(
-                        emb.embed(fld.mul(a, bb)) == ext.mul(emb.embed(a), emb.embed(bb)),
+                        emb.embed(mul[a][bb]) == ext._mul(packed[a], packed[bb]) % to_code,
                         "embed mul",
                     )
                 _assert(emb.restrict(emb.embed(a)) == a, "restrict round trip")
@@ -317,11 +330,12 @@ def suite_duals(seed: int) -> dict:
             n = rng.randint(1, 5)
             c = random_nonzero_code(fld, n, rng)
             dual = c.euclidean_dual()
+            add, mul = fld.tables.add, fld.tables.mul
             for x in dual.gen.rows:
                 for g in c.gen.rows:
                     acc = 0
                     for a, bb in zip(x, g):
-                        acc = fld.add(acc, fld.mul(a, bb))
+                        acc = add[acc][mul[a][bb]]
                     _assert(acc == 0, "dual row not orthogonal")
         return "generator/dual pairings vanish"
 

@@ -35,7 +35,7 @@ def reference_solve_norms(fld, l, points, r, cap=400000):
         ent = []
         for a in range(r):
             for b in range(a, r):
-                va, vb = decomp(fld.mul(g[a], fld.conj(g[b])))
+                va, vb = decomp(fld.mul(g[a], fld.conj_table[g[b]]))
                 ent.append(va)
                 ent.append(vb)
         cols.append(ent)

@@ -1,9 +1,14 @@
+import json
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpqc
 from mpqc.gf import (
     Field,
     FieldError,
@@ -67,36 +72,38 @@ def test_x_times_x_reduces_by_modulus(F25):
 
 def test_all_inverses_gf9(F9):
     for a in range(1, 9):
-        assert F9.mul(a, F9.inv(a)) == 1
+        assert F9.mul(a, F9.tables.inv[a]) == 1
 
 
 def test_zero_inverse_rejected(F9):
+    assert F9.tables.inv[0] is None
     with pytest.raises(FieldError):
-        F9.inv(0)
+        F9.pow(0, -1)
 
 
 def test_conjugation_fixes_subfield(F9):
     # GF(3) inside GF(9): the codes 0, 1, 2
     for c in range(3):
-        assert F9.conj(c) == c
-    fixed = [a for a in range(9) if F9.conj(a) == a]
+        assert F9.conj_table[c] == c
+    fixed = [a for a in range(9) if F9.conj_table[a] == a]
     assert len(fixed) == 3
 
 
 def test_conjugation_of_basis_element(F9):
     # alpha^2 = -1, so alpha^3 = -alpha
     alpha = F9.from_coeffs([0, 1])
-    assert F9.conj(alpha) == F9.neg(alpha)
+    assert F9.conj_table[alpha] == F9.tables.neg[alpha]
 
 
 def test_conjugation_involution(F25):
+    conj = F25.conj_table
     for a in range(25):
-        assert F25.conj(F25.conj(a)) == a
+        assert conj[conj[a]] == a
 
 
 def test_conj_refused_on_odd_degree(F3):
     with pytest.raises(FieldError):
-        F3.conj(1)
+        F3.conj_table
 
 
 # conj_table is read off exp; square-and-multiply x^l is its reference.
@@ -131,7 +138,7 @@ def test_primitive_root_52(F25):
     for dv in range(1, 52):
         if 52 % dv == 0:
             assert ext.pow(gamma, dv) != 1
-    assert ext.pow(gamma, 26) == ext.neg(1)
+    assert ext.pow(gamma, 26) == emb.embed(F25.tables.neg[1])
 
 
 def test_primitive_root_gcd_violation(F9):
@@ -166,15 +173,16 @@ def test_field_axioms_gf25(x, y, z):
     assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
     assert F.add(x, y) == F.add(y, x)
     assert F.mul(x, y) == F.mul(y, x)
-    assert F.sub(F.add(x, y), y) == x
+    assert F.add(F.add(x, y), F.tables.neg[y]) == x
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 48), st.integers(0, 48))
 def test_frobenius_is_homomorphism_gf49(x, y):
     F = field(7, 2)
-    assert F.frobenius(F.add(x, y)) == F.add(F.frobenius(x), F.frobenius(y))
-    assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
+    frob = lambda a: F.pow(a, F.p)
+    assert frob(F.add(x, y)) == F.add(frob(x), frob(y))
+    assert frob(F.mul(x, y)) == F.mul(frob(x), frob(y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +190,7 @@ def test_frobenius_is_homomorphism_gf49(x, y):
 def test_pow_matches_repeated_multiplication(a, e):
     F = field(5, 2)
     expected = 1
-    base = a if e >= 0 else F.inv(a)
+    base = a if e >= 0 else F.tables.inv[a]
     for _ in range(abs(e)):
         expected = F.mul(expected, base)
     assert F.pow(a, e) == expected
@@ -197,14 +205,15 @@ def test_characteristic_two_field():
     # not needed by any construction here, but the arithmetic must not
     # assume odd characteristic
     F4 = field(2, 2)
+    _, _, neg, inv = F4.tables
     assert F4.modulus == (1, 1, 1)
     for a in range(4):
         assert F4.add(a, a) == 0
-        assert F4.neg(a) == a
+        assert neg[a] == a
         for b in range(4):
-            assert F4.sub(a, b) == F4.add(a, b)
-    assert all(F4.mul(a, F4.inv(a)) == 1 for a in range(1, 4))
-    assert F4.conj(F4.generator) == F4.pow(F4.generator, 2)
+            assert F4.add(a, neg[b]) == F4.add(a, b)
+    assert all(F4.mul(a, inv[a]) == 1 for a in range(1, 4))
+    assert F4.conj_table[F4.generator] == F4.pow(F4.generator, 2)
 
 
 def test_element_serialization_roundtrip(F25):
@@ -318,15 +327,17 @@ def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:
 
 
 def reference_method_poly_divmod(fld, a, b):
-    # kept verbatim from the method-call division the table loop replaced
+    # kept verbatim from the method-call division the table loop replaced,
+    # on the schoolbook arithmetic instead of the field's
+    ref = SchoolbookField(fld.p, fld.m, fld.modulus)
     b = reference_poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = reference_poly_trim(list(a))
     db = len(b) - 1
-    inv_lead = fld.inv(b[-1])
+    inv_lead = ref.inv(b[-1])
     q = [0] * max(len(a) - db, 0)
-    sub, mul = fld.sub, fld.mul
+    sub, mul = (lambda x, y: ref.add(x, ref.neg(y))), ref.mul
     while a and len(a) - 1 >= db:
         shift = len(a) - 1 - db
         f = mul(a[-1], inv_lead)
@@ -453,7 +464,10 @@ def test_embedding_tables_match_the_horner_loops(base, ext):
 class SchoolbookField:
     """The table-free multiply the fields ran before packing, kept verbatim:
     decode both codes to digit lists, multiply schoolbook, reduce through
-    the residues of x^m .. x^(2m-2), encode."""
+    the residues of x^m .. x^(2m-2), encode.  With digit-wise add and neg,
+    and inv as a^(q-2), it is the reference arithmetic the tables and the
+    elimination kernel are checked against: it reads no exp/log list and no
+    packed int."""
 
     def __init__(self, p: int, m: int, modulus):
         self.p, self.m, self.order, self.modulus = p, m, p**m, tuple(modulus)
@@ -503,6 +517,23 @@ class SchoolbookField:
             e >>= 1
         return r
 
+    def _digits(self, a: int) -> list[int]:
+        return _decode_coeffs(a, self.p, self.m)
+
+    def add(self, a: int, b: int) -> int:
+        return _encode_coeffs([x + y for x, y in zip(self._digits(a), self._digits(b))], self.p)
+
+    def neg(self, a: int) -> int:
+        return _encode_coeffs([-x for x in self._digits(a)], self.p)
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul_codes_raw(a, b)
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise FieldError("inversion of zero")
+        return self._pow_raw(a, self.order - 2)
+
 
 # ---------------------------------------------------------------------------
 # the norm-first generator search
@@ -549,7 +580,7 @@ def test_raw_frobenius_and_norm(pm):
     ref = SchoolbookField(F.p, F.m, F.modulus)
     p, q = F.p, F.order
     for a in list(range(min(q, 60))) + [q - 1]:
-        assert F.frobenius(a) == F.pow(a, p) == ref._pow_raw(a, p)
+        assert F._frobenius(F._pack(a)) % F._to_code == F.pow(a, p) == ref._pow_raw(a, p)
         nm = _resultant(F.modulus, _decode_coeffs(a, p, F.m), p)
         assert nm < p and nm == ref._pow_raw(a, (q - 1) // (p - 1))
 
@@ -575,13 +606,13 @@ def test_packed_arithmetic_matches_the_schoolbook_multiply(pm, data):
     element = st.one_of(special, st.integers(0, q - 1))
     a, b = data.draw(element), data.draw(element)
     e = data.draw(st.integers(0, 2 * q))
-    # the packed forms themselves: add, neg and mul are the Zech methods,
-    # which would tabulate the field
+    # the packed forms themselves: add and mul read the tables, which would
+    # tabulate the field; _frobenius is the map smallest_root steps by
     code = lambda v: v % F._to_code
     pa, pb = F._pack(a), F._pack(b)
     assert code(F._mul(pa, pb)) == ref._mul_codes_raw(a, b)
     assert F.pow(a, e) == ref._pow_raw(a, e)
-    assert F.frobenius(a) == ref._pow_raw(a, p)
+    assert code(F._frobenius(pa)) == ref._pow_raw(a, p)
     digits = lambda c: _decode_coeffs(c, p, m)
     assert digits(code(F._reduce(pa + pb))) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
     assert F._reduce(pa + F._reduce(pa * (p - 1))) == 0
@@ -632,3 +663,57 @@ def test_negative_powers_invert_on_an_untabulated_extension(l, n):
             assert packed_mul(ext.pow(a, -e), ext.pow(a, e)) == 1, (a, e)
     with pytest.raises(FieldError, match="^inversion of zero$"):
         ext.pow(0, -1)
+
+
+# ---------------------------------------------------------------------------
+# verify's fields battery reads the tables the engine runs
+
+
+@pytest.mark.parametrize(
+    "check,corrupt",
+    [
+        ("field axioms", lambda F: F.tables.inv.__setitem__(5, F.tables.inv[6])),
+        ("conjugation involution", lambda F: F.conj_table.__setitem__(4, F.conj_table[5])),
+    ],
+)
+def test_the_fields_battery_fails_on_a_corrupted_table_entry(monkeypatch, check, corrupt):
+    # a private GF(9) with one entry of inv or conj_table overwritten, handed
+    # to the battery in place of the shared one: the check that reads it fails
+    import mpqc.verify as verify
+
+    broken = Field(3, 2)
+    corrupt(broken)
+    real = verify.field
+    monkeypatch.setattr(verify, "field", lambda p, m=1: broken if (p, m) == (3, 2) else real(p, m))
+    report = verify.suite_fields(1)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
+    assert not report["passed"]
+
+
+FIELDS_GUARD = """
+import json
+from mpqc.gf import field
+from mpqc.verify import suite_fields
+
+report = suite_fields(42)
+print(json.dumps({
+    "passed": report["passed"],
+    "built": sorted(vars(field(5, 4))),
+}))
+"""
+
+
+def test_the_fields_battery_leaves_its_extension_untabulated():
+    # a fresh interpreter, since other tests here tabulate the shared GF(5^4):
+    # the battery reaches GF(5^4) through primitive_root_of_unity and checks
+    # it in the packed form only
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", FIELDS_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["passed"]
+    assert "generator" in doc["built"]
+    assert not _TABULATED & set(doc["built"])

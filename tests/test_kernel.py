@@ -1,5 +1,9 @@
 """Differential tests: the table-driven elimination kernel and field tables
-against the method-call reference code they replaced."""
+against the method-call reference code they replaced, run on the schoolbook
+arithmetic of ``test_gf.SchoolbookField``."""
+
+import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +15,19 @@ from test_gf import SchoolbookField
 
 # ---------------------------------------------------------------------------
 # reference implementations, kept verbatim from the per-call Zech versions
+# but for the field, whose operations are the schoolbook ones
+
+
+@functools.cache
+def schoolbook(F):
+    return SchoolbookField(F.p, F.m, F.modulus)
 
 
 def reference_rref(self):
     """Reduced row-echelon form, rank and pivot columns."""
     f = self.field
-    add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
+    ref = schoolbook(f)
+    add, mul, neg, inv = ref.add, ref.mul, ref.neg, ref.inv
     rows = [list(r) for r in self.rows]
     nr, nc = self.nrows, self.ncols
     pivots = []
@@ -50,13 +61,14 @@ def reference_nullspace(self):
     """Rows span {x : self @ x^T = 0}; comes out with ncols(self) columns."""
     R, rank, pivots = reference_rref(self)
     f = self.field
+    neg = schoolbook(f).neg
     free = [c for c in range(self.ncols) if c not in set(pivots)]
     basis = []
     for fc in free:
         v = [0] * self.ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(R.rows[r][fc])
+            v[pc] = neg(R.rows[r][fc])
         basis.append(v)
     return Matrix(f, basis, ncols=self.ncols)
 
@@ -68,7 +80,8 @@ def reference_det_inverse(self):
         raise ValueError("determinant of a non-square matrix")
     f = self.field
     n = self.nrows
-    add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
+    ref = schoolbook(f)
+    add, mul, neg, inv = ref.add, ref.mul, ref.neg, ref.inv
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
     det = 1
     for c in range(n):
@@ -208,20 +221,60 @@ def test_range_check_reports_first_bad_entry(F9):
 # field tables
 
 
+def reference_tables(F):
+    """add and mul tables from the schoolbook field, whole: row a of add is
+    the digit-wise sum taken over every b at once (the last digit of
+    itertools.product varies fastest, as b's lowest digit), and row a of
+    mul is GF(p)-linear in b, so it is spanned one digit of b at a time
+    from the m schoolbook products a x^i."""
+    ref = schoolbook(F)
+    p, m, q = F.p, F.m, F.order
+    add = []
+    for a in range(q):
+        terms = [[(ai + d) % p * p**i for d in range(p)] for i, ai in enumerate(ref._digits(a))]
+        add.append(list(map(sum, itertools.product(*reversed(terms)))))
+    mul = []
+    for a in range(q):
+        row = [0]  # the products a b for b < p^i
+        for i in range(m):
+            ax_i = ref.mul(a, p**i)
+            multiples = [0]  # d a x^i for d < p
+            for _ in range(p - 1):
+                multiples.append(add[multiples[-1]][ax_i])
+            row = [add[r][t] for t in multiples for r in row]
+        mul.append(row)
+    return add, mul
+
+
 # GF(2^10) is tabulated at the cap
 @pytest.mark.parametrize(
     "pm", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (3, 4), (3, 3), (13, 2), (17, 2), (2, 10)]
 )
 def test_tables_match_zech_arithmetic(pm):
+    # named for the Zech methods it first compared against; the reference is
+    # now the schoolbook field, which shares no list with the tables
     F = field(*pm)
+    ref = schoolbook(F)
     add, mul, neg, inv = F.tables
     codes = range(F.order)
-    assert neg == [F.neg(a) for a in codes]
-    assert inv == [None] + [F.inv(a) for a in codes[1:]]
+    assert neg == [ref.neg(a) for a in codes]
+    assert inv == [None] + [ref.inv(a) for a in codes[1:]]
+    ref_add, ref_mul = reference_tables(F)
     for a in codes:  # whole rows at once
-        assert add[a] == [F.add(a, b) for b in codes], a
-        assert mul[a] == [F.mul(a, b) for b in codes], a
+        assert add[a] == ref_add[a], a
+        assert mul[a] == ref_mul[a], a
     assert len({id(x) for row in add + mul for x in row}) == F.order
+
+
+def test_the_reference_tables_are_the_schoolbook_operations():
+    # reference_tables against the schoolbook add and mul entry by entry
+    for pm in [(2, 1), (3, 2), (2, 3), (5, 2), (3, 3)]:
+        F = field(*pm)
+        ref = schoolbook(F)
+        ref_add, ref_mul = reference_tables(F)
+        codes = range(F.order)
+        assert ref_add == [[ref.add(a, b) for b in codes] for a in codes], pm
+        assert ref_mul == [[ref.mul(a, b) for b in codes] for a in codes], pm
 
 
 def test_tables_share_element_objects():
@@ -241,12 +294,13 @@ def test_tables_are_lazy_and_capped():
     assert not isinstance(add, list)
     assert add[5] is add[5]  # row objects are kept
     q = big.order
+    ref = schoolbook(big)
     for a in (0, 1, 5, 700, q - 1):
-        assert neg[a] == big.neg(a)
-        assert inv[a] == (big.inv(a) if a else None)
+        assert neg[a] == ref.neg(a)
+        assert inv[a] == (ref.inv(a) if a else None)
         for b in (0, 1, 2, 700, q - 1):
-            assert add[a][b] == big.add(a, b)
-            assert mul[a][b] == big.mul(a, b)
+            assert add[a][b] == ref.add(a, b)
+            assert mul[a][b] == ref.mul(a, b)
     with pytest.raises(IndexError):
         add[q]
 

@@ -81,7 +81,7 @@ def test_det_and_inverse_example(F25):
     det, inv = M.det_inverse()
     assert det == 2
     # 2 * 3 = 6 = 1 mod 5, so the lower-right inverse entry is 3
-    assert inv == Matrix(F25, [[1, F25.neg(3)], [0, 3]])
+    assert inv == Matrix(F25, [[1, F25.tables.neg[3]], [0, 3]])
     assert M @ inv == Matrix.identity(F25, 2)
 
 
@@ -139,7 +139,7 @@ def test_minor_composition(F9, rng):
 def test_conjugate_entrywise(F9):
     M = Matrix(F9, [[3, 1], [0, 6]])
     C = M.conjugate()
-    assert C.rows[0][0] == F9.conj(3)
+    assert C.rows[0][0] == F9.pow(3, 3)  # conj is x -> x^3
     assert C.conjugate() == M
 
 
@@ -226,7 +226,7 @@ def test_every_matrix_method_matches_the_validating_constructor(pm, rng):
             (Matrix.identity(fld, nc), Matrix(fld, eye, nc)),
             (Matrix.zeros(fld, nr, nc), Matrix(fld, [[0] * nc for _ in range(nr)], nc)),
             (M.transpose(), Matrix(fld, [[rows[i][j] for i in range(nr)] for j in range(nc)], nr)),
-            (M.conjugate(), Matrix(fld, [[fld.conj(x) for x in r] for r in rows], nc)),
+            (M.conjugate(), Matrix(fld, [[fld.pow(x, fld.subfield_order) for x in r] for r in rows], nc)),
         ]
         ri, ci = random_subset(nr, rng), random_subset(nc, rng)
         minor = [[rows[i][j] for j in ci] for i in ri]

@@ -93,9 +93,9 @@ def test_defining_set_validation():
 
 def test_poly_helpers(F9):
     a = [1, 1]  # 1 + x
-    b = [F9.neg(1), 1]  # x - 1
+    b = [F9.tables.neg[1], 1]  # x - 1
     prod = poly_mul(F9, a, b)
-    assert prod == [F9.neg(1), 0, 1]  # x^2 - 1
+    assert prod == [F9.tables.neg[1], 0, 1]  # x^2 - 1
     q, r = poly_divmod(F9, prod, a)
     assert q == b and r == []
     assert poly_eval(F9, prod, 1) == 0
@@ -269,7 +269,7 @@ def reference_genpoly(n, fld, defining):
     g = [1]
     for j in defining.residues:
         root = ext._exp[step * j % (ext.order - 1)]
-        g = poly_mul(ext, g, [ext.neg(root), 1])
+        g = poly_mul(ext, g, [ext.tables.neg[root], 1])
     return [emb.restrict(c) for c in g]
 
 
@@ -446,7 +446,7 @@ print(json.dumps({
     "wide": wide,
     "params": [cb.quantum.n, cb.quantum.k, cb.quantum.d_lower],
     "shared": ext is gf.field(17, 4),
-    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.neg(1)),
+    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.tables.neg[1]),
     "tabulated": sorted({"_exp", "_log", "_zech", "tables", "conj_table"} & set(vars(ext))),
 }))
 """
@@ -480,7 +480,7 @@ ext = emb.ext
 print(json.dumps({
     "shared": ext is gf.field(17, 4),
     "order": ext.order,
-    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.neg(1)),
+    "minus_one": ext.pow(gamma, 290) == emb.embed(fld.tables.neg[1]),
     "tabulated": sorted({"_exp", "_log", "_zech", "tables", "conj_table"} & set(vars(ext))),
 }))
 """
