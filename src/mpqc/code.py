@@ -44,8 +44,11 @@ record is made, read-only after, compared and hashed by value.  They are
 plain classes, so no import of the package loads ``dataclasses`` (and
 with it inspect, ast and dis), a fixed cost to every cold process.
 The exhaustive oracle
-walks one message per line of scalar multiples (leading coefficient 1) and
-resolves the last generator row's coefficient by counting, while its
+reads G only (never H, which `is_mds` scans).  It reads d = 1 and d = 2 off
+the rows' non-pivot parts: a zero part (a unit row), then a part of weight
+1 or two parallel parts.  Otherwise it walks one message per line of
+scalar multiples (leading coefficient 1), resolves the last generator row's
+coefficient by counting, and stops at the first word of weight 3; its
 budget is still charged as all q^k messages.
 """
 
@@ -166,15 +169,15 @@ class LinearCode:
         (None over a field without conjugation)."""
         if k is None:
             k = gen.nrows if parity is None else n - parity.nrows
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_gen", gen)
-        object.__setattr__(self, "_parity", parity)
-        object.__setattr__(self, "_build", build)
-        object.__setattr__(self, "_genpoly", genpoly)
-        object.__setattr__(self, "_hermitian_dual_genpoly", hermitian_dual_genpoly)
-        object.__setattr__(self, "_hermitian_dual_containing", None)
+        _set_field(self, fld)
+        _set_n(self, n)
+        _set_k(self, k)
+        _set_gen(self, gen)
+        _set_parity(self, parity)
+        _set_build(self, build)
+        _set_genpoly(self, genpoly)
+        _set_hermitian_dual_genpoly(self, hermitian_dual_genpoly)
+        _set_hermitian_dual_containing(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("LinearCode is immutable")
@@ -230,7 +233,7 @@ class LinearCode:
             self._run_build()
         if self._gen is None:
             G = self._parity.rref_nullspace(self._parity.trailing_columns())
-            object.__setattr__(self, "_gen", G)
+            _set_gen(self, G)
         return self._gen
 
     @property
@@ -244,16 +247,16 @@ class LinearCode:
             self._run_build()
         if self._parity is None:
             H = self.gen.rref_nullspace(self.gen.leading_columns())
-            object.__setattr__(self, "_parity", H)
+            _set_parity(self, H)
         return self._parity
 
     def _run_build(self) -> None:
         """Adopt the stored form of the code a deferred builder returns, once."""
         if self._build is not None:
             built = self._build()
-            object.__setattr__(self, "_gen", built._gen)
-            object.__setattr__(self, "_parity", built._parity)
-            object.__setattr__(self, "_build", None)
+            _set_gen(self, built._gen)
+            _set_parity(self, built._parity)
+            _set_build(self, None)
 
     # -- membership and containment --
 
@@ -322,7 +325,7 @@ class LinearCode:
                 if self._genpoly is None
                 else _divides(self.field, self._hermitian_dual_genpoly, self._genpoly)
             )
-            object.__setattr__(self, "_hermitian_dual_containing", verdict)
+            _set_hermitian_dual_containing(self, verdict)
         return self._hermitian_dual_containing
 
     def hermitian_dual_is_subcode_of(self, other: "LinearCode") -> bool:
@@ -379,12 +382,21 @@ class LinearCode:
     def min_distance_exhaustive(self, budget: int = DEFAULT_ENUM_BUDGET) -> DistanceReport:
         """Exact distance: the least weight over all q^k - 1 nonzero codewords.
 
+        After the budget test, two exits read the RREF generator G alone.
+        A codeword's coefficients are its entries at the pivots, so a word
+        of weight 1 or 2 involves at most two rows.  With P_r row r restricted
+        to the non-pivot columns: d = 1 iff some P_r = 0 (the row is a unit
+        vector); otherwise d = 2 iff some P_r has weight 1 or two P_r are
+        scalar multiples of each other.  Every row is tested for d = 1 before
+        any pair is tested for d = 2.
+
+        Otherwise d >= 3, and the walk stops at the first word of weight 3.
         Scalar multiples share a weight, so only messages whose leading
         nonzero coefficient is 1 are walked: the last generator row g alone,
         and each prefix p over the other rows, whose q words p + c*g are
         resolved in one pass.  Column j of p + c*g vanishes iff
         c = -p[j]/g[j] (g[j] != 0) or p[j] = g[j] = 0, so a histogram of those
-        roots gives the most zero columns over every c.  That is about
+        roots gives the most zero columns over every c.  That is at most about
         q^(k-2) prefixes of O(n) lookups each; the budget is still charged
         as q^k messages.
         """
@@ -396,14 +408,27 @@ class LinearCode:
             raise BudgetError(f"{q}^{self.k} messages exceed budget {budget}")
         add, mul, neg, inv = f.tables
         n = self.n
-        *head, last = self.gen.rows
+        G = self.gen
+        pivots = set(G.leading_columns())
+        free = [j for j in range(n) if j not in pivots]
+        parts = [[row[j] for j in free] for row in G.rows]
+        if not all(any(part) for part in parts):
+            return exact_report(1, "exhaustive")
+        directions = set()
+        for part in parts:
+            lead = mul[inv[next(x for x in part if x)]]
+            direction = tuple([lead[x] for x in part])
+            if len(part) - part.count(0) == 1 or direction in directions:
+                return exact_report(2, "exhaustive")
+            directions.add(direction)
+        *head, last = G.rows
         support = [j for j, x in enumerate(last) if x]
         roots = [mul[neg[inv[last[j]]]] for j in support]  # roots[i][a] = -a / last[support[i]]
         scaled_rows = [[[mul[c][x] for x in row] for c in range(1, q)] for row in head]
         most = n - len(support)  # zero columns of c*g, the words led by the last row
         # (next row a coefficient may go on, prefix word); a 1 leads each prefix
         stack = [(i + 1, row) for i, row in enumerate(head)]
-        while stack:
+        while stack and most < n - 3:  # d >= 3: a word of weight 3 is a lightest one
             i, acc = stack.pop()
             hist = [0] * q
             for r, j in zip(roots, support):
@@ -502,6 +527,14 @@ class LinearCode:
             return True
 
         return walk(0, [])
+
+
+# the slots' own setters: `__setattr__` refuses, and object.__setattr__ is
+# slower per call than these
+(
+    _set_field, _set_n, _set_k, _set_gen, _set_parity, _set_build, _set_genpoly,
+    _set_hermitian_dual_genpoly, _set_hermitian_dual_containing,
+) = (LinearCode.__dict__[name].__set__ for name in LinearCode.__slots__)
 
 
 @functools.cache

@@ -16,6 +16,18 @@ def test_full_space(F9):
     assert C.min_distance_exhaustive().lower == 1
 
 
+def test_linear_code_fills_every_slot_and_refuses_assignment(F9):
+    C = LinearCode(F9, 3, Matrix(F9, [[1, 0, 1], [0, 1, 2]]))
+    assert [getattr(C, name) is None for name in LinearCode.__slots__] == [
+        False, False, False, False, True, True, True, True, True
+    ]
+    assert (C.n, C.k) == (3, 2)
+    with pytest.raises(AttributeError, match="LinearCode is immutable"):
+        C.k = 1
+    with pytest.raises(AttributeError, match="LinearCode is immutable"):
+        C._parity = None
+
+
 def test_repetition_from_proportional_rows(F25):
     C = LinearCode.from_generator(Matrix(F25, [[1, 1, 1, 1], [2, 2, 2, 2]]))
     assert C.params() == (4, 1)

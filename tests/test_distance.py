@@ -52,7 +52,10 @@ def reference_min_distance_exhaustive(self, budget=10**7):
 # coefficient has a single nonzero value
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]
 REFERENCE_MESSAGES = 3 * 10**4  # keeps the q^k reference walk quick
-SHAPES = ["random", "k=1", "full", "sparse-last", "repeated-columns", "zero-columns"]
+SHAPES = [
+    "random", "k=1", "full", "sparse-last", "repeated-columns", "zero-columns",
+    "unit-row", "parallel-parts", "vandermonde",
+]
 
 
 def _max_k(q):
@@ -76,16 +79,40 @@ def nonzero_codes(draw, max_n=10):
     if shape == "full":
         n = draw(st.integers(1, kmax))
         return LinearCode.full_space(fld, n)
+    if shape == "vandermonde":
+        # evaluations of the polynomials of degree < rows at n distinct points:
+        # d = n - rows + 1, so at least 3 (where q allows) and often exactly 3
+        mul = fld.tables.mul
+        n = min(n, fld.order)
+        rows = draw(st.integers(1, max(1, min(kmax, n - 2))))
+        gen = [[1] * n]
+        while len(gen) < rows:
+            gen.append([mul[x][a] for x, a in zip(gen[-1], range(n))])
+        return LinearCode.from_generator(Matrix(fld, gen, ncols=n))
     rows = draw(st.integers(1, kmax))
     if shape == "k=1":
         rows = 1
     gen = [_entries(draw, fld, n) for _ in range(rows)]
     if shape == "sparse-last":
-        # a last row of weight 1 or 2: the lightest word often sits on it alone
+        # a last row of weight 1 to 3: the lightest word often sits on it alone
         last = [0] * n
-        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
             last[j] = draw(st.integers(1, fld.order - 1))
         gen[-1] = last
+    elif shape == "unit-row":
+        # a unit vector in the code: its RREF holds it as a row, so d = 1
+        unit = [0] * n
+        unit[draw(st.integers(0, n - 1))] = 1
+        gen[draw(st.integers(0, rows - 1))] = unit
+    elif shape == "parallel-parts":
+        # systematic [I | P] whose last row's part is a multiple of another's
+        rows = min(rows, n)
+        mul = fld.tables.mul
+        parts = [_entries(draw, fld, n - rows) for _ in range(rows)]
+        if rows > 1:
+            c = draw(st.integers(1, fld.order - 1))
+            parts[-1] = [mul[c][x] for x in parts[draw(st.integers(0, rows - 2))]]
+        gen = [[int(i == j) for j in range(rows)] + part for i, part in enumerate(parts)]
     elif shape in ("repeated-columns", "zero-columns"):
         cols = [list(c) for c in zip(*gen)]
         for _ in range(draw(st.integers(1, 3))):
@@ -108,12 +135,46 @@ def nonzero_codes(draw, max_n=10):
 @given(nonzero_codes(max_n=12))
 @example(LinearCode.from_generator(Matrix(field(2, 1), [[1, 1, 1, 0], [0, 0, 0, 1]])))
 @example(LinearCode.from_generator(Matrix(field(7, 2), [[1, 0, 3], [0, 1, 0]])))
+# a unit row after two rows with parallel parts: d = 1, not 2
+@example(LinearCode.from_generator(Matrix(field(3, 1), [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 0]])))
+@example(LinearCode.from_generator(Matrix(field(3, 1), [[1, 0, 0, 1, 1], [0, 1, 0, 2, 2], [0, 0, 1, 1, 2]])))
+@example(LinearCode.full_space(field(3, 2), 3))
 def test_exhaustive_matches_reference(C):
     assert C.min_distance_exhaustive() == reference_min_distance_exhaustive(C)
 
 
+# (field, generator rows, d): each exit and both ends of the walk
+DISTANCE_TABLE = [
+    ((3, 1), [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 0]], 1),  # a unit row last
+    ((2, 1), [[1, 1, 1, 0], [0, 0, 0, 1]], 1),
+    ((7, 2), [[1, 0, 3], [0, 1, 0]], 1),
+    ((3, 1), [[1, 0, 0, 1, 1], [0, 1, 0, 2, 2], [0, 0, 1, 1, 2]], 2),  # parallel parts
+    ((3, 1), [[1, 0, 0, 1], [0, 1, 1, 1]], 2),  # a part of weight 1
+    ((3, 1), [[1, 0, 1, 1], [0, 1, 1, 2]], 3),  # the tetracode
+    ((2, 2), [[1, 0, 1, 1], [0, 1, 1, 2]], 3),  # MDS over GF(4)
+    ((3, 1), [[1, 0, 0, 2, 0, 0, 1], [0, 1, 1, 1, 1, 1, 2]], 3),  # the first row alone (c = 0)
+    ((2, 2), [[1, 0, 2, 0, 2, 0, 1], [0, 1, 2, 2, 2, 0, 1]], 3),  # zero off the last row's support
+    # the [7, 4] Hamming code, then extended by a parity column
+    ((2, 1), [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]], 3),
+    ((2, 1), [[1, 0, 0, 0, 1, 1, 0, 1], [0, 1, 0, 0, 1, 0, 1, 1], [0, 0, 1, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 0]], 4),
+    ((3, 1), [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 1, 2]], 4),
+    ((3, 2), [[1] * 5], 5),
+]
+
+
+def test_distance_table_matches_reference():
+    outcomes = set()
+    for pm, rows, d in DISTANCE_TABLE:
+        C = LinearCode.from_generator(Matrix(field(*pm), rows))
+        assert C.min_distance_exhaustive() == reference_min_distance_exhaustive(C) == exact_report(d, "exhaustive")
+        outcomes.add(min(d, 4))
+    assert outcomes == {1, 2, 3, 4}  # d = 1, d = 2, exactly 3 and more than 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(nonzero_codes(max_n=7))  # up to three columns are inserted: n <= 10
+# e_0 is the only unit vector in the code: d = 1 from one column set alone
+@example(LinearCode.from_generator(Matrix(field(2, 1), [[1, 0, 0], [0, 1, 1]])))
 def test_exhaustive_matches_support_scan(C):
     assert C.min_distance_exhaustive() == C.min_distance_by_supports()
 
@@ -176,6 +237,9 @@ def frr_products(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(frr_products())
+# full spaces of length 1 under the 4 x 4 character table over GF(9): the
+# bound is set by the last component and the whole table, d = 1 * 1
+@example(([LinearCode.full_space(field(3, 2), 1)] * 4, character_matrix(field(3, 2), 2)))
 def test_frr_bound_matches_exhaustive_prefix_distances(product):
     codes, A = product
     dists = [C.min_distance_exhaustive().lower for C in codes]

@@ -41,6 +41,8 @@ CASES = {
     # d = l components: the curve-drop rung's success path
     "build-3.1-l3-d1233": (["build", "--theorem", "3.1", "--l", "3", "--d", "1,2,3,3"], 0),
     "build-3.1-l5-d2335": (["build", "--theorem", "3.1", "--l", "5", "--d", "2,3,3,5"], 0),
+    # the seeds the benchmark's verify-seeds workload runs
+    **{f"verify-all-{s}": (["verify", "--suite", "all", "--seed", str(s)], 0) for s in range(1, 6)},
 }
 
 
