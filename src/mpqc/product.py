@@ -43,7 +43,13 @@ import functools
 import itertools
 from typing import Sequence
 
-from .code import DistanceReport, LinearCode, _parity_code, exact_report
+from .code import (
+    DistanceReport,
+    LinearCode,
+    _parity_code,
+    _set_hermitian_dual_containing,
+    exact_report,
+)
 from .gf import Field
 from .matrix import Matrix
 
@@ -257,7 +263,7 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
         k=sum(c.k for c in codes),
         build=functools.partial(_parity_product, codes, B),
     )
-    object.__setattr__(product, "_hermitian_dual_containing", True)  # the verdict just decided
+    _set_hermitian_dual_containing(product, True)  # the verdict just decided
     return product
 
 

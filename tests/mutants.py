@@ -1,8 +1,7 @@
 """Mutation checks: each mutant breaks the package in one known way, and the
 test expected to catch it must then fail.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named mutants only
+    python tests/mutants.py
 
 `src/`, `tests/` and `bench/` are copied to a temporary directory (`bench/`
 because the public-definition guard in tests/test_structure.py reads it).
@@ -20,7 +19,6 @@ collect it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,7 +30,6 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench")
-RUN_TIMEOUT = 600  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -172,12 +169,7 @@ def failed_tests(root: Path, tests) -> tuple[list[str], str]:
         sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
         "--hypothesis-seed=0", *tests,
     ]
-    try:
-        out = subprocess.run(
-            cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT
-        ).stdout
-    except subprocess.TimeoutExpired:
-        return [], f"timed out after {RUN_TIMEOUT} s"
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True).stdout
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")]
     lines = out.strip().splitlines()
     return failed, lines[-1] if lines else "no output"
@@ -187,26 +179,18 @@ def killed_by(failed, killer: str) -> bool:
     return any(f == killer or f.startswith(killer + "[") for f in failed)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = ap.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] if args.names else MUTANTS
-    texts = [mutated(m) for m in chosen]  # every snippet must match before anything runs
+def main() -> int:
+    texts = [mutated(m) for m in MUTANTS]  # every snippet must match before anything runs
     with tempfile.TemporaryDirectory(prefix="mpqc-mutants-") as tmp:
         base = Path(tmp) / "base"
         fresh_copy(base)
-        selection = sorted({t for m in chosen for t in m.tests})
+        selection = sorted({t for m in MUTANTS for t in m.tests})
         failed, summary = failed_tests(base, selection)
         if failed or "passed" not in summary or "error" in summary:
             print(f"the unmutated copy does not pass {' '.join(selection)}: {summary}")
             return 1
         survivors = []
-        for i, (m, text) in enumerate(zip(chosen, texts)):
+        for i, (m, text) in enumerate(zip(MUTANTS, texts)):
             work = Path(tmp) / f"m{i}"
             fresh_copy(work)
             (work / m.file).write_text(text)
@@ -222,7 +206,7 @@ def main(argv=None) -> int:
                 f"{time.perf_counter() - start:.1f} s)",
                 flush=True,
             )
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     if survivors:
         print("not killed by their expected killer: " + ", ".join(survivors))
     return 1 if survivors else 0
