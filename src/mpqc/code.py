@@ -9,13 +9,13 @@ it).  `from_generator` canonicalizes a spanning set of the code into G, and
 mirrored back).  Each dual is reduced on its smaller side, so H comes with
 the dual of any code with 2k <= n, and with the matrix product codes,
 through the dual identity.  Both forms are unique, so two equal codes
-compare equal as objects; == and hash read G.
-A code may also be stored by neither form, with k and one builder that
-returns an equal code stored by G or H; the builder runs on the first read
-of `gen` or `parity` (and so on the first == or hash).  Negacyclic codes
-defer their parity check this way, the deg g shifts of h* right-reduced,
-and dual-containing matrix product codes their parity-side assembly (see
-`negacyclic` and `product`).
+compare equal as objects; == and hash read the field, n, k and the smaller
+form, G when 2k <= n and else H (k too: a code's G can be its dual's H).
+H may be deferred: the code holds k and a function that returns H, called
+on the first read of `parity` (or of `gen`, or of == and hash when
+2k > n).  Negacyclic codes defer the deg g shifts of h* right-reduced this
+way, and dual-containing matrix product codes their parity-side assembly
+(see `negacyclic` and `product`).
 Every containment fact is a product with H (w in C iff H w^T = 0; C in D iff
 H_D G_C^T = 0; C contains its Hermitian dual iff conj(H) H^T = 0; C's
 Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the cross-Gram a matrix
@@ -30,9 +30,9 @@ iff g | conj(h*); C_a's Hermitian dual lies in C_b iff g_b | conj(h_a*).
 Every other code (the GRS families, character products, random codes)
 takes the matrix scans, which are also the divisions' reference in the
 tests.
-A code keeps H and its own Hermitian verdict (in slots that == and hash
-ignore), but no verdict about another code, so it holds no reference to
-one.  The divisions are kept instead, by ``functools.cache`` on
+A code keeps the form it reads off and its own Hermitian verdict (neither
+changes == or hash), but no verdict about another code, so it holds no
+reference to one.  The divisions are kept instead, by ``functools.cache`` on
 ``_divides``, keyed by the field and the two coefficient tuples: a
 component shared between chain builds divides each pair once.  A matrix
 scan between two codes runs again on every call.
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gf import Field, poly_divmod
 from .matrix import Matrix, _eliminate
@@ -146,7 +146,7 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 class LinearCode:
     __slots__ = (
-        "field", "n", "k", "_gen", "_parity", "_build", "_genpoly", "_hermitian_dual_genpoly",
+        "field", "n", "k", "_gen", "_parity", "_genpoly", "_hermitian_dual_genpoly",
         "_hermitian_dual_containing",
     )
 
@@ -155,18 +155,17 @@ class LinearCode:
         fld: Field,
         n: int,
         gen: Matrix | None,
-        parity: Matrix | None = None,
+        parity: Matrix | Callable[[], Matrix] | None = None,
         *,
         k: int | None = None,
-        build=None,
         genpoly: tuple[int, ...] | None = None,
         hermitian_dual_genpoly: tuple[int, ...] | None = None,
     ):
-        """Stored by G or by H; or by neither, when `k` is given and `build`
-        returns an equal code stored by G or H on the first read of `gen` or
-        `parity`.  A negacyclic code <g> of GF(q)[x]/(x^n + 1) also carries
-        `genpoly` g and `hermitian_dual_genpoly` conj(h*), h = (x^n + 1)/g
-        (None over a field without conjugation)."""
+        """Stored by G or by H; with `k` given, `parity` may instead be a
+        function of no arguments that returns H on the first read.  A
+        negacyclic code <g> of GF(q)[x]/(x^n + 1) also carries `genpoly` g
+        and `hermitian_dual_genpoly` conj(h*), h = (x^n + 1)/g (None over a
+        field without conjugation)."""
         if k is None:
             k = gen.nrows if parity is None else n - parity.nrows
         _set_field(self, fld)
@@ -174,7 +173,6 @@ class LinearCode:
         _set_k(self, k)
         _set_gen(self, gen)
         _set_parity(self, parity)
-        _set_build(self, build)
         _set_genpoly(self, genpoly)
         _set_hermitian_dual_genpoly(self, hermitian_dual_genpoly)
         _set_hermitian_dual_containing(self, None)
@@ -194,7 +192,8 @@ class LinearCode:
 
         The mirror of `from_generator`: the rows are right-reduced and store
         the code, and `gen` is read off them only if something asks."""
-        return _parity_code(rows.field, [list(r) for r in rows.rows], rows.ncols)
+        H = _right_reduce(rows.field, [list(r) for r in rows.rows], rows.ncols)
+        return cls(rows.field, rows.ncols, None, H)
 
     @classmethod
     def full_space(cls, fld: Field, n: int) -> "LinearCode":
@@ -209,11 +208,12 @@ class LinearCode:
             isinstance(other, LinearCode)
             and self.field == other.field
             and self.n == other.n
-            and self.gen == other.gen
+            and self.k == other.k
+            and self._smaller_side() == other._smaller_side()
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.gen))
+        return hash((self.field, self.n, self.k, self._smaller_side()))
 
     def __repr__(self):
         return f"[{self.n},{self.k}] code over {self.field}"
@@ -230,10 +230,8 @@ class LinearCode:
         elimination.
         """
         if self._gen is None:
-            self._run_build()
-        if self._gen is None:
-            G = self._parity.rref_nullspace(self._parity.trailing_columns())
-            _set_gen(self, G)
+            H = self.parity
+            _set_gen(self, H.rref_nullspace(H.trailing_columns()))
         return self._gen
 
     @property
@@ -242,21 +240,18 @@ class LinearCode:
 
         `gen` is in RREF, so the right-reduced H = [-P^T | I] is read off its
         pivots (each row's first nonzero entry) without another elimination.
+        A deferred H is built by its function, once.
         """
         if self._parity is None:
-            self._run_build()
-        if self._parity is None:
-            H = self.gen.rref_nullspace(self.gen.leading_columns())
-            _set_parity(self, H)
+            _set_parity(self, self.gen.rref_nullspace(self.gen.leading_columns()))
+        elif callable(self._parity):
+            _set_parity(self, self._parity())
         return self._parity
 
-    def _run_build(self) -> None:
-        """Adopt the stored form of the code a deferred builder returns, once."""
-        if self._build is not None:
-            built = self._build()
-            _set_gen(self, built._gen)
-            _set_parity(self, built._parity)
-            _set_build(self, None)
+    def _smaller_side(self) -> Matrix:
+        """G when 2k <= n, else H: the smaller canonical form, which == and
+        hash compare and `is_mds` scans."""
+        return self.gen if 2 * self.k <= self.n else self.parity
 
     # -- membership and containment --
 
@@ -493,7 +488,7 @@ class LinearCode:
         if t == 0:
             return True
         n = self.n
-        mat = self.gen if t == self.k else self.parity
+        mat = self._smaller_side()
         add, mul, neg, inv = self.field.tables
         cols = [[mat.rows[i][j] for i in range(t)] for j in range(n)]
 
@@ -532,8 +527,8 @@ class LinearCode:
 # the slots' own setters: `__setattr__` refuses, and object.__setattr__ is
 # slower per call than these
 (
-    _set_field, _set_n, _set_k, _set_gen, _set_parity, _set_build, _set_genpoly,
-    _set_hermitian_dual_genpoly, _set_hermitian_dual_containing,
+    _set_field, _set_n, _set_k, _set_gen, _set_parity, _set_genpoly, _set_hermitian_dual_genpoly,
+    _set_hermitian_dual_containing,
 ) = (LinearCode.__dict__[name].__set__ for name in LinearCode.__slots__)
 
 
@@ -544,14 +539,13 @@ def _divides(fld: Field, dividend: tuple[int, ...], divisor: tuple[int, ...]) ->
     return not poly_divmod(fld, dividend, divisor)[1]
 
 
-def _parity_code(fld: Field, rows: list[list[int]], ncols: int) -> LinearCode:
-    """The code whose dual `rows` (lists, reduced in place) span, stored by
-    their right-reduction: the RREF of the mirrored columns, mirrored back."""
+def _right_reduce(fld: Field, rows: list[list[int]], ncols: int) -> Matrix:
+    """The right-reduction of `rows` (lists, reduced in place), zero rows
+    dropped: the RREF of the mirrored columns, mirrored back."""
     for r in rows:
         r.reverse()
     pivots, _ = _eliminate(fld, rows, ncols)
-    H = Matrix._of(fld, tuple([tuple(r[::-1]) for r in reversed(rows[: len(pivots)])]), ncols)
-    return LinearCode(fld, ncols, None, H)
+    return Matrix._of(fld, tuple([tuple(r[::-1]) for r in reversed(rows[: len(pivots)])]), ncols)
 
 
 def _dots_vanish(add, support, rows) -> bool:

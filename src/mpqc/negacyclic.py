@@ -26,8 +26,9 @@ which generates its Hermitian dual.  Its containment facts are then
 polynomial divisions (see `code`), and no matrix is written for them.
 
 The matrices are written only when something reads them.  With r = deg g,
-the code is stored by its parity check: the rows x^i h*, i < r, right-
-reduced, from which G is read off like any code stored by H (see `code`).
+the code defers its parity check to a function that returns the rows
+x^i h*, i < r, right-reduced, from which G is read off like any code
+stored by H (see `code`).
 A word of <g> is c = a g with deg a < k, so c h = a (x^n + 1) has no term
 x^k..x^(n-1), and row i of those shifts reads the term x^(k+i) (Kai & Zhu,
 IEEE Trans. Inf. Theory 59(2), 2013).  The code they check is confirmed to
@@ -44,8 +45,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .code import DistanceReport, LinearCode, _dots_vanish, _parity_code, _Record
+from .code import DistanceReport, LinearCode, _dots_vanish, _Record, _right_reduce
 from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, primitive_root_of_unity
+from .matrix import Matrix
 
 
 class NegacyclicError(ValueError):
@@ -163,29 +165,28 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
         fld,
         n,
         None,
+        functools.partial(_parity_side, n, fld, coeffs, h),
         k=n - len(coeffs) + 1,
-        build=functools.partial(_parity_side, n, fld, coeffs, h),
         genpoly=tuple(coeffs),
         hermitian_dual_genpoly=dual,
     )
 
 
-def _parity_side(n: int, fld: Field, g: list[int], h: list[int]) -> LinearCode:
-    """<g> stored by the right-reduced shifts x^i h*, i < r = deg g, checked
-    to be exactly <g>: k = n - r, and every shift x^i g, i < k, is a word of
-    the code."""
+def _parity_side(n: int, fld: Field, g: list[int], h: list[int]) -> Matrix:
+    """H of <g>: the shifts x^i h*, i < r = deg g, right-reduced and
+    confirmed to check exactly <g>: they keep rank r, so k = n - r, and every
+    shift x^i g, i < k, is a word of the code they check."""
     r = len(g) - 1
     k = n - r
     hstar = h[::-1]
-    C = _parity_code(fld, [[0] * i + hstar + [0] * (r - 1 - i) for i in range(r)], n)
+    H = _right_reduce(fld, [[0] * i + hstar + [0] * (r - 1 - i) for i in range(r)], n)
     add, mul = fld.tables.add, fld.tables.mul
     support = [(t, mul[c]) for t, c in enumerate(g) if c]
-    H = C.parity.rows
-    if C.k != k or not all(
-        _dots_vanish(add, [(t + i, m) for t, m in support], H) for i in range(k)
+    if H.nrows != r or not all(
+        _dots_vanish(add, [(t + i, m) for t, m in support], H.rows) for i in range(k)
     ):
         raise NegacyclicError("the h* shifts do not check exactly <g>")
-    return C
+    return H
 
 
 def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int]:

@@ -11,8 +11,8 @@ triangular.
 rows (a_ij G_i)_j are stacked and canonicalized by the elimination kernel.
 A dual-containing product (`_checked_product`), where A is square and
 nonsingular, defers assembly: it holds k = sum(k_i) and its block verdict,
-and when its generator or parity check is first read it is assembled on
-its parity side through the dual identity C^perp = [C_1-dual..C_s-dual]
+and when its parity check is first read (by `parity`, `gen`, == or hash)
+that H is assembled through the dual identity C^perp = [C_1-dual..C_s-dual]
 (A^-1)^T (Blackmore and Norton), which stacks one block row (b_ij h)_j per
 row h of each component's parity check; that sum(n - k_i)-row stack is
 right-reduced by `code`'s one right-reduction, with its rank checked.  A^-1
@@ -46,7 +46,7 @@ from typing import Sequence
 from .code import (
     DistanceReport,
     LinearCode,
-    _parity_code,
+    _right_reduce,
     _set_hermitian_dual_containing,
     exact_report,
 )
@@ -113,8 +113,8 @@ def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
     return cols
 
 
-def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> LinearCode:
-    """[C_1..C_s]A stored by its right-reduced parity check, through the dual
+def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> Matrix:
+    """The right-reduced parity check of [C_1..C_s]A, through the dual
     identity [C_1-dual..C_s-dual](A^-1)^T.
 
     B = (A^-1)^T for a square nonsingular A.  Each row h of H_i gives the
@@ -135,10 +135,10 @@ def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> Li
             for b in brow:
                 row += h if b == 1 else [mul[b][y] for y in h] if b else zeros
             rows.append(row)
-    product = _parity_code(fld, rows, n * len(B))
-    if product.n - product.k < len(rows):
+    H = _right_reduce(fld, rows, n * len(B))
+    if H.nrows < len(rows):
         raise ConsistencyError("the dual identity's parity check lost rank on this instance")
-    return product
+    return H
 
 
 def is_frr(A: Matrix) -> bool:
@@ -245,8 +245,9 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
     inverted once: B = (A^-1)^T decides the Hermitian verdict
     (`_block_gram_vanishes`), which the product keeps, so
     `quantum.hermitian_construction` reads it without a Gram test on the
-    product's nm columns.  The product holds k = sum(k_i); B assembles it
-    (`_parity_product`) only when its G or H is first read.
+    product's nm columns.  The product holds k = sum(k_i) and a function
+    that assembles its H from B (`_parity_product`) when its G or H is first
+    read.
     """
     for i, c in enumerate(codes):
         if not c.is_hermitian_dual_containing():
@@ -260,8 +261,8 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
         codes[0].field,
         codes[0].n * len(B),
         None,
+        functools.partial(_parity_product, codes, B),
         k=sum(c.k for c in codes),
-        build=functools.partial(_parity_product, codes, B),
     )
     _set_hermitian_dual_containing(product, True)  # the verdict just decided
     return product

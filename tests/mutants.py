@@ -43,6 +43,9 @@ class Mutant(NamedTuple):
 
 
 DISTANCE = "tests/test_distance.py"
+NEGACYCLIC = "tests/test_negacyclic.py"
+STRUCTURE = "tests/test_structure.py"
+CONTAINMENT = "tests/test_containment.py"
 
 MUTANTS = [
     # -- the low-weight exits of the exhaustive oracle --
@@ -143,6 +146,93 @@ MUTANTS = [
         "row_prefix_code(A, max(k, 1)).min_distance_by_supports()",
         (DISTANCE,),
         f"{DISTANCE}::test_frr_bound_matches_exhaustive_prefix_distances",
+    ),
+    # -- a negacyclic component's deferred parity check --
+    Mutant(
+        "h-for-hstar",
+        "the shifts of h taken in place of the shifts of its reciprocal h*",
+        "src/mpqc/negacyclic.py",
+        "hstar = h[::-1]",
+        "hstar = h",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
+    ),
+    Mutant(
+        "membership-dropped",
+        "the shifts of g never checked against the parity check",
+        "src/mpqc/negacyclic.py",
+        "    if H.nrows != r or not all(\n"
+        "        _dots_vanish(add, [(t + i, m) for t, m in support], H.rows) for i in range(k)\n"
+        "    ):\n",
+        "    if H.nrows != r:\n",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
+    ),
+    Mutant(
+        "one-hstar-shift-fewer",
+        "one shift of h* fewer in the parity check",
+        "src/mpqc/negacyclic.py",
+        "for i in range(r)], n)",
+        "for i in range(r - 1)], n)",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_remainder_rref_matches_row_reduced_shifts",
+    ),
+    Mutant(
+        "shift-range-stops-at-k-1",
+        "the membership scan stopping at the shift x^(k-2) g",
+        "src/mpqc/negacyclic.py",
+        "H.rows) for i in range(k)",
+        "H.rows) for i in range(k - 1)",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
+    ),
+    # -- a dual-containing product's parity-side assembly --
+    Mutant(
+        "inverse-not-transposed",
+        "A^-1 returned in place of (A^-1)^T",
+        "src/mpqc/product.py",
+        "    return cols\n",
+        "    return list(ainv.rows)\n",
+        (STRUCTURE,),
+        f"{STRUCTURE}::test_parity_product_matches_kernel",
+    ),
+    Mutant(
+        "block-rows-from-a",
+        "the deferred assembly given the rows of A in place of B",
+        "src/mpqc/product.py",
+        "functools.partial(_parity_product, codes, B)",
+        "functools.partial(_parity_product, codes, A.rows)",
+        (STRUCTURE,),
+        f"{STRUCTURE}::test_deferred_product_equals_the_eager_assembly",
+    ),
+    Mutant(
+        "rank-check-dropped",
+        "the assembled parity check's rank never checked",
+        "src/mpqc/product.py",
+        "    if H.nrows < len(rows):\n"
+        '        raise ConsistencyError("the dual identity\'s parity check lost rank on this instance")\n',
+        "",
+        (STRUCTURE,),
+        f"{STRUCTURE}::test_a_component_parity_corrupted_before_assembly_is_caught",
+    ),
+    # -- code identity on the smaller canonical side --
+    Mutant(
+        "k-dropped-from-eq",
+        "== compares the smaller sides without k",
+        "src/mpqc/code.py",
+        "            and self.k == other.k\n",
+        "",
+        (CONTAINMENT,),
+        f"{CONTAINMENT}::test_a_code_whose_g_is_its_duals_h_differs_from_it",
+    ),
+    Mutant(
+        "smaller-side-flipped",
+        "the larger side read for identity when 2k != n",
+        "src/mpqc/code.py",
+        "return self.gen if 2 * self.k <= self.n else self.parity",
+        "return self.gen if 2 * self.k >= self.n else self.parity",
+        (CONTAINMENT,),
+        f"{CONTAINMENT}::test_chain_codes_hash_and_compare_without_their_generators",
     ),
 ]
 

@@ -1,14 +1,19 @@
 """Differential tests: containment and duals read off the parity check,
 against the stacked-rank and build-the-dual reference code they replaced."""
 
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpqc
 from mpqc import code as code_module
 from mpqc import negacyclic
 from mpqc.code import BudgetError, LinearCode
@@ -169,6 +174,13 @@ def codes_stored_either_way(draw):
     return LinearCode.from_parity(_spanning_rows(draw, fld, n))
 
 
+def deferred(C):
+    """C stored by a function that returns a fresh copy of its H, called on
+    the first read."""
+    H = C.parity
+    return LinearCode(C.field, C.n, None, lambda: Matrix(H.field, H.rows, ncols=H.ncols), k=C.k)
+
+
 @st.composite
 def codes(draw):
     fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
@@ -293,9 +305,9 @@ def test_both_gram_verdicts_occur(pm):
 
 @st.composite
 def cross_gram_pairs(draw):
-    """Two codes in one space, each stored by G or by H; about a third of
-    the pairs are nested dual-containing codes, where the cross-Gram
-    vanishes."""
+    """Two codes in one space, each stored by G, by H or by a function that
+    returns H; about a third of the pairs are nested dual-containing codes,
+    where the cross-Gram vanishes."""
     fld = field(*draw(st.sampled_from(SQUARE_FIELDS)))
     n = draw(st.integers(1, 6))
     if draw(st.integers(0, 2)) == 0:
@@ -303,8 +315,10 @@ def cross_gram_pairs(draw):
         pair = random_dual_containing_chain(fld, n, 2, rng)
     else:
         pair = [draw(codes_in(fld, n)), draw(codes_in(fld, n))]
-    # re-stored by H alone, so a lookup that read G would have to build it
-    return [LinearCode.from_parity(c.parity) if draw(st.booleans()) else c for c in pair]
+    # re-stored by H alone or by its function, so a lookup that read G would
+    # have to build it
+    stores = [lambda c: c, lambda c: LinearCode.from_parity(c.parity), deferred]
+    return [draw(st.sampled_from(stores))(c) for c in pair]
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,13 +423,68 @@ def test_parity_of_the_trivial_codes(pm):
 @settings(max_examples=100, deadline=None)
 @given(codes())
 def test_derived_state_leaves_equality_and_hash_alone(C):
-    fresh = LinearCode.from_generator(C.gen)
-    C.parity
+    # the code stored by G, by H and by a function that returns H
+    forms = [LinearCode.from_generator(C.gen), LinearCode.from_parity(C.parity), deferred(C)]
     C.is_hermitian_dual_containing()
-    assert fresh == C and C == fresh
-    assert hash(fresh) == hash(C)
-    assert fresh.gen == C.gen
-    assert len({fresh, C}) == 1
+    for fresh in forms:
+        assert fresh == C and C == fresh
+        assert hash(fresh) == hash(C)
+        assert len({fresh, C}) == 1
+    assert all(a == b and hash(a) == hash(b) for a in forms for b in forms)
+    assert len({*forms, C}) == 1
+    assert all(fresh.gen == C.gen and fresh.parity == C.parity for fresh in forms)
+
+
+def test_a_code_whose_g_is_its_duals_h_differs_from_it():
+    # over GF(3), span([1,1,1,1]) is compared by its G (2k <= n) and its
+    # Euclidean dual by its right-reduced H (2k > n): the same matrix, so
+    # only k tells the two codes apart
+    C = LinearCode.from_generator(Matrix(field(3), [[1, 1, 1, 1]]))
+    D = C.euclidean_dual()
+    assert C.gen == D.parity and (C.k, D.k) == (1, 3)
+    assert C != D and D != C
+    assert len({C, D}) == 2
+    assert D.euclidean_dual() == C
+
+
+IDENTITY_GUARD = """
+import json
+from mpqc.gf import square_field
+from mpqc.negacyclic import negacyclic_code
+from mpqc.quantum import _chain_defining_sets, build_chain
+
+product = build_chain(17, (1, 2, 3)).classical
+n, sets = _chain_defining_sets(17, (1, 2, 3), "full")
+codes = [negacyclic_code(n, square_field(17), Z) for Z in sets] + [product]
+hashes = [hash(C) for C in codes]
+print(json.dumps({
+    "params": [[C.n, C.k] for C in codes],
+    "stable": [hash(C) for C in codes] == hashes,
+    "equal": [[a == b for b in codes] for a in codes],
+    "distinct": len(set(codes)),
+    "gen_unread": [C._gen is None for C in codes],
+    "parity_rows": [C._parity.nrows for C in codes],
+}))
+"""
+
+
+def test_chain_codes_hash_and_compare_without_their_generators():
+    # code identity reads the smaller canonical side: H for the three l = 17
+    # components and their [870,855] product, so none writes its G; a fresh
+    # interpreter, so every code is cold
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", IDENTITY_GUARD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["params"] == [[290, 287], [290, 285], [290, 283], [870, 855]]
+    assert doc["stable"]
+    assert doc["equal"] == [[i == j for j in range(4)] for i in range(4)]
+    assert doc["distinct"] == 4
+    assert doc["gen_unread"] == [True] * 4
+    assert doc["parity_rows"] == [3, 5, 7, 15]
 
 
 def test_containment_verdict_is_computed_once(F9, monkeypatch):

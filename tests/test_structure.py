@@ -220,8 +220,10 @@ def square_products(draw):
 
 
 def parity_product(codes, A):
-    """The parity-side assembly a dual-containing product defers to."""
-    return product._parity_product(codes, product._checked_inverse_transpose(A))
+    """The code stored by the parity check that a dual-containing product's
+    deferred assembly returns."""
+    H = product._parity_product(codes, product._checked_inverse_transpose(A))
+    return LinearCode(H.field, H.ncols, None, H)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +775,8 @@ def deferred_product_cases(draw):
 def test_deferred_product_equals_the_eager_assembly(case, first_read):
     codes, A = case
     got = product._checked_product(codes, A, "lost")
-    assert got._gen is None and got._parity is None and got._hermitian_dual_containing
-    eager = product._parity_product(codes, product._checked_inverse_transpose(A))
+    assert got._gen is None and callable(got._parity) and got._hermitian_dual_containing
+    eager = parity_product(codes, A)
     assert got.k == eager.k == sum(c.k for c in codes)
     reads = {
         "==": lambda: got == eager and eager == got,
@@ -783,7 +785,7 @@ def test_deferred_product_equals_the_eager_assembly(case, first_read):
         "parity": lambda: got.parity == eager.parity,
     }
     assert reads.pop(first_read)()  # the read that assembles the product
-    assert got._build is None
+    assert isinstance(got._parity, Matrix)  # assembled once, by that read
     assert all(read() for read in reads.values())
 
 
