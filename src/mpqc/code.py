@@ -22,20 +22,20 @@ Hermitian dual lies in D iff conj(H_C) H_D^T = 0, the cross-Gram a matrix
 product code's block verdict reads), taken as sparse dot products over the
 nonzero entries of one side's rows that stop at the first nonzero entry
 (one helper, ``_dots_vanish``).  A negacyclic code <g> of
-GF(q)[x]/(x^n + 1) also carries g and conj(h*), the generator of its
-Hermitian dual (h = (x^n + 1)/g, h* its reciprocal).  Between two such
-codes each fact is one exact division, since <a> lies in <b> iff b | a for
-divisors of x^n + 1: C_a in C_b iff g_b | g_a; C contains its Hermitian dual
-iff g | conj(h*); C_a's Hermitian dual lies in C_b iff g_b | conj(h_a*).
-Every other code (the GRS families, character products, random codes)
-takes the matrix scans, which are also the divisions' reference in the
-tests.
+GF(q)[x]/(x^n + 1) also carries g, and between two such codes each fact
+reads the two generator polynomials alone: C_a in C_b iff g_b | g_a, and
+C_a's Hermitian dual lies in C_b iff gcd(g_b, conj(g_a*)) = 1, g* the
+reciprocal of g (``_coprime_to_conj_reciprocal`` says why), so C contains
+its own iff gcd(g, conj(g*)) = 1.  Every other code (the GRS families,
+character products, random codes) takes the matrix scans, which are also
+the polynomial verdicts' reference in the tests.
 A code keeps the form it reads off and its own Hermitian verdict (neither
 changes == or hash), but no verdict about another code, so it holds no
-reference to one.  The divisions are kept instead, by ``functools.cache`` on
-``_divides``, keyed by the field and the two coefficient tuples: a
-component shared between chain builds divides each pair once.  A matrix
-scan between two codes runs again on every call.
+reference to one.  The polynomial verdicts are kept instead, by
+``functools.cache`` on ``_divides`` and ``_coprime_to_conj_reciprocal``,
+keyed by the field and two generator polynomials: a component shared
+between chain builds decides each pair once.  A matrix scan between two
+codes runs again on every call.
 Distance facts always travel with a provenance tag, in a `DistanceReport`;
 nothing here ever reports a distance it did not compute or certify.  That
 report is one of the package's seven immutable records, all `_Record`
@@ -146,8 +146,7 @@ def exact_report(d: int, provenance: str) -> DistanceReport:
 
 class LinearCode:
     __slots__ = (
-        "field", "n", "k", "_gen", "_parity", "_genpoly", "_hermitian_dual_genpoly",
-        "_hermitian_dual_containing",
+        "field", "n", "k", "_gen", "_parity", "_genpoly", "_hermitian_dual_containing",
     )
 
     def __init__(
@@ -159,13 +158,11 @@ class LinearCode:
         *,
         k: int | None = None,
         genpoly: tuple[int, ...] | None = None,
-        hermitian_dual_genpoly: tuple[int, ...] | None = None,
     ):
         """Stored by G or by H; with `k` given, `parity` may instead be a
         function of no arguments that returns H on the first read.  A
-        negacyclic code <g> of GF(q)[x]/(x^n + 1) also carries `genpoly` g
-        and `hermitian_dual_genpoly` conj(h*), h = (x^n + 1)/g (None over a
-        field without conjugation)."""
+        negacyclic code <g> of GF(q)[x]/(x^n + 1), gcd(2n, q) = 1, also
+        carries `genpoly` g, from which its containment facts are read."""
         if k is None:
             k = gen.nrows if parity is None else n - parity.nrows
         _set_field(self, fld)
@@ -174,7 +171,6 @@ class LinearCode:
         _set_gen(self, gen)
         _set_parity(self, parity)
         _set_genpoly(self, genpoly)
-        _set_hermitian_dual_genpoly(self, hermitian_dual_genpoly)
         _set_hermitian_dual_containing(self, None)
 
     def __setattr__(self, *a):
@@ -306,20 +302,11 @@ class LinearCode:
         return LinearCode.from_generator(self.parity.conjugate())
 
     def is_hermitian_dual_containing(self) -> bool:
-        """Gram test conj(H) H^T = 0, run once per code.
-
-        The Gram matrix is Hermitian (entry (j, i) is the conjugate of entry
-        (i, j)), so only the entries i <= j are evaluated, each as a dot
-        product over the nonzero entries of row i, and the scan stops at the
-        first nonzero entry.  A negacyclic code divides instead: g | conj(h*).
-        """
+        """conj(H) H^T = 0, which needs 2k >= n; run once per code.  A
+        negacyclic code reads g alone: gcd(g, conj(g*)) = 1."""
         if self._hermitian_dual_containing is None:
             self.field.subfield_order  # raises unless the order is a square
-            verdict = 2 * self.k >= self.n and (
-                self._hermitian_gram_vanishes()
-                if self._genpoly is None
-                else _divides(self.field, self._hermitian_dual_genpoly, self._genpoly)
-            )
+            verdict = 2 * self.k >= self.n and self._hermitian_dual_within(self)
             _set_hermitian_dual_containing(self, verdict)
         return self._hermitian_dual_containing
 
@@ -329,30 +316,30 @@ class LinearCode:
         The rows of conj(H_self) span self's Hermitian dual, so this is
         whether that dual lies in other; the verdict is symmetric in the two
         codes.  It is the cross-Gram block of a matrix product code's parity
-        check (see `product`).  Between two negacyclic codes it is the
-        division g_other | conj(h_self*), and neither code builds a matrix.
+        check (see `product`).  Between two negacyclic codes it is
+        gcd(g_other, conj(g_self*)) = 1, and neither code builds a matrix.
         """
         if self.field != other.field or self.n != other.n:
             raise ValueError("codes live in different spaces")
         self.field.subfield_order  # raises unless the order is a square
+        return self._hermitian_dual_within(other)
+
+    def _hermitian_dual_within(self, other: "LinearCode") -> bool:
+        """Whether self's Hermitian dual lies in other: the generator
+        polynomials' coprimality between two negacyclic codes, else the scan
+        of conj(H_self) H_other^T, each row of conj(H_self) dotted over its
+        nonzero entries.  With other = self that Gram matrix is Hermitian, so
+        only its upper triangle is scanned."""
         if self._genpoly is not None and other._genpoly is not None:
-            return _divides(self.field, self._hermitian_dual_genpoly, other._genpoly)
-        return self._hermitian_gram_vanishes(other.parity.rows)
-
-    def _hermitian_gram_vanishes(self, rows=None) -> bool:
-        """conj(H) M^T = 0 for M given by `rows`, by default H itself.
-
-        Each row of conj(H) is dotted over its nonzero entries.  With M = H
-        the Gram matrix is Hermitian, so only its upper triangle is scanned.
-        """
+            return _coprime_to_conj_reciprocal(self.field, other._genpoly, self._genpoly)
         add, mul = self.field.tables.add, self.field.tables.mul
         conj = self.field.conj_table
-        H = self.parity.rows
+        H, rows = self.parity.rows, other.parity.rows
         return all(
             _dots_vanish(
                 add,
                 [(t, mul[conj[x]]) for t, x in enumerate(row) if x],
-                H[i:] if rows is None else rows,
+                H[i:] if other is self else rows,
             )
             for i, row in enumerate(H)
         )
@@ -527,16 +514,33 @@ class LinearCode:
 # the slots' own setters: `__setattr__` refuses, and object.__setattr__ is
 # slower per call than these
 (
-    _set_field, _set_n, _set_k, _set_gen, _set_parity, _set_genpoly, _set_hermitian_dual_genpoly,
-    _set_hermitian_dual_containing,
+    _set_field, _set_n, _set_k, _set_gen, _set_parity, _set_genpoly, _set_hermitian_dual_containing,
 ) = (LinearCode.__dict__[name].__set__ for name in LinearCode.__slots__)
 
 
 @functools.cache
 def _divides(fld: Field, dividend: tuple[int, ...], divisor: tuple[int, ...]) -> bool:
-    """Whether divisor | dividend over fld: the one division behind every
-    containment fact between two negacyclic codes."""
+    """Whether divisor | dividend over fld: C_a in C_b for two negacyclic
+    codes is g_b | g_a."""
     return not poly_divmod(fld, dividend, divisor)[1]
+
+
+@functools.cache
+def _coprime_to_conj_reciprocal(fld: Field, b: tuple[int, ...], a: tuple[int, ...]) -> bool:
+    """Whether gcd(b, conj(a*)) = 1 over fld, a* the reciprocal of a, by
+    Euclid's algorithm.  For two negacyclic generator polynomials this is
+    whether C_a's Hermitian dual, generated by conj(h_a*), h_a = (x^n + 1)/g_a,
+    lies in C_b: g_b | conj(h_a*).  Reciprocal and conjugation are
+    multiplicative and fix x^n + 1, so conj(h_a*) = (x^n + 1)/conj(g_a*).  The
+    build checks g_a | x^n + 1, so conj(g_a*) | x^n + 1 too; `negacyclic_code`
+    refuses gcd(2n, q) != 1, so x^n + 1 has no repeated factor.  Hence
+    g_b | conj(h_a*) iff g_b conj(g_a*) | x^n + 1 iff gcd(g_b, conj(g_a*)) = 1.
+    """
+    conj = fld.conj_table
+    r0, r1 = list(b), [conj[x] for x in reversed(a)]
+    while r1:
+        r0, r1 = r1, poly_divmod(fld, r0, r1)[1]
+    return len(r0) == 1
 
 
 def _right_reduce(fld: Field, rows: list[list[int]], ncols: int) -> Matrix:

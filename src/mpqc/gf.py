@@ -559,12 +559,8 @@ class Field:
     # -- conjugation x -> x^l for q = l^2 --
 
     @property
-    def has_square_order(self) -> bool:
-        return self.m % 2 == 0
-
-    @property
     def subfield_order(self) -> int:
-        if not self.has_square_order:
+        if self.m % 2:
             raise FieldError(f"order {self.order} is not a perfect square")
         return self.p ** (self.m // 2)
 

@@ -21,9 +21,8 @@ order 2n, so g, of degree |Z|, has no other root.
 
 The code is held by g, with k = n - deg g, which must be n - |Z|.  The
 exact division of x^n + 1 by g checks g | x^n + 1 and yields
-h = (x^n + 1)/g; the code also carries conj(h*), h* the reciprocal of h,
-which generates its Hermitian dual.  Its containment facts are then
-polynomial divisions (see `code`), and no matrix is written for them.
+h = (x^n + 1)/g, kept for the parity check below.  Its containment facts
+read g alone (see `code`), and no matrix is written for them.
 
 The matrices are written only when something reads them.  With r = deg g,
 the code defers its parity check to a function that returns the rows
@@ -159,8 +158,6 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], coeffs)
     if rem:
         raise NegacyclicError("generator polynomial does not divide x^n + 1")
-    # the Hermitian dual of <g> is <conj(h*)>, h* the reciprocal of h
-    dual = tuple(fld.conj_table[x] for x in reversed(h)) if fld.has_square_order else None
     return LinearCode(
         fld,
         n,
@@ -168,7 +165,6 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
         functools.partial(_parity_side, n, fld, coeffs, h),
         k=n - len(coeffs) + 1,
         genpoly=tuple(coeffs),
-        hermitian_dual_genpoly=dual,
     )
 
 

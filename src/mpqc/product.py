@@ -28,12 +28,12 @@ W = conj(B) B^T for B = (A^-1)^T, the product contains its Hermitian dual
 iff conj(H_i') H_i^T = 0 for every i' <= i with W_i'i != 0.  The diagonal
 blocks are the components' own verdicts; each off-diagonal block W selects
 is a cross verdict over two components (a Gram over their parity checks,
-or one polynomial division for negacyclic components), so no product is
-Gram-tested on its nm columns.  W is diagonal for every matrix
+or one gcd of the generator polynomials of negacyclic components), so no
+product is Gram-tested on its nm columns.  W is diagonal for every matrix
 `dual_containing_product` accepts (the character tables among them), and
 the chain matrix selects the cross blocks (1, 2) and (1, 3).  Each fact
-is checked once: a code keeps its own verdict, the divisions are cached
-by their polynomials (see `code`), and `is_nsc` keeps its verdict per
+is checked once: a code keeps its own verdict, the polynomial verdicts are
+cached by their polynomials (see `code`), and `is_nsc` keeps its verdict per
 matrix value through ``functools.cache`` on its private check.
 """
 

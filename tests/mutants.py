@@ -46,6 +46,7 @@ DISTANCE = "tests/test_distance.py"
 NEGACYCLIC = "tests/test_negacyclic.py"
 STRUCTURE = "tests/test_structure.py"
 CONTAINMENT = "tests/test_containment.py"
+PRODUCT = "tests/test_product.py"
 
 MUTANTS = [
     # -- the low-weight exits of the exhaustive oracle --
@@ -197,6 +198,16 @@ MUTANTS = [
         f"{STRUCTURE}::test_parity_product_matches_kernel",
     ),
     Mutant(
+        "inverse-check-dropped",
+        "A A^-1 = I never checked",
+        "src/mpqc/product.py",
+        "            if acc != (i == j):\n"
+        '                raise ConsistencyError("A A^-1 = I failed on this instance")\n',
+        "",
+        (PRODUCT,),
+        f"{PRODUCT}::test_a_wrong_inverse_fails_the_identity_check",
+    ),
+    Mutant(
         "block-rows-from-a",
         "the deferred assembly given the rows of A in place of B",
         "src/mpqc/product.py",
@@ -233,6 +244,43 @@ MUTANTS = [
         "return self.gen if 2 * self.k >= self.n else self.parity",
         (CONTAINMENT,),
         f"{CONTAINMENT}::test_chain_codes_hash_and_compare_without_their_generators",
+    ),
+    # -- Hermitian verdicts, from generator polynomials or the Gram scan --
+    Mutant(
+        "conj-dropped",
+        "the reciprocal of g_a taken without conjugation",
+        "src/mpqc/code.py",
+        "[conj[x] for x in reversed(a)]",
+        "[x for x in reversed(a)]",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
+    ),
+    Mutant(
+        "reciprocal-dropped",
+        "conj(g_a) taken in place of conj(g_a*)",
+        "src/mpqc/code.py",
+        "[conj[x] for x in reversed(a)]",
+        "[conj[x] for x in a]",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
+    ),
+    Mutant(
+        "subcode-division-swapped",
+        "g_self | g_other tested in place of g_other | g_self",
+        "src/mpqc/code.py",
+        "_divides(self.field, self._genpoly, other._genpoly)",
+        "_divides(self.field, other._genpoly, self._genpoly)",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
+    ),
+    Mutant(
+        "own-scan-skips-diagonal",
+        "the own Gram scan skipping its diagonal",
+        "src/mpqc/code.py",
+        "H[i:] if other is self else rows",
+        "H[i + 1:] if other is self else rows",
+        (CONTAINMENT,),
+        f"{CONTAINMENT}::test_dual_containment_matches_reference",
     ),
 ]
 

@@ -19,7 +19,7 @@ def test_full_space(F9):
 def test_linear_code_fills_every_slot_and_refuses_assignment(F9):
     C = LinearCode(F9, 3, Matrix(F9, [[1, 0, 1], [0, 1, 2]]))
     assert [getattr(C, name) is None for name in LinearCode.__slots__] == [
-        False, False, False, False, True, True, True, True
+        False, False, False, False, True, True, True
     ]
     assert (C.n, C.k) == (3, 2)
     with pytest.raises(AttributeError, match="LinearCode is immutable"):

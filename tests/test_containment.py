@@ -280,7 +280,7 @@ def test_dual_containment_matches_reference(C):
 def test_upper_triangle_gram_matches_full_product(C):
     # the triangle scan is compared at every rate, not only where 2k >= n
     # lets it run inside the containment verdict
-    assert C._hermitian_gram_vanishes() == reference_gram_is_zero(C)
+    assert C._hermitian_dual_within(C) == reference_gram_is_zero(C)
     expected = 2 * C.k >= C.n and reference_gram_is_zero(C)
     assert C.is_hermitian_dual_containing() == expected
 
@@ -297,7 +297,7 @@ def test_both_gram_verdicts_occur(pm):
         else:
             rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(rng.randint(0, n))]
             C = LinearCode.from_generator(Matrix(fld, rows, ncols=n))
-        verdict = C._hermitian_gram_vanishes()
+        verdict = C._hermitian_dual_within(C)
         assert verdict == reference_gram_is_zero(C)
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -348,13 +348,14 @@ def test_both_cross_gram_verdicts_occur(pm):
 
 
 def test_cross_gram_verdict_is_kept_per_other_code(F25, monkeypatch):
-    # between negacyclic codes the cross verdict is kept by the division
-    # cache, keyed by the other code's generator polynomial, not by the code:
-    # an equal code built afresh reads the same kept verdict
+    # between negacyclic codes the cross verdict is kept by the coprimality
+    # cache, keyed by the two generator polynomials, not by the codes: an
+    # equal code built afresh reads the same kept verdict
     a, b = (negacyclic_code(26, F25, centered_defining_set(5, d)) for d in (1, 2))
     other = LinearCode.full_space(F25, 26)
     verdict = a.hermitian_dual_is_subcode_of(b)
-    assert verdict == a._hermitian_gram_vanishes(b.parity.rows)
+    scanned = LinearCode.from_parity(a.parity), LinearCode.from_parity(b.parity)
+    assert verdict == scanned[0]._hermitian_dual_within(scanned[1])
     assert a.hermitian_dual_is_subcode_of(other)
 
     def refuse(*args):

@@ -618,7 +618,19 @@ def _matrix_copy(C):
     return LinearCode(C.field, C.n, C.gen)
 
 
+def _dual_divided_by(a, b):
+    """g_b | conj(h_a*), h_a = (x^n + 1)/g_a and h* the reciprocal of h: the
+    exact division behind "C_a's Hermitian dual lies in C_b", since that
+    dual is generated by conj(h_a*)."""
+    fld = a.field
+    h, rem = poly_divmod(fld, [1] + [0] * (a.n - 1) + [1], a._genpoly)
+    assert not rem
+    return not poly_divmod(fld, [fld.conj_table[x] for x in reversed(h)], b._genpoly)[1]
+
+
 def test_polynomial_verdicts_match_the_matrix_scans():
+    # the Hermitian verdicts read g alone; the matrix scans and the division
+    # by the generator of the Hermitian dual are both their reference
     outcomes = {"subcode": set(), "own": set(), "cross": set()}
 
     @settings(max_examples=150, deadline=None)
@@ -631,8 +643,10 @@ def test_polynomial_verdicts_match_the_matrix_scans():
         assert b.is_subcode_of(a) == mb.is_subcode_of(ma)
         own = a.is_hermitian_dual_containing()
         assert own == ma.is_hermitian_dual_containing()
+        assert own == (2 * a.k >= a.n and _dual_divided_by(a, a))
         cross = a.hermitian_dual_is_subcode_of(b)
         assert cross == ma.hermitian_dual_is_subcode_of(mb)
+        assert cross == _dual_divided_by(a, b) == _dual_divided_by(b, a)
         assert b.hermitian_dual_is_subcode_of(a) == cross  # symmetric in the two codes
         outcomes["subcode"].add(sub)
         outcomes["own"].add(own)
@@ -651,32 +665,43 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
     divides = code_module._divides
-    divides.cache_clear()
-    keys = []
+    coprime = code_module._coprime_to_conj_reciprocal
+    keys = {divides: [], coprime: []}
 
-    def spy(*key):
-        keys.append(key)
-        return divides(*key)
+    def spy_on(f):
+        def spy(*key):
+            keys[f].append(key)
+            return f(*key)
 
-    monkeypatch.setattr(code_module, "_divides", spy)
+        return spy
+
+    for f in keys:
+        f.cache_clear()
+    monkeypatch.setattr(code_module, "_divides", spy_on(divides))
+    monkeypatch.setattr(code_module, "_coprime_to_conj_reciprocal", spy_on(coprime))
     c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)) for d in (1, 2, 3))
     assert c3.is_subcode_of(c2) and c2.is_subcode_of(c1) and not c1.is_subcode_of(c2)
     assert all(c.is_hermitian_dual_containing() for c in (c1, c2, c3))
     assert c1.hermitian_dual_is_subcode_of(c3) and c3.hermitian_dual_is_subcode_of(c1)
     assert all(c._gen is None and callable(c._parity) for c in (c1, c2, c3))
-    # each verdict is one division, kept by the field and the two coefficient
-    # tuples, so no kept verdict holds a code or a matrix (c1 is larger than
-    # c2, so that subcode verdict needs no division)
-    assert keys == [
-        (fld, c3._genpoly, c2._genpoly),
-        (fld, c2._genpoly, c1._genpoly),
-        *((fld, c._hermitian_dual_genpoly, c._genpoly) for c in (c1, c2, c3)),
-        (fld, c1._hermitian_dual_genpoly, c3._genpoly),
-        (fld, c3._hermitian_dual_genpoly, c1._genpoly),
+    # each verdict reads two generator polynomials, of at most 8 of the 83
+    # coefficients of x^n + 1, and nothing longer
+    genpolys = {c._genpoly for c in (c1, c2, c3)}
+    assert all(p in genpolys for key in keys[divides] + keys[coprime] for p in key[1:])
+    # each verdict is one division or one coprimality test, kept by the field
+    # and the two coefficient tuples, so no kept verdict holds a code or a
+    # matrix (c1 is larger than c2, so that subcode verdict needs no division)
+    assert keys[divides] == [(fld, c3._genpoly, c2._genpoly), (fld, c2._genpoly, c1._genpoly)]
+    assert keys[coprime] == [
+        *((fld, c._genpoly, c._genpoly) for c in (c1, c2, c3)),
+        (fld, c3._genpoly, c1._genpoly),
+        (fld, c1._genpoly, c3._genpoly),
     ]
-    assert divides.cache_info().misses == 7 and divides.cache_info().hits == 0
+    counts = [(f.cache_info().misses, f.cache_info().hits) for f in keys]
+    assert counts == [(2, 0), (5, 0)]
     assert c3.is_subcode_of(c2) and c1.hermitian_dual_is_subcode_of(c3)
-    assert divides.cache_info().misses == 7 and divides.cache_info().hits == 2
+    counts = [(f.cache_info().misses, f.cache_info().hits) for f in keys]
+    assert counts == [(2, 1), (5, 1)]
     negacyclic._build_negacyclic.cache_clear()
 
 

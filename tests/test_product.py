@@ -185,6 +185,15 @@ def test_gram_check_singular_fails_both(F25):
         product._checked_inverse_transpose(A)
 
 
+def test_a_wrong_inverse_fails_the_identity_check(F25, monkeypatch):
+    # a kernel that hands back a nonsingular matrix other than A^-1: A itself,
+    # and A A = [[1, 2], [0, 1]] over GF(25)
+    A = Matrix(F25, [[1, 1], [0, 1]])
+    monkeypatch.setattr(Matrix, "det_inverse", lambda self: (1, self))
+    with pytest.raises(ConsistencyError, match=r"^A A\^-1 = I failed on this instance$"):
+        product._checked_inverse_transpose(A)
+
+
 def test_dual_containing_product_inverts_its_matrix_once(F25, rng, monkeypatch):
     codes = [random_dual_containing_code(F25, 3, rng.randint(0, 1), rng) for _ in range(4)]
     calls = []

@@ -498,19 +498,26 @@ def test_kept_facts_against_a_hand_count():
     # example 3.8 at l = 9: 35 admissible triples, each with 3 negacyclic
     # components of length 82 over GF(81) drawn from the centered defining
     # sets at depths 0..4, one root of unity, and the one NSC matrix
-    # every chain reuses (70 is_nsc calls); the chain checks and the block
-    # verdicts are divisions of the components' polynomials
+    # every chain reuses (70 is_nsc calls).  The chain checks are divisions
+    # of the components' polynomials: for d1 <= d2 <= d3 the descending check
+    # divides both consecutive pairs (70), and the ascending one divides a
+    # pair only when its depths are equal, stopping at the first larger k
+    # (15 triples with d1 = d2, 5 of them with d2 = d3 too: 20).  The block
+    # verdicts are coprimality tests: 70 cross verdicts (t1, t2) and (t1, t3)
+    # and the 5 own verdicts (d, d).  Both read the 15 depth pairs d <= d'
+    # once each
     kept = (
         negacyclic._build_negacyclic,
         negacyclic._root_of_unity,
         product._all_prefix_minors_invertible,
         code_module._divides,
+        code_module._coprime_to_conj_reciprocal,
     )
     for f in kept:
         f.cache_clear()
     cmd_example("3.8", 9, strict=False, deep=True)
     counts = [(f.cache_info().hits, f.cache_info().misses) for f in kept]
-    assert counts == [(100, 5), (4, 1), (69, 1), (135, 30)]
+    assert counts == [(100, 5), (4, 1), (69, 1), (90 - 15, 15), (75 - 15, 15)]
 
 
 @pytest.mark.parametrize(
@@ -660,31 +667,26 @@ def test_both_block_verdicts_occur_under_non_diagonal_w(pm):
 
 def _spy_on_gram_tests(monkeypatch):
     """(code, other) per Hermitian verdict, by Gram scan or by polynomial
-    division: other None for a code's own verdict, else the other code's
-    parity rows (a cross-Gram) or its generator polynomial (a division).
-    Every call of the division helper is seen, cache hits too, and is
-    charged to the code whose verdict made it; its key must hold only the
-    field and coefficient tuples."""
+    coprimality: other None for a code's own verdict, else the other code
+    (a cross verdict, which may be the code itself).  Every verdict is seen,
+    a kept one too; the polynomial helper's key must hold only the field and
+    coefficient tuples."""
     seen = []
-    gram = LinearCode._hermitian_gram_vanishes
-    divides = code_module._divides
+    within = LinearCode._hermitian_dual_within
+    coprime = code_module._coprime_to_conj_reciprocal
 
-    def spy(self, rows=None):
-        seen.append((self, rows))
-        return gram(self, rows)
+    def spy(self, other):
+        own = sys._getframe(1).f_code.co_name == "is_hermitian_dual_containing"
+        seen.append((self, None if own else other))
+        return within(self, other)
 
-    def poly_spy(fld, dividend, divisor):
+    def poly_spy(fld, b, a):
         assert type(fld) is Field
-        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in (dividend, divisor))
-        caller = sys._getframe(1)
-        verdict = caller.f_code.co_name
-        if verdict != "is_subcode_of":
-            own = verdict == "is_hermitian_dual_containing"
-            seen.append((caller.f_locals["self"], None if own else divisor))
-        return divides(fld, dividend, divisor)
+        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in (b, a))
+        return coprime(fld, b, a)
 
-    monkeypatch.setattr(LinearCode, "_hermitian_gram_vanishes", spy)
-    monkeypatch.setattr(code_module, "_divides", poly_spy)
+    monkeypatch.setattr(LinearCode, "_hermitian_dual_within", spy)
+    monkeypatch.setattr(code_module, "_coprime_to_conj_reciprocal", poly_spy)
     return seen
 
 
@@ -723,10 +725,10 @@ def test_no_product_is_gram_tested(build, monkeypatch, fresh_families):
 def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     # example 3.8 at l = 9: over GF(81), B = (A^-1)^T of the chain matrix
     # gives W = conj(B) B^T below, so each of the 35 builds selects the
-    # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 divisions over
-    # the 15 depth pairs d1 <= d2 from depths 0..4, each of the earlier
-    # component's dual by the later one's generator polynomial; each
-    # component's own verdict is divided once
+    # cross blocks (1, 2) and (1, 3) besides the diagonal: 70 cross verdicts
+    # over the 15 depth pairs d1 <= d2 from depths 0..4, each the earlier
+    # component's dual against the later component; each component's own
+    # verdict is decided once
     fld = square_field(9)
     assert hermitian_gram(product._checked_inverse_transpose(_chain_matrix(fld)), fld) == (
         (1, 1, 1),
@@ -738,9 +740,8 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
     cmd_example("3.8", 9, strict=False, deep=True)
     codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)) for d in range(5)}
     depth = {id(c): d for d, c in codes.items()}
-    depth_of_genpoly = {c._genpoly: d for d, c in codes.items()}
-    own = [depth[id(c)] for c, g in seen if g is None]
-    cross = [(depth[id(c)], depth_of_genpoly[g]) for c, g in seen if g is not None]
+    own = [depth[id(c)] for c, other in seen if other is None]
+    cross = [(depth[id(c)], depth[id(other)]) for c, other in seen if other is not None]
     triples = admissible_triples(9, "full", strict=False)
     assert len(triples) == 35
     pairs = {(t[0], t[j]) for t in triples for j in (1, 2)}
