@@ -152,6 +152,10 @@ def cmd_table1(deep: bool, budget: int) -> dict:
 
 
 def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
+    """Match one chain claim set against every admissible depth triple at l,
+    built when l <= BUILD_DEPTH_LIMIT or deep.  The `chain_audit` rows are
+    built only when they are emitted: when nothing was built or no build
+    verified."""
     if which not in CHAIN_EXAMPLES:
         raise ValueError(f"unknown example {which!r}; choose 3.8 or 3.10")
     info = CHAIN_EXAMPLES[which]
@@ -164,29 +168,25 @@ def cmd_example(which: str, l: int, strict: bool, deep: bool) -> dict:
 
     verified: list[dict] = []
     failures = 0
-    if not triples:
-        audit_rows: list[dict] = []
-    else:
-        audit_rows = [chain_audit(l, t, family) for t in triples]
-        if build:
-            for t in triples:
-                try:
-                    cb = build_chain(l, t, family, strict=strict)
-                    verified.append(
-                        {
-                            "deltas": t,
-                            "n": cb.quantum.n,
-                            "k": cb.quantum.k,
-                            "d_geq": cb.quantum.d_lower,
-                            "verified": True,
-                        }
-                    )
-                except (ConstructionError, BudgetError):
-                    continue
-                except ENGINE_FAILURES:  # pragma: no cover
-                    failures += 1
+    if build:
+        for t in triples:
+            try:
+                cb = build_chain(l, t, family, strict=strict)
+                verified.append(
+                    {
+                        "deltas": t,
+                        "n": cb.quantum.n,
+                        "k": cb.quantum.k,
+                        "d_geq": cb.quantum.d_lower,
+                        "verified": True,
+                    }
+                )
+            except (ConstructionError, BudgetError):
+                continue
+            except ENGINE_FAILURES:  # pragma: no cover
+                failures += 1
 
-    records = verified if verified else audit_rows
+    records = verified if verified else [chain_audit(l, t, family) for t in triples]
     rows = []
     discrepancies = 0
     for cn, ck, cd in claims:

@@ -36,9 +36,10 @@ the tables, and ``verify`` audits the tables against the packed form.
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
 vector encodes the smallest integer (constant term = least significant
-digit) is chosen.  The generator is pinned the same way: the smallest code
-g >= 2 of multiplicative order p^m - 1.  Two processes therefore always
-agree on every element code and every table.
+digit) is chosen; each candidate is tested by a root scan, then by Ben-Or's
+test.  The generator is pinned the same way: the smallest code g >= 2 of
+multiplicative order p^m - 1.  Two processes therefore always agree on
+every element code and every table.
 
 The package's one set of polynomial helpers over a Field (``poly_divmod``,
 ``poly_eval``) lives here too, beside the resultant over GF(p).
@@ -162,20 +163,35 @@ def poly_eval(fld: "Field", c: Sequence[int], x: int) -> int:
 
 
 def _is_irreducible(c: list[int], fp: "Field") -> bool:
-    """Monic poly over the prime field fp: no roots, then trial division by
-    all monic polynomials of degree 2..deg/2 (only reachable factor degrees)."""
+    """Monic c of degree m >= 2 over the prime field fp: the root scan, then
+    Ben-Or's test gcd(c, x^(p^i) - x) = 1 for 2 <= i <= m/2, as x^(p^i) - x
+    is the product of the monic irreducibles of degree dividing i (Ben-Or,
+    FOCS 1981; von zur Gathen & Gerhard, ch. 14).  x^(p^i) mod c comes by
+    square-and-multiply on ``poly_divmod``, and the gcd is 1 iff
+    `_resultant`, Euclid's steps on the same division, is nonzero."""
     deg = len(c) - 1
-    if deg == 1:
-        return True
     p = fp.p
     for x in range(p):
         if poly_eval(fp, c, x) == 0:
             return False
-    for fdeg in range(2, deg // 2 + 1):
-        for enc in range(p**fdeg):
-            div = _decode_coeffs(enc, p, fdeg) + [1]
-            if not poly_divmod(fp, c, div)[1]:
-                return False
+    add, mul, neg, _ = fp.tables
+
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = add[out[i + j]][mul[ai][bj]]
+        return poly_divmod(fp, out, c)[1]
+
+    for i in range(2, deg // 2 + 1):
+        acc = [1]
+        for bit in bin(p**i)[2:]:
+            acc = mulmod(acc, acc)
+            acc = mulmod(acc, [0, 1]) if bit == "1" else acc
+        b = acc + [0] * (2 - len(acc))
+        b[1] = add[b[1]][neg[1]]  # x^(p^i) - x mod c
+        if not _resultant(c, b, p):
+            return False
     return True
 
 

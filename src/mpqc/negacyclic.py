@@ -36,7 +36,9 @@ in it, tested by the scan behind `LinearCode.contains_word`.
 
 `negacyclic_code` keeps each verified code per (n, field, defining set)
 through ``functools.cache`` on its builder, so a chain that reuses a
-component builds and checks it once.
+component builds and checks it once.  The defining sets and their run-bound
+distance reports are kept the same way, each on a private builder behind
+its plain public function, so a chain audit derives each once per process.
 """
 
 from __future__ import annotations
@@ -92,6 +94,13 @@ class DefiningSet(_Record):
 
 
 def defining_set_from_residues(n: int, q: int, seeds) -> DefiningSet:
+    """The union of the q-cyclotomic cosets mod 2n of the seeds, kept per
+    (n, q, seeds) on a private builder: a repeated call returns the same record."""
+    return _defining_set(n, q, tuple(seeds))
+
+
+@functools.cache
+def _defining_set(n: int, q: int, seeds: tuple[int, ...]) -> DefiningSet:
     members: set[int] = set()
     for j in seeds:
         members.update(cyclotomic_coset(j, 2 * n, q))
@@ -219,7 +228,13 @@ def distance_report(defining: DefiningSet) -> DistanceReport:
     the structure alone: the consecutive run bound below, the Singleton
     bound n - k + 1 = |Z| + 1 above (k = n - |Z| is checked at build).  For
     the centered and half-length families the two meet, so the report is
-    exact without any codeword enumeration."""
+    exact without any codeword enumeration.  It is kept per defining set on
+    a private builder."""
+    return _distance_report(defining)
+
+
+@functools.cache
+def _distance_report(defining: DefiningSet) -> DistanceReport:
     return DistanceReport(bch_bound(defining), len(defining) + 1, "bch", "singleton")
 
 

@@ -16,7 +16,7 @@ that H is assembled through the dual identity C^perp = [C_1-dual..C_s-dual]
 (A^-1)^T (Blackmore and Norton), which stacks one block row (b_ij h)_j per
 row h of each component's parity check; that sum(n - k_i)-row stack is
 right-reduced by `code`'s one right-reduction, with its rank checked.  A^-1
-comes from the kernel and A A^-1 = I is checked entrywise.
+comes from the kernel and A A^-1 = I is checked through `@`.
 
 Derived facts are recomputed, not trusted: the dual identity is checked on
 both sides (each built from its definition, never through the parity-side
@@ -95,22 +95,14 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
 
 
 def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
-    """(A^-1)^T for a square A, with A A^-1 = I checked entrywise; a singular
-    A raises, since both callers' conditions make A nonsingular."""
-    add, mul = A.field.tables.add, A.field.tables.mul
+    """(A^-1)^T for a square A, with A A^-1 = I checked through `@`; a
+    singular A raises, since both callers' conditions make A nonsingular."""
     _, ainv = A.det_inverse()
     if ainv is None:
         raise ConsistencyError("A is singular despite the product conditions")
-    cols = list(zip(*ainv.rows))
-    for i, arow in enumerate(A.rows):
-        for j, col in enumerate(cols):
-            acc = 0
-            for a, x in zip(arow, col):
-                if a:
-                    acc = add[acc][mul[a][x]]
-            if acc != (i == j):
-                raise ConsistencyError("A A^-1 = I failed on this instance")
-    return cols
+    if A @ ainv != Matrix.identity(A.field, A.nrows):
+        raise ConsistencyError("A A^-1 = I failed on this instance")
+    return list(zip(*ainv.rows))
 
 
 def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> Matrix:

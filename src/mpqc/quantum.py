@@ -26,6 +26,7 @@ distance floor off the same defining sets without building any matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -273,7 +274,10 @@ def build_case(
 _CHAIN_MATRIX_ROWS = [[1, 1, 1], [0, 2, 1], [0, 0, 1]]
 
 
+@functools.cache
 def _chain_matrix(fld) -> Matrix:
+    """The NSC matrix of every chain over this field, made once per field,
+    so each build hands the same Matrix to `is_nsc` and the product."""
     return Matrix(fld, [[x % fld.p for x in row] for row in _CHAIN_MATRIX_ROWS])
 
 

@@ -47,6 +47,8 @@ NEGACYCLIC = "tests/test_negacyclic.py"
 STRUCTURE = "tests/test_structure.py"
 CONTAINMENT = "tests/test_containment.py"
 PRODUCT = "tests/test_product.py"
+GF = "tests/test_gf.py"
+CLI = "tests/test_cli.py"
 
 MUTANTS = [
     # -- the low-weight exits of the exhaustive oracle --
@@ -192,7 +194,7 @@ MUTANTS = [
         "inverse-not-transposed",
         "A^-1 returned in place of (A^-1)^T",
         "src/mpqc/product.py",
-        "    return cols\n",
+        "    return list(zip(*ainv.rows))\n",
         "    return list(ainv.rows)\n",
         (STRUCTURE,),
         f"{STRUCTURE}::test_parity_product_matches_kernel",
@@ -201,8 +203,8 @@ MUTANTS = [
         "inverse-check-dropped",
         "A A^-1 = I never checked",
         "src/mpqc/product.py",
-        "            if acc != (i == j):\n"
-        '                raise ConsistencyError("A A^-1 = I failed on this instance")\n',
+        "    if A @ ainv != Matrix.identity(A.field, A.nrows):\n"
+        '        raise ConsistencyError("A A^-1 = I failed on this instance")\n',
         "",
         (PRODUCT,),
         f"{PRODUCT}::test_a_wrong_inverse_fails_the_identity_check",
@@ -281,6 +283,35 @@ MUTANTS = [
         "H[i + 1:] if other is self else rows",
         (CONTAINMENT,),
         f"{CONTAINMENT}::test_dual_containment_matches_reference",
+    ),
+    # -- the irreducibility test behind every modulus --
+    Mutant(
+        "ben-or-plus-x",
+        "Ben-Or's gcd taken with x^(p^i) + x in place of x^(p^i) - x",
+        "src/mpqc/gf.py",
+        "b[1] = add[b[1]][neg[1]]",
+        "b[1] = add[b[1]][1]",
+        (GF,),
+        f"{GF}::test_smallest_irreducible_matches_the_integer_search",
+    ),
+    Mutant(
+        "ben-or-range-short",
+        "Ben-Or's range stopping one index short of m/2",
+        "src/mpqc/gf.py",
+        "for i in range(2, deg // 2 + 1):",
+        "for i in range(2, deg // 2):",
+        (GF,),
+        f"{GF}::test_smallest_irreducible_matches_the_integer_search",
+    ),
+    # -- the chain audit's fallback rows --
+    Mutant(
+        "audit-fallback-inverted",
+        "the audit rows made only when some build verified",
+        "src/mpqc/cli.py",
+        "records = verified if verified else [chain_audit(l, t, family) for t in triples]",
+        "records = [chain_audit(l, t, family) for t in triples] if verified else verified",
+        (CLI,),
+        f"{CLI}::test_audit_rows_are_made_only_when_no_build_verifies",
     ),
 ]
 

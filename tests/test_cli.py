@@ -252,3 +252,28 @@ def test_engine_failures_are_counted_and_bugs_propagate(monkeypatch, command):
         monkeypatch.setattr(cli, name, buggy)
     with pytest.raises(TypeError):
         run_cli(command)
+
+
+def test_audit_rows_are_made_only_when_no_build_verifies(monkeypatch):
+    from mpqc import cli
+    from mpqc.constructions import ConstructionError
+    from mpqc.quantum import admissible_triples, chain_audit
+
+    def refused(*args, **kwargs):
+        raise ConstructionError("refused")
+
+    # every build refused: the rows are the arithmetic audit of each triple
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_chain", refused)
+        report = cli.cmd_example("3.8", 9, False, True)
+    audit = [chain_audit(9, t, "full") for t in admissible_triples(9, "full", False)]
+    assert report["achieved"] == audit
+    assert {r["grade"] for r in report["rows"]} == {"arithmetic-audit"}
+
+    # every build verified: no audit row is made
+    calls = []
+    monkeypatch.setattr(cli, "chain_audit", lambda *args: calls.append(args))
+    report = cli.cmd_example("3.8", 9, False, True)
+    assert len(report["achieved"]) == len(audit)
+    assert all(r["verified"] for r in report["achieved"])
+    assert calls == []

@@ -505,19 +505,29 @@ def test_kept_facts_against_a_hand_count():
     # (15 triples with d1 = d2, 5 of them with d2 = d3 too: 20).  The block
     # verdicts are coprimality tests: 70 cross verdicts (t1, t2) and (t1, t3)
     # and the 5 own verdicts (d, d).  Both read the 15 depth pairs d <= d'
-    # once each
+    # once each.  Every build verifies, so no audit row is made: the 105
+    # defining sets and their 105 run-bound reports come from the builds,
+    # 3 components each, over the 5 depths, and the 35 builds share the
+    # one field's chain matrix
     kept = (
         negacyclic._build_negacyclic,
         negacyclic._root_of_unity,
         product._all_prefix_minors_invertible,
         code_module._divides,
         code_module._coprime_to_conj_reciprocal,
+        negacyclic._defining_set,
+        negacyclic._distance_report,
+        _chain_matrix,
     )
     for f in kept:
         f.cache_clear()
     cmd_example("3.8", 9, strict=False, deep=True)
     counts = [(f.cache_info().hits, f.cache_info().misses) for f in kept]
-    assert counts == [(100, 5), (4, 1), (69, 1), (90 - 15, 15), (75 - 15, 15)]
+    builds, components, depths = 35, 3 * 35, 5
+    assert counts == [
+        (100, 5), (4, 1), (69, 1), (90 - 15, 15), (75 - 15, 15),
+        (components - depths, depths), (components - depths, depths), (builds - 1, 1),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -527,6 +537,10 @@ def test_kept_facts_against_a_hand_count():
         constructions.extended_rs_dual_containing,
         constructions.negacyclic_mds_dual_containing,
         negacyclic.negacyclic_code,
+        negacyclic.defining_set_from_residues,
+        negacyclic.centered_defining_set,
+        negacyclic.half_length_defining_set,
+        negacyclic.distance_report,
         product.is_nsc,
     ],
 )
