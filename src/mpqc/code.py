@@ -532,8 +532,9 @@ def _coprime_to_conj_reciprocal(fld: Field, b: tuple[int, ...], a: tuple[int, ..
     whether C_a's Hermitian dual, generated by conj(h_a*), h_a = (x^n + 1)/g_a,
     lies in C_b: g_b | conj(h_a*).  Reciprocal and conjugation are
     multiplicative and fix x^n + 1, so conj(h_a*) = (x^n + 1)/conj(g_a*).  The
-    build checks g_a | x^n + 1, so conj(g_a*) | x^n + 1 too; `negacyclic_code`
-    refuses gcd(2n, q) != 1, so x^n + 1 has no repeated factor.  Hence
+    build checks g_a | x^n + 1 as x^n = -1 mod g_a, without dividing out h_a,
+    so conj(g_a*) | x^n + 1 too; `negacyclic_code` refuses gcd(2n, q) != 1,
+    so x^n + 1 has no repeated factor.  Hence
     g_b | conj(h_a*) iff g_b conj(g_a*) | x^n + 1 iff gcd(g_b, conj(g_a*)) = 1.
     """
     conj = fld.conj_table

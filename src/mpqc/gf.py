@@ -36,13 +36,14 @@ the tables, and ``verify`` audits the tables against the packed form.
 The modulus is pinned deterministically: among all monic irreducible
 polynomials of degree m over GF(p), the one whose non-leading coefficient
 vector encodes the smallest integer (constant term = least significant
-digit) is chosen; each candidate is tested by a root scan, then by Ben-Or's
-test.  The generator is pinned the same way: the smallest code g >= 2 of
-multiplicative order p^m - 1.  Two processes therefore always agree on
-every element code and every table.
+digit) is chosen; each candidate is tested by Ben-Or's test, whose first
+step rules out a root in GF(p).  The generator is pinned the same way: the
+smallest code g >= 2 of multiplicative order p^m - 1.  Two processes
+therefore always agree on every element code and every table.
 
 The package's one set of polynomial helpers over a Field (``poly_divmod``,
-``poly_eval``) lives here too, beside the resultant over GF(p).
+and ``poly_powmod``, the one polynomial power) lives here too, beside the
+resultant over GF(p).
 """
 
 from __future__ import annotations
@@ -153,44 +154,39 @@ def poly_divmod(fld: "Field", a: list[int], b: list[int]) -> tuple[list[int], li
     return q, a
 
 
-def poly_eval(fld: "Field", c: Sequence[int], x: int) -> int:
-    """c(x) by Horner's rule on the field's tables."""
-    add, by_x = fld.tables.add, fld.tables.mul[x]
-    acc = 0
-    for ci in reversed(c):
-        acc = add[by_x[acc]][ci]
+def poly_powmod(fld: "Field", a: list[int], e: int, f: list[int]) -> list[int]:
+    """a^e mod f, trimmed, by square-and-multiply on the field's tables, each
+    product reduced by ``poly_divmod``; a^0 is 1 mod f."""
+    add, mul = fld.tables.add, fld.tables.mul
+    a = poly_divmod(fld, a, f)[1]
+    acc = poly_divmod(fld, [1], f)[1]
+    for bit in bin(e)[2:]:
+        # square, then multiply by a on a 1 bit: the tuple holds the old acc
+        for b in (acc, a) if bit == "1" else (acc,):
+            out = [0] * (len(acc) + len(b) - 1)
+            for i, ai in enumerate(acc):
+                row = mul[ai]
+                for j, bj in enumerate(b):
+                    out[i + j] = add[out[i + j]][row[bj]]
+            acc = poly_divmod(fld, out, f)[1]
     return acc
 
 
 def _is_irreducible(c: list[int], fp: "Field") -> bool:
-    """Monic c of degree m >= 2 over the prime field fp: the root scan, then
-    Ben-Or's test gcd(c, x^(p^i) - x) = 1 for 2 <= i <= m/2, as x^(p^i) - x
-    is the product of the monic irreducibles of degree dividing i (Ben-Or,
-    FOCS 1981; von zur Gathen & Gerhard, ch. 14).  x^(p^i) mod c comes by
-    square-and-multiply on ``poly_divmod``, and the gcd is 1 iff
-    `_resultant`, Euclid's steps on the same division, is nonzero."""
-    deg = len(c) - 1
-    p = fp.p
-    for x in range(p):
-        if poly_eval(fp, c, x) == 0:
-            return False
-    add, mul, neg, _ = fp.tables
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = add[out[i + j]][mul[ai][bj]]
-        return poly_divmod(fp, out, c)[1]
-
-    for i in range(2, deg // 2 + 1):
-        acc = [1]
-        for bit in bin(p**i)[2:]:
-            acc = mulmod(acc, acc)
-            acc = mulmod(acc, [0, 1]) if bit == "1" else acc
+    """Monic c of degree m >= 2 over the prime field fp, by Ben-Or's test
+    gcd(c, x^(p^i) - x) = 1 for 1 <= i <= m/2, as x^(p^i) - x is the product
+    of the monic irreducibles of degree dividing i (Ben-Or, FOCS 1981; von
+    zur Gathen & Gerhard, ch. 14); at i = 1 it says that c has no root in
+    GF(p).  x^(p^i) mod c is the p-th power of x^(p^(i-1)) mod c by
+    ``poly_powmod``, and the gcd is 1 iff `_resultant`, Euclid's steps on
+    the same division, is nonzero."""
+    add, neg = fp.tables.add, fp.tables.neg
+    acc = [0, 1]
+    for i in range(1, (len(c) - 1) // 2 + 1):
+        acc = poly_powmod(fp, acc, fp.p, c)
         b = acc + [0] * (2 - len(acc))
         b[1] = add[b[1]][neg[1]]  # x^(p^i) - x mod c
-        if not _resultant(c, b, p):
+        if not _resultant(c, b, fp.p):
             return False
     return True
 

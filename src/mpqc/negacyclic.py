@@ -20,14 +20,14 @@ at every gamma^j, j in Z.  These |Z| roots are distinct, since gamma has
 order 2n, so g, of degree |Z|, has no other root.
 
 The code is held by g, with k = n - deg g, which must be n - |Z|.  The
-exact division of x^n + 1 by g checks g | x^n + 1 and yields
-h = (x^n + 1)/g, kept for the parity check below.  Its containment facts
-read g alone (see `code`), and no matrix is written for them.
+build checks g | x^n + 1 as x^n = -1 mod g (``gf.poly_powmod``), so it
+divides nothing of length n.  Its containment facts read g alone (see
+`code`), and no matrix is written for them.
 
 The matrices are written only when something reads them.  With r = deg g,
 the code defers its parity check to a function that returns the rows
-x^i h*, i < r, right-reduced, from which G is read off like any code
-stored by H (see `code`).
+x^i h*, i < r, of h = (x^n + 1)/g by exact division, right-reduced, from
+which G is read off like any code stored by H (see `code`).
 A word of <g> is c = a g with deg a < k, so c h = a (x^n + 1) has no term
 x^k..x^(n-1), and row i of those shifts reads the term x^(k+i) (Kai & Zhu,
 IEEE Trans. Inf. Theory 59(2), 2013).  The code they check is confirmed to
@@ -47,7 +47,7 @@ import functools
 import math
 
 from .code import DistanceReport, LinearCode, _dots_vanish, _Record, _right_reduce
-from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, primitive_root_of_unity
+from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, poly_powmod, primitive_root_of_unity
 from .matrix import Matrix
 
 
@@ -144,9 +144,10 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
 
     Checks performed: gamma has order exactly 2n, the generator polynomial
     has every coefficient in GF(q), vanishes at gamma^j for each j in the
-    defining set and divides x^n + 1 exactly, and the code has dimension
-    n - |Z|; when a matrix is first read, the code the h* shifts check has
-    k = n - deg g and holds every shift of g.  Any failure is an internal
+    defining set and divides x^n + 1 (x^n = -1 mod g), and the code has
+    dimension n - |Z|; when a matrix is first read, the division is exact
+    and the code the h* shifts check has k = n - deg g and holds every shift
+    of g.  Any failure is an internal
     consistency error.  The checks run once per distinct code: a repeated
     call returns the same object, with the facts it has kept.
     """
@@ -164,23 +165,26 @@ def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     coeffs = _generator_polynomial(n, fld, defining) if defining.residues else [1]
     if len(coeffs) - 1 != len(defining):
         raise NegacyclicError("dimension disagrees with the defining set size")
-    h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], coeffs)
-    if rem:
+    # g | x^n + 1 iff x^n = -1 mod g, which is 0 mod g = 1
+    if poly_powmod(fld, [0, 1], n, coeffs) != [fld.tables.neg[1]][: len(coeffs) - 1]:
         raise NegacyclicError("generator polynomial does not divide x^n + 1")
     return LinearCode(
         fld,
         n,
         None,
-        functools.partial(_parity_side, n, fld, coeffs, h),
+        functools.partial(_parity_side, n, fld, coeffs),
         k=n - len(coeffs) + 1,
         genpoly=tuple(coeffs),
     )
 
 
-def _parity_side(n: int, fld: Field, g: list[int], h: list[int]) -> Matrix:
-    """H of <g>: the shifts x^i h*, i < r = deg g, right-reduced and
-    confirmed to check exactly <g>: they keep rank r, so k = n - r, and every
-    shift x^i g, i < k, is a word of the code they check."""
+def _parity_side(n: int, fld: Field, g: list[int]) -> Matrix:
+    """H of <g>: the shifts x^i h*, i < r = deg g, h = (x^n + 1)/g exactly,
+    right-reduced and confirmed to check exactly <g>: they keep rank r, so
+    k = n - r, and every shift x^i g, i < k, is a word of the code they check."""
+    h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], g)
+    if rem:
+        raise NegacyclicError("generator polynomial does not divide x^n + 1")
     r = len(g) - 1
     k = n - r
     hstar = h[::-1]

@@ -150,6 +150,35 @@ MUTANTS = [
         (DISTANCE,),
         f"{DISTANCE}::test_frr_bound_matches_exhaustive_prefix_distances",
     ),
+    # -- a negacyclic component's build check, x^n = -1 mod g --
+    Mutant(
+        "xn-minus-1-for-xn",
+        "x^(n-1) taken in place of x^n in the build's check",
+        "src/mpqc/negacyclic.py",
+        "poly_powmod(fld, [0, 1], n, coeffs)",
+        "poly_powmod(fld, [0, 1], n - 1, coeffs)",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_genpoly_divides_xn_plus_1",
+    ),
+    Mutant(
+        "plus-1-for-minus-1",
+        "x^n = +1 mod g checked in place of x^n = -1 mod g",
+        "src/mpqc/negacyclic.py",
+        "[fld.tables.neg[1]][: len(coeffs) - 1]",
+        "[1][: len(coeffs) - 1]",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_genpoly_divides_xn_plus_1",
+    ),
+    Mutant(
+        "xn-check-dropped",
+        "the build's check that g divides x^n + 1 dropped",
+        "src/mpqc/negacyclic.py",
+        "    if poly_powmod(fld, [0, 1], n, coeffs) != [fld.tables.neg[1]][: len(coeffs) - 1]:\n"
+        '        raise NegacyclicError("generator polynomial does not divide x^n + 1")\n',
+        "",
+        (NEGACYCLIC,),
+        f"{NEGACYCLIC}::test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused",
+    ),
     # -- a negacyclic component's deferred parity check --
     Mutant(
         "h-for-hstar",
@@ -298,8 +327,17 @@ MUTANTS = [
         "ben-or-range-short",
         "Ben-Or's range stopping one index short of m/2",
         "src/mpqc/gf.py",
-        "for i in range(2, deg // 2 + 1):",
-        "for i in range(2, deg // 2):",
+        "for i in range(1, (len(c) - 1) // 2 + 1):",
+        "for i in range(1, (len(c) - 1) // 2):",
+        (GF,),
+        f"{GF}::test_smallest_irreducible_matches_the_integer_search",
+    ),
+    Mutant(
+        "ben-or-from-2",
+        "Ben-Or's i = 1 step, gcd(c, x^p - x) = 1, dropped: roots in GF(p) go unseen",
+        "src/mpqc/gf.py",
+        "        if not _resultant(c, b, fp.p):",
+        "        if i > 1 and not _resultant(c, b, fp.p):",
         (GF,),
         f"{GF}::test_smallest_irreducible_matches_the_integer_search",
     ),

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpqc
@@ -21,7 +21,7 @@ from mpqc.gf import (
     multiplicative_order,
     prime_factors,
     poly_divmod,
-    poly_eval,
+    poly_powmod,
     primitive_root_of_unity,
     smallest_irreducible,
     square_field,
@@ -259,6 +259,16 @@ def reference_poly_eval(c, x, p):
     return acc
 
 
+def poly_eval(fld, c, x):
+    """The package's former evaluation by Horner's rule on the field's tables,
+    kept verbatim as a test reference beside its integer copy."""
+    add, by_x = fld.tables.add, fld.tables.mul[x]
+    acc = 0
+    for ci in reversed(c):
+        acc = add[by_x[acc]][ci]
+    return acc
+
+
 def reference_is_irreducible(c, p):
     # kept verbatim from gf._is_irreducible
     deg = len(c) - 1
@@ -309,6 +319,41 @@ def test_poly_divmod_matches_the_integer_copy(case):
     a_before, b_before = list(a), list(b)
     assert poly_divmod(field(p), a, b) == reference_poly_divmod(a, b, p)
     assert (a, b) == (a_before, b_before)  # neither operand is modified
+
+
+def reference_poly_powmod(a, e, f, p):
+    """a^e mod f by e multiplications, each reduced by the integer division."""
+    acc = reference_poly_divmod([1], f, p)[1]
+    for _ in range(e):
+        prod = [0] * (len(acc) + len(a) - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(a):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        acc = reference_poly_divmod(prod, f, p)[1]
+    return acc
+
+
+@st.composite
+def _powmod_case(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    a = draw(st.lists(st.integers(0, p - 1), max_size=7))
+    f = draw(st.lists(st.integers(0, p - 1), max_size=3)) + [draw(st.integers(1, p - 1))]
+    return p, a, draw(st.integers(0, 40)), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(_powmod_case())
+@example((5, [2, 3], 0, [1, 0, 1]))  # e = 0: 1 mod f
+@example((7, [2, 3, 1], 1, [1, 0, 1]))  # e = 1: a mod f
+@example((3, [], 5, [2, 1]))  # a = 0
+@example((5, [4, 0, 1], 9, [1, 0, 1]))  # a = f, so a = 0 mod f
+@example((13, [0, 1], 30, [3, 1]))  # deg f = 1: x^30 mod x + 3 is (-3)^30
+@example((2, [1, 1], 3, [1]))  # deg f = 0: everything is 0 mod f
+def test_poly_powmod_matches_repeated_multiplication(case):
+    p, a, e, f = case
+    a_before, f_before = list(a), list(f)
+    assert poly_powmod(field(p), a, e, f) == reference_poly_powmod(a, e, f, p)
+    assert (a, f) == (a_before, f_before)  # neither operand is modified
 
 
 def poly_mul(fld: "Field", a: list[int], b: list[int]) -> list[int]:

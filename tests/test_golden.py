@@ -50,6 +50,13 @@ def test_every_snapshot_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
+def test_the_identity_gate_runs_every_snapshot_as_text_and_json():
+    from identity import INVOCATIONS
+
+    for argv, _ in CASES.values():
+        assert argv in INVOCATIONS and argv + ["--format", "json"] in INVOCATIONS, argv
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_snapshot(name):
     argv, exit_code = CASES[name]

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gf import poly_mul
+from test_gf import poly_eval, poly_mul, reference_method_poly_divmod
 
 import mpqc
 from mpqc import code as code_module
@@ -24,7 +24,6 @@ from mpqc.gf import (
     field,
     multiplicative_order,
     poly_divmod,
-    poly_eval,
     primitive_root_of_unity,
     square_field,
 )
@@ -751,19 +750,60 @@ def test_a_cold_parity_read_writes_no_generator(l, cold_roots):
         (7, 25, half_length_defining_set(7, 1)),
     ],
 )
-def test_the_parity_side_refuses_a_corrupted_h_or_g(l, n, Z):
+def test_the_parity_side_refuses_a_corrupted_h_or_g(l, n, Z, monkeypatch):
     fld = square_field(l)
     g = list(negacyclic_code(n, fld, Z)._genpoly)
-    h, rem = poly_divmod(fld, [1] + [0] * (n - 1) + [1], g)
-    assert not rem
-    assert negacyclic._parity_side(n, fld, g, h) == reference_code(fld, n, g).parity
-    for poly in (g, h):
-        for j in range(len(poly)):
-            saved = poly[j]
-            poly[j] = fld.add(saved, 1)
+    xn1 = [1] + [0] * (n - 1) + [1]
+    assert negacyclic._parity_side(n, fld, g) == reference_code(fld, n, g).parity
+    refused = 0
+    for j in range(len(g)):
+        bad = list(g)
+        bad[j] = fld.add(bad[j], 1)
+        if reference_method_poly_divmod(fld, xn1, bad)[1]:
+            with pytest.raises(NegacyclicError, match="^generator polynomial does not divide x\\^n \\+ 1$"):
+                negacyclic._parity_side(n, fld, bad)
+            refused += 1
+        else:
+            # a unit times another divisor of x^n + 1, as 2x + 3 = 2(x + 3/2)
+            # is at n = 2 over GF(9): it generates a code, and H checks that one
+            assert negacyclic._parity_side(n, fld, bad) == reference_code(fld, n, bad).parity
+    assert refused >= len(g) - 1
+    # a corrupted h reaches the membership scan when the division hands it in
+    h = poly_divmod(fld, xn1, g)[0]
+    for j in range(len(h)):
+        bad = list(h)
+        bad[j] = fld.add(bad[j], 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(negacyclic, "poly_divmod", lambda *args: (bad, []))
             with pytest.raises(NegacyclicError, match="^the h\\* shifts do not check exactly <g>$"):
-                negacyclic._parity_side(n, fld, g, h)
-            poly[j] = saved
+                negacyclic._parity_side(n, fld, g)
+
+
+def test_a_build_divides_nothing_of_length_n(F25, monkeypatch):
+    # the build checks x^26 = -1 mod g by powers mod g; x^26 + 1 is divided
+    # by g only when a parity check is first read
+    def refuse(*args):
+        raise AssertionError("a division of x^n + 1")
+
+    negacyclic._build_negacyclic.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(negacyclic, "poly_divmod", refuse)
+        codes = [negacyclic_code(26, F25, centered_defining_set(5, d)) for d in range(3)]
+        assert [C.k for C in codes] == [25, 23, 21]
+        own = [C.is_hermitian_dual_containing() for C in codes]
+        cross = [[a.hermitian_dual_is_subcode_of(b) for b in codes] for a in codes]
+        with pytest.raises(AssertionError, match="^a division of x\\^n \\+ 1$"):
+            codes[2].parity
+        assert all(callable(C._parity) for C in codes)
+    # == and hash read the smaller side, here H, so they divide once the
+    # division is allowed again; the verdicts agree with the matrix scans
+    scanned = [LinearCode.from_parity(C.parity) for C in codes]
+    for C, S in zip(codes, scanned):
+        ref = reference_code(F25, 26, C._genpoly)
+        assert C == ref == S and hash(C) == hash(ref)
+    assert own == [S.is_hermitian_dual_containing() for S in scanned] == [True] * 3
+    assert cross == [[a.hermitian_dual_is_subcode_of(b) for b in scanned] for a in scanned]
+    negacyclic._build_negacyclic.cache_clear()
 
 
 WIDTH_GUARD = """
