@@ -17,7 +17,6 @@ fixed invocation.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -53,6 +52,8 @@ def emit(report: dict, fmt: str) -> str:
         return json.dumps(report, indent=2) + "\n"
     rows = report.get("rows", [])
     if fmt == "csv":
+        import csv  # only --format csv reads it; a cold process skips csv and _csv
+
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))

@@ -30,9 +30,14 @@ The length l^2 - 1 family is built by a deterministic ladder:
      drop two of the q+1 curve points, then solve the F_l-linear system
      sum_j mu_j g_j conj(g_j)^T = 0 for per-column norms mu.  Any solution
      with all coordinates nonzero scales into an [n, d-1] code whose
-     Hermitian dual is the candidate.  The candidate's Gram test is the
-     self-orthogonality check, and one DFS on its d-1 parity rows
-     certifies MDS.  This reaches d = l at l = 3 and 5, and at l = 7 under
+     Hermitian dual is the candidate.  The kernel is searched on packed
+     digit sums, one int add per term and one int test per vector: walked
+     in itertools.product order when small, else sampled from a fixed
+     seed, each coefficient drawn by getrandbits with randrange's
+     rejection loop.  Either way it tries the same vectors in the same
+     order as summing each over the subfield tables would.  The
+     candidate's Gram test is the self-orthogonality check, and one DFS on
+     its d-1 parity rows certifies MDS.  This reaches d = l at l = 3 and 5, and at l = 7 under
      a raised subset budget; it finds no candidate at l = 2 or 4.
   4. A registry of frozen generators for sporadic parameters that no
      parametric family reaches (currently the [8,5,4] code over GF(9),
@@ -151,15 +156,28 @@ NORM_SEARCH_CAP = 400000
 def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     """Column norms mu in (GF(l)*)^n with sum_j mu_j g_j conj(g_j)^T = 0.
 
-    The system is linear over the subfield GF(l); its kernel is searched
-    for a vector with every coordinate nonzero.  Returns mu as subfield
-    codes, or None.  A kernel of at most NORM_SEARCH_CAP vectors is walked
-    in itertools.product order, depth first with the partial sum of each
-    prefix kept, so each vector costs about one scaled-row add.  A larger
-    one is sampled: NORM_SEARCH_CAP coefficient vectors drawn from a fixed
-    seed, each summed one coordinate at a time up to its first zero (about
-    l coordinates in, as each is zero with chance about 1/l), and a hit
-    combined in full.
+    The system is linear over the subfield GF(l) = GF(p^m); its kernel is
+    searched for a vector with every coordinate nonzero.  Returns mu as
+    subfield codes, or None.
+
+    The search runs on packed digit sums.  For each basis vector b and each
+    c in GF(l), one int holds the m base-p digits of every coordinate of
+    c * b, one slot per digit.  A kernel vector's slots are the digit sums of
+    its terms, at most len(basis) * (p - 1), and each slot is sized for that
+    sum, so no slot carries into the next: one int add takes a vector one
+    term further.  A coordinate is zero iff each of its m slots is 0 mod p,
+    and all slots are tested at once: for v < 2^w, v = 0 mod p iff v * inv
+    mod 2^w is at most (2^w - 1) // p, with inv = p^-1 mod 2^w for odd p and
+    2^(w-1) for p = 2.  The table sum of the chosen coefficients then gives
+    mu, and must itself have every coordinate nonzero.
+
+    A kernel of at most NORM_SEARCH_CAP vectors is walked in
+    itertools.product order, depth first with the sum of each prefix kept.  A
+    larger one is sampled: NORM_SEARCH_CAP coefficient vectors from a fixed
+    seed, each coefficient drawn by getrandbits with randrange's rejection
+    loop, all-zero draws included.  Both branches try the same vectors in the
+    same order as summing every vector in full over the tables would, and the
+    sampler makes the same getrandbits calls as drawing by randrange.
     """
     sub = field(*split_prime_power(l))
     _, decomp = _subfield_decomposition(fld, sub)
@@ -179,45 +197,67 @@ def _solve_norms(fld: Field, l: int, points: Sequence[Sequence[int]], r: int):
     if not basis:
         return None
     add, mul = sub.tables.add, sub.tables.mul
-    if l ** len(basis) <= NORM_SEARCH_CAP:
-        # scaled[i][c] = c * basis[i]; level i adds c_i * basis[i] to the
-        # prefix sum for every c_i, the last coordinate varying fastest
-        scaled = [[[mul[c][y] for y in b] for c in range(l)] for b in basis]
+    p, m = sub.p, sub.m
 
-        def walk(level, acc):
-            if level == len(scaled):
-                return acc if all(acc) else None
-            for c, row in enumerate(scaled[level]):
-                found = walk(level + 1, [add[x][y] for x, y in zip(acc, row)] if c else acc)
-                if found is not None:
-                    return found
-            return None
+    # digit t of coordinate j sits in the W-bit slot j*m + t; a slot holds a
+    # digit sum below 2^w, and W = 2w leaves room for it times the w-bit inv
+    w = (len(basis) * (p - 1)).bit_length()
+    W = 2 * w
+    ones = ((1 << W * m * n) - 1) // ((1 << W) - 1)  # 1 in every slot
+    low = ones * ((1 << w) - 1)
+    inv = pow(p, -1, 1 << w) if p > 2 else 1 << (w - 1)
+    # a slot's v * inv mod 2^w plus lift carries into bit w iff v != 0 mod p
+    lift = ones * ((1 << w) - 1 - ((1 << w) - 1) // p)
+    lead = ((1 << W * m * n) - 1) // ((1 << W * m) - 1) << w  # bit w of each first slot
 
-        return walk(0, [0] * n)
+    def nonzero(s):
+        """Every coordinate of the packed sum s is nonzero."""
+        flags = (s * inv & low) + lift
+        for _ in range(m - 1):
+            flags |= flags >> W
+        return flags & lead == lead
 
-    def combine(coeffs):
+    digits = [sum((x // p**t % p) << W * t for t in range(m)) for x in range(l)]
+    shifts = [W * m * j for j in range(n)]
+    # packed[i][c] = c * basis[i]
+    packed = [[sum(digits[mc[y]] << s for y, s in zip(b, shifts)) for mc in mul] for b in basis]
+    coeffs = [0] * len(basis)
+
+    def combine():
         v = [0] * n
         for c, b in zip(coeffs, basis):
             if c:
-                m = mul[c]
-                v = [add[x][m[y]] for x, y in zip(v, b)]
+                mc = mul[c]
+                v = [add[x][mc[y]] for x, y in zip(v, b)]
+        if not all(v):
+            raise FieldError("a packed digit sum disagrees with the subfield tables")
         return v
 
-    # terms[j][i][c] = c * basis[i][j]: a draw's coordinates are summed one
-    # column at a time, up to the first that vanishes (at once for the
-    # all-zero draw, which still uses up its turn)
-    terms = [[[mul[c][b[j]] for c in range(l)] for b in basis] for j in range(n)]
+    if l ** len(basis) <= NORM_SEARCH_CAP:
+        last = len(packed) - 1
+
+        def walk(level, acc):
+            # the last coefficient varies fastest
+            for c, row in enumerate(packed[level]):
+                coeffs[level] = c
+                if walk(level + 1, acc + row) if level < last else nonzero(acc + row):
+                    return True
+            return False
+
+        return combine() if walk(0, 0) else None
+
     rng = random.Random(0xC0DE)
+    bits, k = rng.getrandbits, l.bit_length()
     for _ in range(NORM_SEARCH_CAP):
-        coeffs = [rng.randrange(l) for _ in basis]
-        for col in terms:
-            s = 0
-            for c, t in zip(coeffs, col):
-                s = add[s][t[c]]
-            if not s:
-                break
-        else:
-            return combine(coeffs)
+        s = 0
+        for i, row in enumerate(packed):
+            c = bits(k)
+            while c >= l:
+                c = bits(k)
+            coeffs[i] = c
+            s += row[c]
+        if nonzero(s):
+            return combine()
     return None
 
 

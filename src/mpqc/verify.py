@@ -14,7 +14,7 @@ import random
 from typing import Callable, Sequence
 
 from .code import BudgetError, LinearCode
-from .constructions import ConstructionError, rs_dual_containing
+from .constructions import ConstructionError
 from .gf import field, primitive_root_of_unity, square_field
 from .matrix import Matrix
 from .negacyclic import (

@@ -5,14 +5,16 @@ test expected to catch it must then fail.
 
 `src/`, `tests/` and `bench/` are copied to a temporary directory (`bench/`
 because the public-definition guard in tests/test_structure.py reads it).
-The unmutated copy must pass every selection first.  Then each mutant
-replaces one exact snippet of one file in a fresh copy and runs its test
-selection under a fixed hypothesis seed; it is killed when its expected
-killer is among the failed tests.  A snippet that does not occur exactly
-once in the current source is an error, so a refactor of the mutated code
-must carry its mutants along.  Exits 0 when every mutant is killed.
+Each mutant names one killer, a test node ID (a bare test function runs
+every parametrization of it), and only the killers run.  The unmutated copy
+must pass every killer first.  Then each mutant replaces one exact snippet
+of one file in a fresh copy and runs its killer alone under a fixed
+hypothesis seed; it is killed when the killer fails.  A snippet that does
+not occur exactly once in the current source is an error, so a refactor of
+the mutated code must carry its mutants along.  Exits 0 when every mutant
+is killed.
 
-Standard library only (the selections run under pytest and hypothesis, as
+Standard library only (the killers run under pytest and hypothesis, as
 tier-1 does).  The file name does not match ``test_*.py``, so tier-1 does not
 collect it.
 """
@@ -38,7 +40,6 @@ class Mutant(NamedTuple):
     file: str
     snippet: str
     replacement: str
-    tests: tuple[str, ...]
     killer: str
 
 
@@ -49,6 +50,7 @@ CONTAINMENT = "tests/test_containment.py"
 PRODUCT = "tests/test_product.py"
 GF = "tests/test_gf.py"
 CLI = "tests/test_cli.py"
+CONSTRUCTIONS = "tests/test_constructions.py"
 
 MUTANTS = [
     # -- the low-weight exits of the exhaustive oracle --
@@ -64,7 +66,6 @@ MUTANTS = [
         "        for part in parts:\n"
         "            if not any(part):\n"
         '                return exact_report(1, "exhaustive")\n',
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_reference",
     ),
     Mutant(
@@ -73,7 +74,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "free = [j for j in range(n) if j not in pivots]",
         "free = [j for j in range(n) if j in pivots]",
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_reference",
     ),
     Mutant(
@@ -82,7 +82,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "if len(part) - part.count(0) == 1 or direction in directions:",
         "if direction in directions:",
-        (DISTANCE,),
         f"{DISTANCE}::test_distance_table_matches_reference",
     ),
     Mutant(
@@ -91,7 +90,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "while stack and most < n - 3:",
         "while stack and most < n - 4:",
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_reference",
     ),
     # -- the projective walk --
@@ -101,7 +99,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "stack = [(i + 1, row) for i, row in enumerate(head)]",
         "stack = [(0, [0] * n)]",
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_reference",
     ),
     Mutant(
@@ -110,7 +107,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "zeros = acc.count(0) - hist[0] + max(hist)",
         "zeros = acc.count(0) - hist[0] + max(hist[1:])",
-        (DISTANCE,),
         f"{DISTANCE}::test_distance_table_matches_reference",
     ),
     Mutant(
@@ -119,7 +115,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "zeros = acc.count(0) - hist[0] + max(hist)",
         "zeros = max(hist)",
-        (DISTANCE,),
         f"{DISTANCE}::test_distance_table_matches_reference",
     ),
     Mutant(
@@ -128,7 +123,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "most = n - len(support)",
         "most = 0",
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_reference",
     ),
     # -- the support scan and the prefix distances read off it --
@@ -138,7 +132,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "for mask in range(1, (1 << n) - 1):",
         "for mask in range(1, (1 << n) - 2):",
-        (DISTANCE,),
         f"{DISTANCE}::test_exhaustive_matches_support_scan",
     ),
     Mutant(
@@ -147,7 +140,6 @@ MUTANTS = [
         "src/mpqc/product.py",
         "row_prefix_code(A, k + 1).min_distance_by_supports()",
         "row_prefix_code(A, max(k, 1)).min_distance_by_supports()",
-        (DISTANCE,),
         f"{DISTANCE}::test_frr_bound_matches_exhaustive_prefix_distances",
     ),
     # -- a negacyclic component's build check, x^n = -1 mod g --
@@ -157,7 +149,6 @@ MUTANTS = [
         "src/mpqc/negacyclic.py",
         "poly_powmod(fld, [0, 1], n, coeffs)",
         "poly_powmod(fld, [0, 1], n - 1, coeffs)",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_genpoly_divides_xn_plus_1",
     ),
     Mutant(
@@ -166,7 +157,6 @@ MUTANTS = [
         "src/mpqc/negacyclic.py",
         "[fld.tables.neg[1]][: len(coeffs) - 1]",
         "[1][: len(coeffs) - 1]",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_genpoly_divides_xn_plus_1",
     ),
     Mutant(
@@ -176,7 +166,6 @@ MUTANTS = [
         "    if poly_powmod(fld, [0, 1], n, coeffs) != [fld.tables.neg[1]][: len(coeffs) - 1]:\n"
         '        raise NegacyclicError("generator polynomial does not divide x^n + 1")\n',
         "",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused",
     ),
     # -- a negacyclic component's deferred parity check --
@@ -186,7 +175,6 @@ MUTANTS = [
         "src/mpqc/negacyclic.py",
         "hstar = h[::-1]",
         "hstar = h",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
     ),
     Mutant(
@@ -197,7 +185,6 @@ MUTANTS = [
         "        _dots_vanish(add, [(t + i, m) for t, m in support], H.rows) for i in range(k)\n"
         "    ):\n",
         "    if H.nrows != r:\n",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
     ),
     Mutant(
@@ -206,7 +193,6 @@ MUTANTS = [
         "src/mpqc/negacyclic.py",
         "for i in range(r)], n)",
         "for i in range(r - 1)], n)",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_remainder_rref_matches_row_reduced_shifts",
     ),
     Mutant(
@@ -215,7 +201,6 @@ MUTANTS = [
         "src/mpqc/negacyclic.py",
         "H.rows) for i in range(k)",
         "H.rows) for i in range(k - 1)",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_the_parity_side_refuses_a_corrupted_h_or_g",
     ),
     # -- a dual-containing product's parity-side assembly --
@@ -225,7 +210,6 @@ MUTANTS = [
         "src/mpqc/product.py",
         "    return list(zip(*ainv.rows))\n",
         "    return list(ainv.rows)\n",
-        (STRUCTURE,),
         f"{STRUCTURE}::test_parity_product_matches_kernel",
     ),
     Mutant(
@@ -235,7 +219,6 @@ MUTANTS = [
         "    if A @ ainv != Matrix.identity(A.field, A.nrows):\n"
         '        raise ConsistencyError("A A^-1 = I failed on this instance")\n',
         "",
-        (PRODUCT,),
         f"{PRODUCT}::test_a_wrong_inverse_fails_the_identity_check",
     ),
     Mutant(
@@ -244,7 +227,6 @@ MUTANTS = [
         "src/mpqc/product.py",
         "functools.partial(_parity_product, codes, B)",
         "functools.partial(_parity_product, codes, A.rows)",
-        (STRUCTURE,),
         f"{STRUCTURE}::test_deferred_product_equals_the_eager_assembly",
     ),
     Mutant(
@@ -254,7 +236,6 @@ MUTANTS = [
         "    if H.nrows < len(rows):\n"
         '        raise ConsistencyError("the dual identity\'s parity check lost rank on this instance")\n',
         "",
-        (STRUCTURE,),
         f"{STRUCTURE}::test_a_component_parity_corrupted_before_assembly_is_caught",
     ),
     # -- code identity on the smaller canonical side --
@@ -264,7 +245,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "            and self.k == other.k\n",
         "",
-        (CONTAINMENT,),
         f"{CONTAINMENT}::test_a_code_whose_g_is_its_duals_h_differs_from_it",
     ),
     Mutant(
@@ -273,7 +253,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "return self.gen if 2 * self.k <= self.n else self.parity",
         "return self.gen if 2 * self.k >= self.n else self.parity",
-        (CONTAINMENT,),
         f"{CONTAINMENT}::test_chain_codes_hash_and_compare_without_their_generators",
     ),
     # -- Hermitian verdicts, from generator polynomials or the Gram scan --
@@ -283,7 +262,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "[conj[x] for x in reversed(a)]",
         "[x for x in reversed(a)]",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
     ),
     Mutant(
@@ -292,7 +270,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "[conj[x] for x in reversed(a)]",
         "[conj[x] for x in a]",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
     ),
     Mutant(
@@ -301,7 +278,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "_divides(self.field, self._genpoly, other._genpoly)",
         "_divides(self.field, other._genpoly, self._genpoly)",
-        (NEGACYCLIC,),
         f"{NEGACYCLIC}::test_polynomial_verdicts_match_the_matrix_scans",
     ),
     Mutant(
@@ -310,7 +286,6 @@ MUTANTS = [
         "src/mpqc/code.py",
         "H[i:] if other is self else rows",
         "H[i + 1:] if other is self else rows",
-        (CONTAINMENT,),
         f"{CONTAINMENT}::test_dual_containment_matches_reference",
     ),
     # -- the irreducibility test behind every modulus --
@@ -320,7 +295,6 @@ MUTANTS = [
         "src/mpqc/gf.py",
         "b[1] = add[b[1]][neg[1]]",
         "b[1] = add[b[1]][1]",
-        (GF,),
         f"{GF}::test_smallest_irreducible_matches_the_integer_search",
     ),
     Mutant(
@@ -329,7 +303,6 @@ MUTANTS = [
         "src/mpqc/gf.py",
         "for i in range(1, (len(c) - 1) // 2 + 1):",
         "for i in range(1, (len(c) - 1) // 2):",
-        (GF,),
         f"{GF}::test_smallest_irreducible_matches_the_integer_search",
     ),
     Mutant(
@@ -338,8 +311,40 @@ MUTANTS = [
         "src/mpqc/gf.py",
         "        if not _resultant(c, b, fp.p):",
         "        if i > 1 and not _resultant(c, b, fp.p):",
-        (GF,),
         f"{GF}::test_smallest_irreducible_matches_the_integer_search",
+    ),
+    # -- the curve drop's norm search on packed digit sums --
+    Mutant(
+        "rejection-keeps-l",
+        "a drawn coefficient c = l kept: > in place of >= in the rejection loop",
+        "src/mpqc/constructions.py",
+        "            while c >= l:\n",
+        "            while c > l:\n",
+        f"{CONSTRUCTIONS}::test_norm_sampler_matches_the_full_combine_reference_at_l7",
+    ),
+    Mutant(
+        "first-digit-only",
+        "the zero test reading only the first digit of each coordinate",
+        "src/mpqc/constructions.py",
+        "        for _ in range(m - 1):\n            flags |= flags >> W\n",
+        "",
+        f"{CONSTRUCTIONS}::test_norm_search_matches_the_reference_on_every_drop_at_l4[sampler-d3]",
+    ),
+    Mutant(
+        "slot-one-bit-short",
+        "each digit slot sized one bit short of len(basis) * (p - 1)",
+        "src/mpqc/constructions.py",
+        "w = (len(basis) * (p - 1)).bit_length()",
+        "w = (len(basis) * (p - 1)).bit_length() - 1",
+        f"{CONSTRUCTIONS}::test_norm_search_on_a_kernel_with_two_solutions[walk-units]",
+    ),
+    Mutant(
+        "walk-skips-c0",
+        "the walk skipping c = 0 at every level",
+        "src/mpqc/constructions.py",
+        "for c, row in enumerate(packed[level]):",
+        "for c, row in enumerate(packed[level][1:], 1):",
+        f"{CONSTRUCTIONS}::test_norm_search_on_a_kernel_with_two_solutions[walk-sums]",
     ),
     # -- the chain audit's fallback rows --
     Mutant(
@@ -348,7 +353,6 @@ MUTANTS = [
         "src/mpqc/cli.py",
         "records = verified if verified else [chain_audit(l, t, family) for t in triples]",
         "records = [chain_audit(l, t, family) for t in triples] if verified else verified",
-        (CLI,),
         f"{CLI}::test_audit_rows_are_made_only_when_no_build_verifies",
     ),
 ]
@@ -391,10 +395,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mpqc-mutants-") as tmp:
         base = Path(tmp) / "base"
         fresh_copy(base)
-        selection = sorted({t for m in MUTANTS for t in m.tests})
-        failed, summary = failed_tests(base, selection)
+        killers = sorted({m.killer for m in MUTANTS})
+        failed, summary = failed_tests(base, killers)
         if failed or "passed" not in summary or "error" in summary:
-            print(f"the unmutated copy does not pass {' '.join(selection)}: {summary}")
+            print(f"the unmutated copy does not pass every killer: {summary}")
             return 1
         survivors = []
         for i, (m, text) in enumerate(zip(MUTANTS, texts)):
@@ -402,7 +406,7 @@ def main() -> int:
             fresh_copy(work)
             (work / m.file).write_text(text)
             start = time.perf_counter()
-            failed, summary = failed_tests(work, m.tests)
+            failed, summary = failed_tests(work, [m.killer])
             shutil.rmtree(work)
             ok = killed_by(failed, m.killer)
             if not ok:

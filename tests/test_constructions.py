@@ -200,17 +200,25 @@ def test_norm_walk_matches_reference_at_l5_d5():
 
 
 def _with_draws(solve, *args):
-    """solve(*args) and the coefficients it drew at random, in order."""
+    """solve(*args) and the getrandbits calls it made, in order, as (k, word)
+    pairs.  randrange draws through getrandbits as well, so both the sampler
+    and the reference's randrange are recorded word by word."""
     draws = []
 
     class Recording(random.Random):
-        def randrange(self, *a):
-            draws.append(super().randrange(*a))
-            return draws[-1]
+        def getrandbits(self, k):
+            draws.append((k, super().getrandbits(k)))
+            return draws[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random, "Random", Recording)
         return solve(*args), draws
+
+
+def _coefficients(draws, l):
+    """The coefficients drawn: the words below l, each drawn with l's bit length."""
+    assert {k for k, _ in draws} <= {l.bit_length()}
+    return [word for _, word in draws if word < l]
 
 
 # at l = 7, d = 7 each drop's kernel has dimension 12, so 7^12 is past
@@ -225,7 +233,7 @@ def test_norm_sampler_matches_the_full_combine_reference_at_l7():
         pts = drops[drop]
         mu, draws = _with_draws(_solve_norms, fld, 7, pts, 6)
         assert (mu, draws) == _with_draws(reference_solve_norms, fld, 7, pts, 6), drop
-        assert mu is not None and all(mu) and len(draws) % 12 == 0
+        assert mu is not None and all(mu) and len(_coefficients(draws, 7)) % 12 == 0
 
 
 def test_norm_sampler_matches_the_reference_under_a_small_cap(monkeypatch):
@@ -237,7 +245,7 @@ def test_norm_sampler_matches_the_reference_under_a_small_cap(monkeypatch):
         monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", cap)
         mu, draws = _with_draws(_solve_norms, fld, 7, pts, 6)
         assert (mu, draws) == _with_draws(reference_solve_norms, fld, 7, pts, 6, cap)
-        assert (mu is not None) == hit and len(draws) == 12 * (64 if hit else cap)
+        assert (mu is not None) == hit and len(_coefficients(draws, 7)) == 12 * (64 if hit else cap)
     # at l = 2, d = 2 the kernels have dimension 2 and no vector without a
     # zero coordinate: three vectors are drawn, one of them all zero, and
     # that one still counts against the cap on both sides
@@ -246,7 +254,89 @@ def test_norm_sampler_matches_the_reference_under_a_small_cap(monkeypatch):
     for drop, pts in _curve_drops(2, 2):
         mu, draws = _with_draws(_solve_norms, fld, 2, pts, 1)
         assert (mu, draws) == _with_draws(reference_solve_norms, fld, 2, pts, 1, 3), drop
-        assert mu is None and len(draws) == 6 and [0, 0] in (draws[:2], draws[2:4], draws[4:])
+        coeffs = _coefficients(draws, 2)
+        assert mu is None and len(coeffs) == 6 and [0, 0] in (coeffs[:2], coeffs[2:4], coeffs[4:])
+
+
+# GF(4) = GF(2^2) and GF(9) = GF(3^2) have two digits to an element, and a
+# coordinate is zero only when both of its digit sums are 0 mod p.  The cap
+# is patched to run the sampler where the default walks; a walk draws nothing
+
+
+@pytest.mark.parametrize(
+    "d,cap,walks,solves",
+    [
+        (4, None, True, False),  # kernels of dimension 6: 4^6 vectors, none solves
+        (4, 64, False, False),
+        (3, None, False, True),  # dimension 11, sampled; every drop solves
+    ],
+    ids=["walk-d4", "sampler-d4", "sampler-d3"],
+)
+def test_norm_search_matches_the_reference_on_every_drop_at_l4(d, cap, walks, solves, monkeypatch):
+    fld = square_field(4)
+    if cap is not None:
+        monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", cap)
+    drops = list(_curve_drops(4, d))
+    assert len(drops) == 136
+    for drop, pts in drops:
+        mu, draws = _with_draws(_solve_norms, fld, 4, pts, d - 1)
+        ref = _with_draws(reference_solve_norms, fld, 4, pts, d - 1, constructions.NORM_SEARCH_CAP)
+        assert (mu, draws) == ref, drop
+        assert (draws == []) == walks and (mu is not None) == solves, drop
+
+
+@pytest.mark.parametrize("drop", [(0, 1), (3, 40)], ids=["0-1", "3-40"])
+def test_norm_sampler_matches_the_reference_at_l9(drop):
+    # dimension 16 at d = 9, so the default samples
+    fld = square_field(9)
+    pts = dict(_curve_drops(9, 9))[drop]
+    mu, draws = _with_draws(_solve_norms, fld, 9, pts, 8)
+    assert (mu, draws) == _with_draws(reference_solve_norms, fld, 9, pts, 8)
+    assert mu is not None and all(mu) and len(_coefficients(draws, 9)) % 16 == 0
+
+
+@pytest.mark.parametrize(
+    "r,size,cap,walks,solves",
+    [
+        (7, 51, None, True, True),  # a kernel of dimension 5 on the first 51 curve points
+        (7, 51, 1000, False, True),
+        (6, 39, None, True, False),  # dimension 3 on the first 39, and no solution
+        (6, 39, 100, False, False),
+    ],
+    ids=["walk-51", "sampler-51", "walk-39", "sampler-39"],
+)
+def test_norm_search_matches_the_reference_on_curve_prefixes_at_l9(r, size, cap, walks, solves, monkeypatch):
+    fld = square_field(9)
+    pts = _rational_curve_points(fld, r)[:size]
+    if cap is not None:
+        monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", cap)
+    mu, draws = _with_draws(_solve_norms, fld, 9, pts, r)
+    assert (mu, draws) == _with_draws(reference_solve_norms, fld, 9, pts, r, constructions.NORM_SEARCH_CAP)
+    assert (draws == []) == walks and (mu is not None) == solves
+
+
+# a kernel over GF(3) spanned by rows whose columns are every a in GF(3)^4
+# with sum(a) != 0: each vector but c = (1,1,1,1) and (2,2,2,2) is orthogonal
+# to one of the columns, and each of those two has a coordinate whose four
+# terms all have digit 2, a digit sum of 8 = len(basis) * (p - 1).  The same
+# kernel spanned by b0, b0 + b1, b1 + b2, b2 + b3 has its two solutions at
+# c = (0,1,0,1) and (0,2,0,2), where a nullspace basis never puts them
+_TWO_SOLUTIONS = [a for a in itertools.product(range(3), repeat=4) if sum(a) % 3]
+_UNITS = [list(row) for row in zip(*_TWO_SOLUTIONS)]
+_SUMS = [_UNITS[0]] + [[(x + y) % 3 for x, y in zip(a, b)] for a, b in zip(_UNITS, _UNITS[1:])]
+
+
+@pytest.mark.parametrize("rows", [_UNITS, _SUMS], ids=["units", "sums"])
+@pytest.mark.parametrize("cap,walks", [(None, True), (80, False)], ids=["walk", "sampler"])
+def test_norm_search_on_a_kernel_with_two_solutions(rows, cap, walks, monkeypatch):
+    basis = Matrix(field(3), rows, ncols=len(_TWO_SOLUTIONS))
+    monkeypatch.setattr(Matrix, "nullspace", lambda self: basis)
+    if cap is not None:
+        monkeypatch.setattr(constructions, "NORM_SEARCH_CAP", cap)
+    fld, pts = square_field(3), [(1,)] * len(_TWO_SOLUTIONS)
+    mu, draws = _with_draws(_solve_norms, fld, 3, pts, 1)
+    assert (mu, draws) == _with_draws(reference_solve_norms, fld, 3, pts, 1, constructions.NORM_SEARCH_CAP)
+    assert (draws == []) == walks and mu is not None and all(mu)
 
 
 def test_subfield_decomposition_is_built_once():
