@@ -31,11 +31,10 @@ character products, random codes) takes the matrix scans, which are also
 the polynomial verdicts' reference in the tests.
 A code keeps the form it reads off and its own Hermitian verdict (neither
 changes == or hash), but no verdict about another code, so it holds no
-reference to one.  The polynomial verdicts are kept instead, by
-``functools.cache`` on ``_divides`` and ``_coprime_to_conj_reciprocal``,
-keyed by the field and two generator polynomials: a component shared
-between chain builds decides each pair once.  A matrix scan between two
-codes runs again on every call.
+reference to one.  The polynomial verdicts are kept instead, by ``_kept``,
+the package's one way to keep a fact per process, keyed by the field and
+two generator polynomials: a component shared between chain builds decides
+each pair once.  A matrix scan between two codes runs again on every call.
 Distance facts always travel with a provenance tag, in a `DistanceReport`;
 nothing here ever reports a distance it did not compute or certify.  That
 report is one of the package's seven immutable records, all `_Record`
@@ -64,6 +63,21 @@ from .matrix import Matrix, _eliminate
 DEFAULT_ENUM_BUDGET = 10**7
 DEFAULT_SUBSET_BUDGET = 10**6
 SUPPORT_SCAN_MAX_N = 16  # longest code the 2^n support scan accepts
+_KEPT: list = []  # the cache of every builder `_kept` decorates
+
+
+def _kept(builder: Callable) -> Callable:
+    """`builder` under ``functools.cache``, its cache listed in ``_KEPT``.
+
+    A kept fact is keyed by value (ints, tuples, fields, matrices and
+    records compare and hash by value).  Refusals raise and are never kept.
+    A shared result is never mutated: a tuple, not a list, and a kept code
+    only fills in what it reads off itself.  The builder is private behind a
+    plain public function, which a tracer that wraps plain functions sees.
+    """
+    kept = functools.cache(builder)
+    _KEPT.append(kept)
+    return kept
 
 
 class BudgetError(RuntimeError):
@@ -518,14 +532,14 @@ class LinearCode:
 ) = (LinearCode.__dict__[name].__set__ for name in LinearCode.__slots__)
 
 
-@functools.cache
+@_kept
 def _divides(fld: Field, dividend: tuple[int, ...], divisor: tuple[int, ...]) -> bool:
     """Whether divisor | dividend over fld: C_a in C_b for two negacyclic
     codes is g_b | g_a."""
     return not poly_divmod(fld, dividend, divisor)[1]
 
 
-@functools.cache
+@_kept
 def _coprime_to_conj_reciprocal(fld: Field, b: tuple[int, ...], a: tuple[int, ...]) -> bool:
     """Whether gcd(b, conj(a*)) = 1 over fld, a* the reciprocal of a, by
     Euclid's algorithm.  For two negacyclic generator polynomials this is

@@ -50,12 +50,11 @@ raises with that explanation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from typing import Callable, Sequence
 
-from .code import DEFAULT_SUBSET_BUDGET, BudgetError, LinearCode, _Record
+from .code import DEFAULT_SUBSET_BUDGET, BudgetError, LinearCode, _kept, _Record
 from .gf import Field, FieldError, SubfieldEmbedding, field, split_prime_power, square_field
 from .matrix import Matrix
 
@@ -125,7 +124,7 @@ def grs_code(fld: Field, spec: GrsSpec) -> LinearCode:
 # subfield-linear solve for column norms
 
 
-@functools.cache
+@_kept
 def _subfield_decomposition(fld: Field, sub: Field):
     """Write GF(l^2) as a 2-dim vector space over its GF(l) subfield.
 
@@ -361,12 +360,9 @@ def _verify_family_code(
     return code
 
 
-# Each family function returns its cached private body, called with
-# (l, d, max_subsets) in that order, so the budget is part of the key: a code
-# certified under one budget may be refused under a smaller one.  Refusals
-# raise, so they are never kept.  The cache sits on the private bodies because
-# a tracer that wraps plain public functions would no longer see a decorated
-# one.
+# Each family function returns its kept private body (`code._kept`), called
+# with (l, d, max_subsets) in that order, so the budget is part of the key: a
+# code certified under one budget may be refused under a smaller one.
 
 
 def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET) -> LinearCode:
@@ -379,7 +375,7 @@ def rs_dual_containing(l: int, d: int, max_subsets: int = DEFAULT_SUBSET_BUDGET)
     return _punctured(l, d, max_subsets)
 
 
-@functools.cache
+@_kept
 def _punctured(l: int, d: int, max_subsets: int) -> LinearCode:
     if d < 1 or d > l + 1:
         raise ConstructionError(f"designed distance {d} outside 1..{l + 1}")
@@ -451,7 +447,7 @@ def extended_rs_dual_containing(
     return _extended(l, d, max_subsets)
 
 
-@functools.cache
+@_kept
 def _extended(l: int, d: int, max_subsets: int) -> LinearCode:
     fld = square_field(l)
     n = l * l
@@ -478,7 +474,7 @@ def negacyclic_mds_dual_containing(
     return _negacyclic_family(l, d, max_subsets)
 
 
-@functools.cache
+@_kept
 def _negacyclic_family(l: int, d: int, max_subsets: int) -> LinearCode:
     from .negacyclic import centered_defining_set, distance_report, negacyclic_code
 

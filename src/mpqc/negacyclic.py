@@ -35,10 +35,9 @@ be exactly <g>: its k must be n - r, and every shift x^i g, i < k, must lie
 in it, tested by the scan behind `LinearCode.contains_word`.
 
 `negacyclic_code` keeps each verified code per (n, field, defining set)
-through ``functools.cache`` on its builder, so a chain that reuses a
-component builds and checks it once.  The defining sets and their run-bound
-distance reports are kept the same way, each on a private builder behind
-its plain public function, so a chain audit derives each once per process.
+on its builder (``code._kept``), so a chain that reuses a component builds
+and checks it once.  The defining sets and their run-bound distance reports
+are kept the same way, so a chain audit derives each once per process.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .code import DistanceReport, LinearCode, _dots_vanish, _Record, _right_reduce
+from .code import DistanceReport, LinearCode, _dots_vanish, _kept, _Record, _right_reduce
 from .gf import Field, FieldError, SubfieldEmbedding, poly_divmod, poly_powmod, primitive_root_of_unity
 from .matrix import Matrix
 
@@ -99,7 +98,7 @@ def defining_set_from_residues(n: int, q: int, seeds) -> DefiningSet:
     return _defining_set(n, q, tuple(seeds))
 
 
-@functools.cache
+@_kept
 def _defining_set(n: int, q: int, seeds: tuple[int, ...]) -> DefiningSet:
     members: set[int] = set()
     for j in seeds:
@@ -158,9 +157,7 @@ def negacyclic_code(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     return _build_negacyclic(n, fld, defining)
 
 
-# the cache sits on the private builder: the public function stays a plain
-# function, which a tracer that wraps plain functions still sees on every call
-@functools.cache
+@_kept
 def _build_negacyclic(n: int, fld: Field, defining: DefiningSet) -> LinearCode:
     coeffs = _generator_polynomial(n, fld, defining) if defining.residues else [1]
     if len(coeffs) - 1 != len(defining):
@@ -214,7 +211,7 @@ def _generator_polynomial(n: int, fld: Field, defining: DefiningSet) -> list[int
         raise NegacyclicError(f"generator polynomial: {exc}") from exc
 
 
-@functools.cache
+@_kept
 def _root_of_unity(fld: Field, two_n: int) -> tuple[SubfieldEmbedding, int]:
     """GF(q) inside GF(q^e) and gamma of order exactly 2n there, from
     ``primitive_root_of_unity``; kept per (field, 2n), so every code of
@@ -237,7 +234,7 @@ def distance_report(defining: DefiningSet) -> DistanceReport:
     return _distance_report(defining)
 
 
-@functools.cache
+@_kept
 def _distance_report(defining: DefiningSet) -> DistanceReport:
     return DistanceReport(bch_bound(defining), len(defining) + 1, "bch", "singleton")
 

@@ -33,8 +33,9 @@ product is Gram-tested on its nm columns.  W is diagonal for every matrix
 `dual_containing_product` accepts (the character tables among them), and
 the chain matrix selects the cross blocks (1, 2) and (1, 3).  Each fact
 is checked once: a code keeps its own verdict, the polynomial verdicts are
-cached by their polynomials (see `code`), and `is_nsc` keeps its verdict per
-matrix value through ``functools.cache`` on its private check.
+kept by their polynomials (see `code`), and `is_nsc`'s verdict and the
+checked (A^-1)^T are kept per matrix value (``code._kept``): the chain
+matrix that every chain build reuses is checked and inverted once.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Sequence
 from .code import (
     DistanceReport,
     LinearCode,
+    _kept,
     _right_reduce,
     _set_hermitian_dual_containing,
     exact_report,
@@ -94,7 +96,8 @@ def matrix_product_code(codes: Sequence[LinearCode], A: Matrix) -> LinearCode:
     return LinearCode.from_generator(Matrix._of(fld, tuple(rows), n * A.ncols))
 
 
-def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
+@_kept
+def _checked_inverse_transpose(A: Matrix) -> tuple[tuple[int, ...], ...]:
     """(A^-1)^T for a square A, with A A^-1 = I checked through `@`; a
     singular A raises, since both callers' conditions make A nonsingular."""
     _, ainv = A.det_inverse()
@@ -102,10 +105,10 @@ def _checked_inverse_transpose(A: Matrix) -> list[tuple[int, ...]]:
         raise ConsistencyError("A is singular despite the product conditions")
     if A @ ainv != Matrix.identity(A.field, A.nrows):
         raise ConsistencyError("A A^-1 = I failed on this instance")
-    return list(zip(*ainv.rows))
+    return tuple(zip(*ainv.rows))
 
 
-def _parity_product(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> Matrix:
+def _parity_product(codes: Sequence[LinearCode], B: tuple[tuple[int, ...], ...]) -> Matrix:
     """The right-reduced parity check of [C_1..C_s]A, through the dual
     identity [C_1-dual..C_s-dual](A^-1)^T.
 
@@ -140,14 +143,12 @@ def is_frr(A: Matrix) -> bool:
 def is_nsc(A: Matrix) -> bool:
     """Every t x t minor taken from the first t rows is invertible, all t.
 
-    The verdict is cached per matrix value (`_all_prefix_minors_invertible`),
+    The verdict is kept per matrix value (`_all_prefix_minors_invertible`),
     so the fixed matrices that every build reuses are checked once."""
     return _all_prefix_minors_invertible(A)
 
 
-# cached here, not on is_nsc, so that is_nsc stays a plain function a tracer
-# can wrap
-@functools.cache
+@_kept
 def _all_prefix_minors_invertible(A: Matrix) -> bool:
     s, m = A.nrows, A.ncols
     if s > m:
@@ -234,9 +235,9 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
 
     A is square and nonsingular under both callers' conditions (an NSC
     matrix, or one whose conjugate Gram is invertible diagonal).  A is
-    inverted once: B = (A^-1)^T decides the Hermitian verdict
-    (`_block_gram_vanishes`), which the product keeps, so
-    `quantum.hermitian_construction` reads it without a Gram test on the
+    inverted once per process: B = (A^-1)^T, kept per matrix value, decides
+    the Hermitian verdict (`_block_gram_vanishes`), which the product keeps,
+    so `quantum.hermitian_construction` reads it without a Gram test on the
     product's nm columns.  The product holds k = sum(k_i) and a function
     that assembles its H from B (`_parity_product`) when its G or H is first
     read.
@@ -260,7 +261,7 @@ def _checked_product(codes: Sequence[LinearCode], A: Matrix, lost: str) -> Linea
     return product
 
 
-def _block_gram_vanishes(codes: Sequence[LinearCode], B: list[tuple[int, ...]]) -> bool:
+def _block_gram_vanishes(codes: Sequence[LinearCode], B: tuple[tuple[int, ...], ...]) -> bool:
     """Whether [C_1..C_m]A contains its Hermitian dual, from component facts.
 
     B = (A^-1)^T for a square nonsingular A.  The product's parity check

@@ -26,12 +26,11 @@ distance floor off the same defining sets without building any matrix.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Sequence
 
 from .claims import TABLE1
-from .code import DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode, _Record
+from .code import DEFAULT_SUBSET_BUDGET, DistanceReport, LinearCode, _kept, _Record
 from .constructions import (
     ConstructionError,
     extended_rs_dual_containing,
@@ -246,14 +245,12 @@ def build_case(
     cb = build_character_product(l, _case_component_distances(d, case), kind, max_subsets)
     built = cb.built
 
+    formula_note = {"n": 4 * _LENGTHS[kind](l), "k": kf(l, d), "d": d}
     formula: QuantumParams | None = None
-    formula_note: dict | None = None
-    in_range = 4 <= d <= dmax(l)
-    if in_range:
+    if 4 <= d <= dmax(l):
         formula = formula_params(l, d, case)
-        formula_note = {"n": formula.n, "k": formula.k, "d": d}
     else:
-        formula_note = {"n": 4 * _LENGTHS[kind](l), "k": kf(l, d), "d": d, "out_of_range": True}
+        formula_note["out_of_range"] = True
 
     if (built.n, built.k) != (formula_note["n"], formula_note["k"]) or built.d_lower < d:
         built = QuantumParams(
@@ -274,7 +271,7 @@ def build_case(
 _CHAIN_MATRIX_ROWS = [[1, 1, 1], [0, 2, 1], [0, 0, 1]]
 
 
-@functools.cache
+@_kept
 def _chain_matrix(fld) -> Matrix:
     """The NSC matrix of every chain over this field, made once per field,
     so each build hands the same Matrix to `is_nsc` and the product."""

@@ -1,8 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from mpqc import constructions
+import mpqc
+from mpqc.code import _KEPT
 from mpqc.gf import field
 
 
@@ -31,13 +36,27 @@ def rng():
     return random.Random(0xBEEF)
 
 
-@pytest.fixture()
-def fresh_families():
-    """Empty family caches, so each family is rebuilt under the test and
-    nothing it builds (perhaps under a patch) outlives it."""
-    bodies = (constructions._punctured, constructions._extended, constructions._negacyclic_family)
-    for body in bodies:
-        body.cache_clear()
-    yield
-    for body in bodies:
-        body.cache_clear()
+@pytest.fixture(autouse=True)
+def forget_kept_facts():
+    """Every kept fact (`mpqc.code._kept`) forgotten before each test, so the
+    test derives each one under its own patches and counts hits from zero,
+    and nothing a test built under a patch outlives it."""
+    for cache in _KEPT:
+        cache.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def cold_json():
+    """A function that runs a script in a fresh interpreter on this tree's
+    package, so every cache is cold, and returns the JSON it prints."""
+    src = os.path.dirname(os.path.dirname(mpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(script: str):
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    return run

@@ -49,8 +49,21 @@ GOLDEN = [
     *(["verify", "--suite", "all", "--seed", str(s)] for s in (1, 2, 3, 4, 5, 7, 42)),
 ]
 
+# both chain examples at four subfield orders each, under every flag
+# combination
+EXAMPLES = [
+    ["example", "--which", which, "--l", str(l), *flags]
+    for which, ls in (("3.8", (5, 9, 13, 17)), ("3.10", (7, 11, 13, 17)))
+    for l in ls
+    for flags in ([], ["--deep"], ["--strict"], ["--strict", "--deep"])
+]
+
 INVOCATIONS = [
-    *(argv + fmt for argv in GOLDEN for fmt in ([], ["--format", "json"])),
+    *(
+        argv + fmt
+        for argv in GOLDEN + [argv for argv in EXAMPLES if argv not in GOLDEN]
+        for fmt in ([], ["--format", "json"])
+    ),
     # the three chain theorems at l = 13, 17 and 29
     *(
         ["build", "--theorem", theorem, "--l", str(l), "--deltas", "1,2,3"]

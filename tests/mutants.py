@@ -208,8 +208,16 @@ MUTANTS = [
         "inverse-not-transposed",
         "A^-1 returned in place of (A^-1)^T",
         "src/mpqc/product.py",
-        "    return list(zip(*ainv.rows))\n",
-        "    return list(ainv.rows)\n",
+        "    return tuple(zip(*ainv.rows))\n",
+        "    return tuple(ainv.rows)\n",
+        f"{STRUCTURE}::test_parity_product_matches_kernel",
+    ),
+    Mutant(
+        "transpose-for-inverse",
+        "A^T taken in place of A^-1, so B = A",
+        "src/mpqc/product.py",
+        "    return tuple(zip(*ainv.rows))\n",
+        "    return tuple(zip(*A.transpose().rows))\n",
         f"{STRUCTURE}::test_parity_product_matches_kernel",
     ),
     Mutant(
@@ -237,6 +245,41 @@ MUTANTS = [
         '        raise ConsistencyError("the dual identity\'s parity check lost rank on this instance")\n',
         "",
         f"{STRUCTURE}::test_a_component_parity_corrupted_before_assembly_is_caught",
+    ),
+    # -- a dual-containing product's Hermitian verdict from its blocks --
+    Mutant(
+        "w-without-conj",
+        "W = B B^T taken in place of conj(B) B^T",
+        "src/mpqc/product.py",
+        "w = add[w][mul[conj[x]][y]]",
+        "w = add[w][mul[x][y]]",
+        f"{STRUCTURE}::test_block_gram_verdict_matches_the_dense_gram_test",
+    ),
+    Mutant(
+        "off-diagonal-blocks-only",
+        "the block pairs i' < i only: the components' own verdicts skipped",
+        "src/mpqc/product.py",
+        "for i2 in range(i + 1):",
+        "for i2 in range(i):",
+        f"{STRUCTURE}::test_block_gram_verdict_matches_the_dense_gram_test",
+    ),
+    Mutant(
+        "upper-blocks-for-lower",
+        "the block pairs i' >= i in place of i' <= i: equivalent, W being "
+        "Hermitian and the cross verdict symmetric, but the pairs run the other way",
+        "src/mpqc/product.py",
+        "for i2 in range(i + 1):",
+        "for i2 in range(i, len(B)):",
+        f"{STRUCTURE}::test_cross_gram_blocks_against_a_hand_count",
+    ),
+    # -- kept facts --
+    Mutant(
+        "kept-not-registered",
+        "a kept builder's cache never listed in code._KEPT",
+        "src/mpqc/code.py",
+        "    _KEPT.append(kept)\n",
+        "",
+        f"{STRUCTURE}::test_every_kept_fact_is_registered",
     ),
     # -- code identity on the smaller canonical side --
     Mutant(

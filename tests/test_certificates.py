@@ -2,16 +2,11 @@
 column-subset DFS and the dense Vandermonde candidate they replaced."""
 
 import io
-import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-import mpqc
 from mpqc import constructions
 from mpqc.cli import main
 from mpqc.code import BudgetError, LinearCode
@@ -68,7 +63,7 @@ def _unchecked_spec(points, multipliers, k):
 
 
 @pytest.mark.parametrize("l", [3, 5, 7, 9])
-def test_window_candidate_matches_vandermonde_for_every_tried_window(l, fresh_families, monkeypatch):
+def test_window_candidate_matches_vandermonde_for_every_tried_window(l, monkeypatch):
     tried = []
 
     def recording(fld, b, k):
@@ -133,7 +128,7 @@ def reference_extended(l, d, max_subsets=10**6):
     )
 
 
-def test_extended_code_is_the_old_full_grs_code(fresh_families):
+def test_extended_code_is_the_old_full_grs_code():
     outcomes = {"built": 0, "refused": 0}
     for l in (2, 3, 4, 5, 7, 8, 9):
         for d in range(2, l + 1):
@@ -155,7 +150,7 @@ def test_extended_code_is_the_old_full_grs_code(fresh_families):
 # certificates agree with the DFS
 
 
-def test_certificates_agree_with_dfs_on_every_family_code(fresh_families, monkeypatch):
+def test_certificates_agree_with_dfs_on_every_family_code(monkeypatch):
     seen = []
     real = constructions._verify_family_code
 
@@ -250,7 +245,7 @@ def test_a_failed_certificate_falls_back_to_the_dfs(monkeypatch):
 
 
 @pytest.fixture()
-def no_dfs(monkeypatch, fresh_families):
+def no_dfs(monkeypatch):
     """is_mds keeps its budget refusal but fails the test if it would scan."""
 
     def refuse(self, max_subsets=10**6):
@@ -311,16 +306,10 @@ print(json.dumps({"wide": wide, "refusal": refusal}))
 """
 
 
-def test_l37_window_code_is_built_from_its_grs_side():
+def test_l37_window_code_is_built_from_its_grs_side(cold_json):
     # the [1368,1365] candidate is stored by the 3 rows of its GRS dual and
     # never written as its generator; a fresh interpreter, so every cache is
     # cold
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", RS37_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(RS37_GUARD)
     assert doc["refusal"] == "C(1368,3) column subsets exceed budget 1000000"
     assert doc["wide"] == []

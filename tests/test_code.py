@@ -3,11 +3,7 @@ import pytest
 from mpqc.code import BudgetError, DistanceReport, LinearCode
 from mpqc.gf import FieldError
 from mpqc.matrix import Matrix
-
-
-def random_code(fld, n, k_rows, rng):
-    rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(k_rows)]
-    return LinearCode.from_generator(Matrix(fld, rows, ncols=n))
+from mpqc.verify import random_code
 
 
 def test_full_space(F9):

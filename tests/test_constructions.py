@@ -427,12 +427,12 @@ def reference_rs_dual_containing(l, d, max_subsets=10**6):
 
 
 @pytest.mark.parametrize("l,d", [(3, 3), (5, 5)])
-def test_curve_rung_builds_the_parent_code(l, d, fresh_families):
+def test_curve_rung_builds_the_parent_code(l, d):
     assert rs_dual_containing(l, d) == reference_rs_dual_containing(l, d)
 
 
 @pytest.mark.parametrize("l,d", [(2, 2), (4, 4), (5, 6)])
-def test_curve_rung_refuses_like_the_parent(l, d, fresh_families):
+def test_curve_rung_refuses_like_the_parent(l, d):
     with pytest.raises(Exception) as ours:
         rs_dual_containing(l, d)
     with pytest.raises(Exception) as theirs:
@@ -440,7 +440,7 @@ def test_curve_rung_refuses_like_the_parent(l, d, fresh_families):
     assert type(ours.value) is type(theirs.value) is ConstructionError
 
 
-def test_curve_rung_budget_refusal_matches_the_parent(fresh_families):
+def test_curve_rung_budget_refusal_matches_the_parent():
     with pytest.raises(BudgetError) as ours:
         rs_dual_containing(5, 5, max_subsets=2000)
     with pytest.raises(BudgetError) as theirs:
@@ -449,7 +449,7 @@ def test_curve_rung_budget_refusal_matches_the_parent(fresh_families):
 
 
 @pytest.mark.parametrize("l,d", [(3, 3), (5, 5)])
-def test_curve_drop_runs_one_dfs_and_one_dual(l, d, fresh_families, monkeypatch):
+def test_curve_drop_runs_one_dfs_and_one_dual(l, d, monkeypatch):
     calls = {"is_mds": [], "hermitian_dual": [], "drops": 0}
     real_is_mds, real_dual = LinearCode.is_mds, LinearCode.hermitian_dual
     real_scaled = constructions._norm_scaled_code
@@ -508,7 +508,7 @@ def test_endpoint_refusal_names_the_endpoint():
         (extended_rs_dual_containing, 5, 4, r"^C\(25,3\) column subsets exceed budget 2000$"),
     ],
 )
-def test_family_memo_keys_the_budget(family, l, d, refusal, fresh_families):
+def test_family_memo_keys_the_budget(family, l, d, refusal):
     # a code certified under the default budget is not handed out under a
     # budget that refuses it, and the refusal does not evict the code
     C = family(l, d)

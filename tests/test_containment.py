@@ -1,19 +1,14 @@
 """Differential tests: containment and duals read off the parity check,
 against the stacked-rank and build-the-dual reference code they replaced."""
 
-import json
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mpqc
 from mpqc import code as code_module
 from mpqc import negacyclic
 from mpqc.code import BudgetError, LinearCode
@@ -469,17 +464,11 @@ print(json.dumps({
 """
 
 
-def test_chain_codes_hash_and_compare_without_their_generators():
+def test_chain_codes_hash_and_compare_without_their_generators(cold_json):
     # code identity reads the smaller canonical side: H for the three l = 17
     # components and their [870,855] product, so none writes its G; a fresh
     # interpreter, so every code is cold
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", IDENTITY_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(IDENTITY_GUARD)
     assert doc["params"] == [[290, 287], [290, 285], [290, 283], [870, 855]]
     assert doc["stable"]
     assert doc["equal"] == [[i == j for j in range(4)] for i in range(4)]

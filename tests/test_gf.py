@@ -1,14 +1,9 @@
-import json
-import os
 import signal
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mpqc
 from mpqc.gf import (
     Field,
     FieldError,
@@ -748,17 +743,11 @@ print(json.dumps({
 """
 
 
-def test_the_fields_battery_leaves_its_extension_untabulated():
+def test_the_fields_battery_leaves_its_extension_untabulated(cold_json):
     # a fresh interpreter, since other tests here tabulate the shared GF(5^4):
     # the battery reaches GF(5^4) through primitive_root_of_unity and checks
     # it in the packed form only
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", FIELDS_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(FIELDS_GUARD)
     assert doc["passed"]
     assert "generator" in doc["built"]
     assert not _TABULATED & set(doc["built"])

@@ -2,10 +2,6 @@ import copy
 import functools
 import io
 import itertools
-import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_gf import poly_eval, poly_mul, reference_method_poly_divmod
 
-import mpqc
 from mpqc import code as code_module
 from mpqc import gf, negacyclic
 from mpqc.cli import main
@@ -133,11 +128,9 @@ def test_a_generator_polynomial_that_does_not_divide_xn_plus_1_is_refused(F25, m
     # right degree for it but does not divide x^26 + 1 (its root -1 gives 2)
     Z = defining_set_from_residues(26, 25, [13])
     assert Z.residues == (13,)
-    negacyclic._build_negacyclic.cache_clear()
     monkeypatch.setattr(negacyclic, "_generator_polynomial", lambda n, fld, defining: [1, 1])
     with pytest.raises(NegacyclicError, match="^generator polynomial does not divide x\\^n \\+ 1$"):
         negacyclic_code(26, F25, Z)
-    negacyclic._build_negacyclic.cache_clear()
 
 
 def test_shift_closure_random_codewords(F25, rng):
@@ -303,7 +296,7 @@ def _assert_cold_reads_match_the_reference(C):
 
 
 @pytest.mark.parametrize("l", [5, 9, 13, 17, 7, 11])
-def test_remainder_rref_matches_row_reduced_shifts(l, cold_roots):
+def test_remainder_rref_matches_row_reduced_shifts(l):
     fld = square_field(l)
     families = _family_sets(l)
     if l in (7, 11):  # half-length depths only
@@ -319,7 +312,7 @@ def test_remainder_rref_matches_row_reduced_shifts(l, cold_roots):
 
 
 @pytest.mark.parametrize("pm,n,e", [((3, 2), 5, 2), ((3, 2), 7, 3), ((5, 2), 3, 1)])
-def test_remainder_rref_on_the_battery_pairs(pm, n, e, cold_roots):
+def test_remainder_rref_on_the_battery_pairs(pm, n, e):
     # the verify battery's (n, q) pairs: gamma lives in GF(q^e)
     fld = field(*pm)
     assert multiplicative_order(fld.order, 2 * n) == e
@@ -369,18 +362,7 @@ def test_the_roots_of_g_among_the_odd_powers_are_the_defining_set(l):
         assert root_exponents(n, fld, negacyclic_code(n, fld, Z)._genpoly) == Z.residues
 
 
-@pytest.fixture()
-def cold_roots():
-    """No kept gamma and no kept code, before and after the test."""
-    caches = (negacyclic._root_of_unity, negacyclic._build_negacyclic)
-    for f in caches:
-        f.cache_clear()
-    yield
-    for f in caches:
-        f.cache_clear()
-
-
-def test_a_root_of_unity_of_the_wrong_order_is_refused(F9, cold_roots, monkeypatch):
+def test_a_root_of_unity_of_the_wrong_order_is_refused(F9, monkeypatch):
     # a stand-in GF(81) whose generator is the square of the true one, of
     # order 40: gamma = g^(80/10) then has order 5, not 2n = 10
     true = gf.field(3, 4)
@@ -392,7 +374,7 @@ def test_a_root_of_unity_of_the_wrong_order_is_refused(F9, cold_roots, monkeypat
         negacyclic_code(5, F9, defining_set_from_residues(5, 9, [1]))
 
 
-def test_a_restricted_generator_that_does_not_vanish_is_rejected(F25, cold_roots, monkeypatch):
+def test_a_restricted_generator_that_does_not_vanish_is_rejected(F25, monkeypatch):
     # an embedding whose image of g's constant term is wrong: g still
     # restricts, but the g it lifts back no longer vanishes at its roots
     Z = defining_set_from_residues(26, 25, [11])
@@ -459,16 +441,10 @@ print(json.dumps({
 """
 
 
-def test_chain_components_need_no_extension_field_and_no_elimination():
+def test_chain_components_need_no_extension_field_and_no_elimination(cold_json):
     # a fresh interpreter, so every cache is cold, and no other test has
     # read the lists of the shared GF(17^4)
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(GUARD)
     assert doc["params"] == [870, 840, 8]
     # GF(17^4) is set up once, shared, and never tabulated
     assert sorted(doc["orders"]) == [17, 17**2, 17**4]
@@ -493,15 +469,9 @@ print(json.dumps({
 """
 
 
-def test_primitive_root_extension_is_not_tabulated():
+def test_primitive_root_extension_is_not_tabulated(cold_json):
     # a fresh interpreter: in this one other tests tabulate the cached GF(17^4)
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", ROOT_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(ROOT_GUARD)
     assert doc["shared"]
     assert doc["order"] == 17**4
     assert doc["minus_one"]
@@ -536,17 +506,11 @@ print(json.dumps({"built": built, "searched": searched, "steps": [info.misses, i
 """
 
 
-def test_a_cold_chain_sets_up_each_field_once():
+def test_a_cold_chain_sets_up_each_field_once(cold_json):
     # a fresh interpreter, so every cache is cold: one GF(17^4) set up,
     # one generator search on it, and gamma formed once for the three
     # components
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", SETUP_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(SETUP_GUARD)
     assert sorted(doc["built"]) == [17, 17**2, 17**4]
     assert sorted(doc["searched"]) == [17, 17**2, 17**4]
     assert doc["steps"] == [1, 2]
@@ -572,16 +536,10 @@ print(json.dumps({"wide": wide, "params": [cb.built.n, cb.built.k, cb.built.d_lo
 """
 
 
-def test_character_product_is_built_on_its_parity_side():
+def test_character_product_is_built_on_its_parity_side(cold_json):
     # the [96,91] character product over GF(25) is held by its 5-row parity
     # check; a fresh interpreter, so every cache is cold
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", CASE_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(CASE_GUARD)
     assert doc["params"] == [96, 86, 4]
     assert doc["wide"] == []  # never written as its 91-row generator
 
@@ -665,7 +623,6 @@ def test_polynomial_verdicts_match_the_matrix_scans():
 
 def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
     fld = square_field(9)
-    negacyclic._build_negacyclic.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict built a matrix")
@@ -682,8 +639,6 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
 
         return spy
 
-    for f in keys:
-        f.cache_clear()
     monkeypatch.setattr(code_module, "_divides", spy_on(divides))
     monkeypatch.setattr(code_module, "_coprime_to_conj_reciprocal", spy_on(coprime))
     c1, c2, c3 = (negacyclic_code(82, fld, centered_defining_set(9, d)) for d in (1, 2, 3))
@@ -709,7 +664,6 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
     assert c3.is_subcode_of(c2) and c1.hermitian_dual_is_subcode_of(c3)
     counts = [(f.cache_info().misses, f.cache_info().hits) for f in keys]
     assert counts == [(2, 1), (5, 1)]
-    negacyclic._build_negacyclic.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +673,6 @@ def test_polynomial_verdicts_build_no_matrix_and_are_kept_by_g(monkeypatch):
 @pytest.mark.parametrize("l", [5, 7, 9])
 def test_deferred_component_gen_is_the_systematic_rref(l):
     fld = square_field(l)
-    negacyclic._build_negacyclic.cache_clear()
     for n, Z in _family_sets(l):
         C = negacyclic_code(n, fld, Z)
         assert C._gen is None and callable(C._parity) and C.k == n - len(Z)
@@ -727,11 +680,10 @@ def test_deferred_component_gen_is_the_systematic_rref(l):
         assert isinstance(C._parity, Matrix)  # G is read off the built H
         assert G.rows == reference_code(fld, n, C._genpoly).gen.rows
         assert G.leading_columns() == list(range(C.k))  # systematic: pivots 0..k-1
-    negacyclic._build_negacyclic.cache_clear()
 
 
 @pytest.mark.parametrize("l", [5, 7, 9])
-def test_a_cold_parity_read_writes_no_generator(l, cold_roots):
+def test_a_cold_parity_read_writes_no_generator(l):
     fld = square_field(l)
     for n, Z in _family_sets(l):
         C = negacyclic_code(n, fld, Z)
@@ -785,7 +737,6 @@ def test_a_build_divides_nothing_of_length_n(F25, monkeypatch):
     def refuse(*args):
         raise AssertionError("a division of x^n + 1")
 
-    negacyclic._build_negacyclic.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(negacyclic, "poly_divmod", refuse)
         codes = [negacyclic_code(26, F25, centered_defining_set(5, d)) for d in range(3)]
@@ -803,7 +754,6 @@ def test_a_build_divides_nothing_of_length_n(F25, monkeypatch):
         assert C == ref == S and hash(C) == hash(ref)
     assert own == [S.is_hermitian_dual_containing() for S in scanned] == [True] * 3
     assert cross == [[a.hermitian_dual_is_subcode_of(b) for b in scanned] for a in scanned]
-    negacyclic._build_negacyclic.cache_clear()
 
 
 WIDTH_GUARD = """
@@ -825,15 +775,9 @@ print(json.dumps({"widest": widest[0], "params": [cb.quantum.n, cb.quantum.k, cb
 """
 
 
-def test_chain_build_writes_no_matrix_as_wide_as_a_component():
+def test_chain_build_writes_no_matrix_as_wide_as_a_component(cold_json):
     # components, chain checks and the product's verdict all come from
     # generator polynomials; a fresh interpreter, so every cache is cold
-    src = os.path.dirname(os.path.dirname(mpqc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", WIDTH_GUARD], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
+    doc = cold_json(WIDTH_GUARD)
     assert doc["params"] == [870, 840, 8]
     assert doc["widest"] < 290

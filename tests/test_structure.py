@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_kernel import reference_nullspace
 
 from mpqc import code as code_module
 from mpqc import constructions, negacyclic, product, verify
@@ -109,22 +110,6 @@ def reference_triangular_product(codes, A):
     if not rows:
         return LinearCode.zero_code(fld, n * m)
     return LinearCode(fld, n * m, Matrix(fld, rows, ncols=n * m))
-
-
-def reference_nullspace(M):
-    R, rank, pivots = M.rref()
-    neg = M.field.tables.neg
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(M.ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * M.ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = neg[R.rows[r][fc]]
-        basis.append(v)
-    return Matrix(M.field, basis, ncols=M.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +276,7 @@ def test_triangular_product_checks_the_inverse(F25, monkeypatch):
     assert product._checked_product(codes, A, "lost") == matrix_product_code(codes, A)
     wrong = Matrix(F25, [list(ainv.rows[0]), [0, 1]])
     monkeypatch.setattr(Matrix, "det_inverse", lambda self: (None, wrong))
+    product._checked_inverse_transpose.cache_clear()  # A's checked inverse is kept
     with pytest.raises(ConsistencyError, match="A A\\^-1 = I"):
         product._checked_product(codes, A, "lost")
     # a singular A is refused: both callers' conditions rule it out
@@ -436,7 +422,6 @@ def test_negacyclic_memo_keeps_the_argument_checks(F25):
 def test_nsc_verdict_is_kept_per_matrix(F25, monkeypatch):
     A = Matrix(F25, [[1, 1, 1], [0, 2, 1], [0, 0, 1]])
     B = Matrix(F25, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # the 2 x 2 minor on columns 2, 3 is singular
-    product._all_prefix_minors_invertible.cache_clear()
     assert is_nsc(A) and not is_nsc(B)
 
     def refuse(*args):
@@ -461,7 +446,6 @@ def test_no_verdict_leaves_one_code_referencing_another(stored, F25):
         rng = random.Random(4)
         pair = [random_dual_containing_code(F25, 6, 2, rng) for _ in range(2)]
     else:
-        negacyclic._build_negacyclic.cache_clear()
         pair = [negacyclic_code(26, F25, centered_defining_set(5, d)) for d in (1, 2)]
     for a, b in (pair, pair[::-1]):
         a.is_subcode_of(b)
@@ -470,7 +454,6 @@ def test_no_verdict_leaves_one_code_referencing_another(stored, F25):
     for a, b in (pair, pair[::-1]):
         held = _within_two_levels(a)
         assert not any(x is b or x is b.parity for x in held)
-    negacyclic._build_negacyclic.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,7 +491,7 @@ def test_kept_facts_against_a_hand_count():
     # once each.  Every build verifies, so no audit row is made: the 105
     # defining sets and their 105 run-bound reports come from the builds,
     # 3 components each, over the 5 depths, and the 35 builds share the
-    # one field's chain matrix
+    # one field's chain matrix, inverted and checked once
     kept = (
         negacyclic._build_negacyclic,
         negacyclic._root_of_unity,
@@ -518,15 +501,15 @@ def test_kept_facts_against_a_hand_count():
         negacyclic._defining_set,
         negacyclic._distance_report,
         _chain_matrix,
+        product._checked_inverse_transpose,
     )
-    for f in kept:
-        f.cache_clear()
     cmd_example("3.8", 9, strict=False, deep=True)
     counts = [(f.cache_info().hits, f.cache_info().misses) for f in kept]
     builds, components, depths = 35, 3 * 35, 5
     assert counts == [
         (100, 5), (4, 1), (69, 1), (90 - 15, 15), (75 - 15, 15),
         (components - depths, depths), (components - depths, depths), (builds - 1, 1),
+        (builds - 1, 1),
     ]
 
 
@@ -548,6 +531,35 @@ def test_public_functions_with_kept_facts_stay_plain(f):
     # the caches sit on private helpers; a span tracer that wraps plain
     # functions would miss a decorated public one
     assert inspect.isfunction(f)
+
+
+def test_every_kept_fact_is_registered():
+    # functools.cache appears only on gf.field (fields sit below `code`, and
+    # session fixtures hold them) and in the body of `code._kept`; every
+    # builder `_kept` decorates is in code._KEPT, so one clear forgets them all
+    cached, decorated = [], set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "mpqc").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (f"mpqc.{path.stem}", getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "_kept" for d in node.decorator_list
+                ):
+                    decorated.add((f"mpqc.{path.stem}", node.name))
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                    and node.attr in ("cache", "lru_cache")
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "functools"
+                    and {a.name for a in node.names} & {"cache", "lru_cache"}
+                ):
+                    cached.append(where)
+    assert sorted(cached) == [("mpqc.code", "_kept"), ("mpqc.gf", "field")]
+    registered = [(f.__wrapped__.__module__, f.__wrapped__.__name__) for f in code_module._KEPT]
+    assert decorated and sorted(registered) == sorted(decorated)
 
 
 def test_every_public_definition_is_read_by_the_package_or_the_bench():
@@ -725,9 +737,8 @@ def _dual_containing_products():
     ],
     ids=["chain-l9", "chain-l17", "character-l5", "dual-containing-product"],
 )
-def test_no_product_is_gram_tested(build, monkeypatch, fresh_families):
+def test_no_product_is_gram_tested(build, monkeypatch):
     # fresh components, so their own Gram tests run under the spy too
-    negacyclic._build_negacyclic.cache_clear()
     seen = _spy_on_gram_tests(monkeypatch)
     n, products = build()
     assert seen and max(code.n for code, _ in seen) == n
@@ -749,7 +760,6 @@ def test_cross_gram_blocks_against_a_hand_count(monkeypatch):
         (1, 2, 0),
         (1, 0, 0),
     )
-    negacyclic._build_negacyclic.cache_clear()
     seen = _spy_on_gram_tests(monkeypatch)
     cmd_example("3.8", 9, strict=False, deep=True)
     codes = {d: negacyclic_code(82, fld, centered_defining_set(9, d)) for d in range(5)}
@@ -850,7 +860,7 @@ def test_kernel_and_code_paths_build_no_validated_matrix(F25, monkeypatch):
     assert calls == []
 
 
-def test_verify_at_the_bench_seeds_stays_within_its_boundary_count(monkeypatch, fresh_families):
+def test_verify_at_the_bench_seeds_stays_within_its_boundary_count(monkeypatch):
     # the samplers' random rows and the hand-written tables are the only
     # validated constructions; every kernel output is trusted (37,928
     # validated constructions over these seeds when every matrix was checked)
